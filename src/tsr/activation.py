@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable
 
-from .errors import NotAnOrientation, NotATargetSet, PreconditionViolated
+from .errors import InvariantViolated, NotAnOrientation, NotATargetSet, PreconditionViolated
 from .graph import Edge, ThresholdGraph
 
 SeedSet = frozenset[int]
@@ -292,5 +292,6 @@ def shrink_threshold1_seed(
     if not is_target_set(g, s):
         raise PreconditionViolated(f"{sorted(s)} is not a target set")
     out = (s - {v}) | {w}
-    assert is_target_set(g, out)
+    if not is_target_set(g, out):
+        raise InvariantViolated(f"{sorted(out)} is not a target set")
     return out

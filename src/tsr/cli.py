@@ -83,24 +83,35 @@ def _cmd_activate(args) -> int:
     return OK
 
 
+def _tractable(g: ThresholdGraph):
+    """The (minimum size, solver) pair of g's tractable class; None, with a hint, if none."""
+    rep = classify(g)
+    # dispatch order: threshold-1, then trees, then maximum degree 2
+    table = (
+        (all(g.tau[v] == 1 for v in g.vertices), lambda: len(g.components()), solve_threshold1),
+        (rep.is_tree, lambda: len(chen_tree(g).s_star), solve_tree),
+        (rep.max_degree <= 2, lambda: maxdeg2_min_size(g), solve_maxdeg2),
+    )
+    for applies, min_size, solve in table:
+        if applies:
+            return min_size, solve
+    print(
+        "instance is not threshold-1, a tree, or maximum degree 2; "
+        "rerun with --oracle to search exhaustively",
+        file=sys.stderr,
+    )
+    return None
+
+
 def _cmd_solve_min(args) -> int:
     g = _load_graph(args.graph)
-    rep = classify(g)
     if args.oracle:
         print(min_target_set_size(g, guard=args.guard, cap=args.cap))
-    elif all(g.tau[v] == 1 for v in g.vertices):
-        print(len(g.components()))
-    elif rep.is_tree:
-        print(len(chen_tree(g).s_star))
-    elif rep.max_degree <= 2:
-        print(maxdeg2_min_size(g))
-    else:
-        print(
-            "instance is not threshold-1, a tree, or maximum degree 2; "
-            "rerun with --oracle to search exhaustively",
-            file=sys.stderr,
-        )
+        return OK
+    tractable = _tractable(g)
+    if tractable is None:
         return GUARD_EXCEEDED
+    print(tractable[0]())
     return OK
 
 
@@ -114,7 +125,6 @@ def _cmd_reconfigure(args) -> int:
     x = parse_seed_set(_read(args.src), g)
     y = parse_seed_set(_read(args.dst), g)
     model = TAR if args.model == "tar" else TJ
-    rep = classify(g)
     if args.oracle:
         if model == TAR:
             k = args.k if args.k is not None else len(x)
@@ -122,19 +132,11 @@ def _cmd_reconfigure(args) -> int:
         else:
             report = tj_decide(g, x, y, guard=args.guard)
         yes, seq = report.reconfigurable, report.shortest
-    elif all(g.tau[v] == 1 for v in g.vertices):
-        yes, seq = solve_threshold1(g, x, y, model=model)
-    elif rep.is_tree:
-        yes, seq = solve_tree(g, x, y, model=model)
-    elif rep.max_degree <= 2:
-        yes, seq = solve_maxdeg2(g, x, y, model=model)
     else:
-        print(
-            "instance is not threshold-1, a tree, or maximum degree 2; "
-            "rerun with --oracle to search exhaustively",
-            file=sys.stderr,
-        )
-        return GUARD_EXCEEDED
+        tractable = _tractable(g)
+        if tractable is None:
+            return GUARD_EXCEEDED
+        yes, seq = tractable[1](g, x, y, model=model)
     print("YES" if yes else "NO")
     if yes and seq is not None:
         _emit_sequence(args.emit_sequence, seq)

@@ -57,6 +57,10 @@ class PreconditionViolated(TsrError):
     pass
 
 
+class InvariantViolated(TsrError):
+    """An internal invariant failed: a fault in this package, not in the input."""
+
+
 # --- reconfiguration sequences ---
 
 class InvalidInput(TsrError):

@@ -39,14 +39,6 @@ class GadgetMap:
     def internal_vertices(self) -> frozenset[int]:
         return frozenset(self.named_internals.values())
 
-    def project_back(self, s) -> frozenset[int]:
-        """Project a transformed-graph seed back across this one gadget."""
-        if self.kind == SUBDIVISION:
-            return phi_sd(frozenset(s), self)
-        if self.kind == UPSILON:
-            return phi_upsilon(frozenset(s), self)
-        return frozenset(s) - self.internal_vertices
-
 
 def _extend(g: ThresholdGraph, new_tau: list[int], new_edges, tau_overrides=None) -> ThresholdGraph:
     tau = [g.tau[v] for v in g.vertices] + new_tau

@@ -250,19 +250,10 @@ def strip_noops(seq: ReconfigSequence) -> ReconfigSequence:
     return ReconfigSequence(seq.start, steps, TJ)
 
 
-def concat(a: ReconfigSequence, b: ReconfigSequence) -> ReconfigSequence:
-    """Concatenate two sequences of the same model; b must start at a's end."""
-    if a.model != b.model:
-        raise InvalidInput(f"model mismatch: {a.model} vs {b.model}")
-    if a.end != b.start:
-        raise InvalidInput("second sequence does not start at the first one's end")
-    return ReconfigSequence(a.start, a.steps + b.steps, a.model, max(a.k, b.k))
-
-
-def reverse(seq: ReconfigSequence) -> ReconfigSequence:
-    """Reverse a sequence; adds become removes and jumps swap direction."""
+def reverse_steps(steps) -> tuple[Step, ...]:
+    """Steps that undo ``steps``: adds become removes and jumps swap direction."""
     rev: list[Step] = []
-    for st in reversed(seq.steps):
+    for st in reversed(steps):
         if st.kind == "jump":
             rev.append(Step.jump(st.into, st.out))
         elif st.kind == "add":
@@ -271,7 +262,12 @@ def reverse(seq: ReconfigSequence) -> ReconfigSequence:
             rev.append(Step.add(st.out))
         else:
             rev.append(Step.noop())
-    return ReconfigSequence(seq.end, tuple(rev), seq.model, seq.k)
+    return tuple(rev)
+
+
+def reverse(seq: ReconfigSequence) -> ReconfigSequence:
+    """Reverse a sequence; adds become removes and jumps swap direction."""
+    return ReconfigSequence(seq.end, reverse_steps(seq.steps), seq.model, seq.k)
 
 
 # -- sequence file format -------------------------------------------------
@@ -299,6 +295,8 @@ def parse_sequence(text: str) -> ReconfigSequence:
                 if model not in (TJ, TAR, TJN):
                     raise MalformedLine(f"line {lineno}: unknown model {parts[1]!r}")
                 k = int(parts[2])
+                if k < 0:
+                    raise MalformedLine(f"line {lineno}: negative k {k}")
             elif parts[0] == "s":
                 if model is None or start is not None:
                     raise MalformedLine(f"line {lineno}: 's' line misplaced")

@@ -2,7 +2,10 @@
 
 Covers threshold-1 graphs, graphs of maximum degree 2 (paths and cycles,
 including the "terrible cycle" obstruction), and trees via Chen's bottom-up
-selection algorithm with canonical-seed routing.
+selection algorithm.  Every class routes a target set to a canonical minimum
+by one packing sweep (``_sweep``): for each region, add its canonical seed,
+then clear the rest of the region.  Paths are swept directly along their
+vertex order.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Callable
 from .activation import is_target_set
 from .errors import (
     DegreeTooLarge,
+    InvariantViolated,
     NotACycle,
     NotAPath,
     NotATargetSet,
@@ -20,7 +24,36 @@ from .errors import (
     PreconditionViolated,
 )
 from .graph import ThresholdGraph, classify
-from .reconfig import TAR, TJ, ReconfigSequence, Step, tar_to_tj
+from .reconfig import TAR, TJ, ReconfigSequence, Step, reverse_steps, tar_to_tj
+
+
+# -- the packing sweep -------------------------------------------------------
+
+
+def _sweep(s, regions, final: frozenset[int]) -> list[Step]:
+    """TAR steps from s to ``final`` by the packing argument.
+
+    For each ``(target, region)`` in order: add ``target`` if absent, then
+    remove the rest of the region from the set; finish by removing whatever
+    lies outside ``final``.  Callers pick regions that every target set meets
+    and whose sweep leaves a target set, so every intermediate set is a
+    target set and the peak stays within |s|+1.
+    """
+    cur = set(s)
+    steps: list[Step] = []
+    for target, region in regions:
+        if target not in cur:
+            steps.append(Step.add(target))
+            cur.add(target)
+        for v in sorted(cur.intersection(region) - {target}):
+            steps.append(Step.remove(v))
+            cur.remove(v)
+    for v in sorted(cur - final):
+        steps.append(Step.remove(v))
+        cur.remove(v)
+    if cur != final:
+        raise InvariantViolated(f"sweep ended at {sorted(cur)}, not {sorted(final)}")
+    return steps
 
 
 # -- degree-2 decomposition ------------------------------------------------
@@ -224,18 +257,7 @@ def tree_tar_to_canonical(
     ss = g.check_seed(s)
     if not is_target_set(g, ss):
         raise NotATargetSet(f"{sorted(ss)} is not a target set")
-    cur = set(ss)
-    steps: list[Step] = []
-    for s_i, p_i in zip(plan.s_list, plan.packing):
-        if s_i not in cur:
-            steps.append(Step.add(s_i))
-            cur.add(s_i)
-        for v in sorted(cur & (p_i - {s_i})):
-            steps.append(Step.remove(v))
-            cur.remove(v)
-    for v in sorted(cur - plan.s_star):
-        steps.append(Step.remove(v))
-        cur.remove(v)
+    steps = _sweep(ss, zip(plan.s_list, plan.packing), plan.s_star)
     return ReconfigSequence(ss, tuple(steps), TAR, k=len(ss))
 
 
@@ -253,26 +275,11 @@ def solve_tree(
     plan = chen_tree(g)
     down = tree_tar_to_canonical(g, plan, xs)
     up = tree_tar_to_canonical(g, plan, ys)
-    seq = _stitch_tar(xs, [down.steps, _reverse_steps(up.steps)], k=len(xs))
+    seq = ReconfigSequence(xs, down.steps + reverse_steps(up.steps), TAR, k=len(xs))
     return True, (tar_to_tj(seq) if model == TJ else seq)
 
 
 # -- threshold-1 graphs ------------------------------------------------------
-
-
-def _threshold1_route(g: ThresholdGraph, s: frozenset[int]) -> list[Step]:
-    """TAR steps from s to the canonical one-seed-per-component set."""
-    steps: list[Step] = []
-    cur = set(s)
-    for comp in g.components():
-        canon = comp[0]
-        if canon not in cur:
-            steps.append(Step.add(canon))
-            cur.add(canon)
-        for v in sorted(cur & set(comp) - {canon}):
-            steps.append(Step.remove(v))
-            cur.remove(v)
-    return steps
 
 
 def solve_threshold1(
@@ -286,61 +293,15 @@ def solve_threshold1(
         raise PreconditionViolated(f"|x|={len(xs)} != |y|={len(ys)}")
     if not is_target_set(g, xs) or not is_target_set(g, ys):
         raise PreconditionViolated("endpoints must be target sets")
-    seq = _stitch_tar(
-        xs,
-        [tuple(_threshold1_route(g, xs)), _reverse_steps(tuple(_threshold1_route(g, ys)))],
-        k=len(xs),
-    )
+    # one canonical seed per component: its smallest vertex
+    regions = [(comp[0], comp) for comp in g.components()]
+    canon = frozenset(target for target, _ in regions)
+    down, up = _sweep(xs, regions, canon), _sweep(ys, regions, canon)
+    seq = ReconfigSequence(xs, tuple(down) + reverse_steps(up), TAR, k=len(xs))
     return True, (tar_to_tj(seq) if model == TJ else seq)
 
 
 # -- paths and cycles --------------------------------------------------------
-
-
-def _induced(g: ThresholdGraph, vertices: frozenset[int]):
-    """Induced subgraph on a union of components, with id maps."""
-    order = sorted(vertices)
-    to_local = {v: i + 1 for i, v in enumerate(order)}
-    edges = [
-        (to_local[u], to_local[v]) for u, v in g.edges if u in vertices and v in vertices
-    ]
-    sub = ThresholdGraph.build(len(order), edges, [g.tau[v] for v in order])
-    return sub, tuple([0] + order), to_local
-
-
-def _map_steps(steps, to_global) -> list[Step]:
-    out = []
-    for st in steps:
-        if st.kind == "add":
-            out.append(Step.add(to_global[st.into]))
-        elif st.kind == "remove":
-            out.append(Step.remove(to_global[st.out]))
-        elif st.kind == "jump":
-            out.append(Step.jump(to_global[st.out], to_global[st.into]))
-        else:
-            out.append(Step.noop())
-    return out
-
-
-def _reverse_steps(steps) -> tuple[Step, ...]:
-    rev = []
-    for st in reversed(steps):
-        if st.kind == "add":
-            rev.append(Step.remove(st.into))
-        elif st.kind == "remove":
-            rev.append(Step.add(st.out))
-        elif st.kind == "jump":
-            rev.append(Step.jump(st.into, st.out))
-        else:
-            rev.append(Step.noop())
-    return tuple(rev)
-
-
-def _stitch_tar(start: frozenset[int], step_groups, k: int) -> ReconfigSequence:
-    steps: list[Step] = []
-    for grp in step_groups:
-        steps.extend(grp)
-    return ReconfigSequence(start, tuple(steps), TAR, k=k)
 
 
 def _path_canonical_set(comp: Deg2Component) -> frozenset[int]:
@@ -354,135 +315,65 @@ def _path_canonical_set(comp: Deg2Component) -> frozenset[int]:
     return frozenset(comp.w[i] for i in idx)
 
 
-def _removal_route(cur: set[int], keep: frozenset[int], steps: list[Step]) -> None:
-    for v in sorted(cur - keep):
-        steps.append(Step.remove(v))
-        cur.remove(v)
+def _path_regions(comp: Deg2Component) -> list[tuple[int, tuple[int, ...]]]:
+    """Sweep regions of a path with m >= 1 threshold-2 vertices.
 
-
-def _path_route(g: ThresholdGraph, comp: Deg2Component, s: frozenset[int]) -> tuple[list[Step], frozenset[int]]:
-    """TAR steps from s (a target set of the path component) to its canonical minimum.
-
-    Delegates to the tree machinery: down to the Chen set of the path, then
-    the reversed route from the canonical parity set.
+    With w_1..w_m the threshold-2 vertices and P_j the threshold-1 run between
+    w_j and w_{j+1} (P_0 and P_m at the ends), the sweep clears P_0+w_1 toward
+    w_1, each w_{2i}+P_{2i}+w_{2i+1} toward w_{2i+1}, and for even m, w_m+P_m
+    toward w_m.  Every target set meets each region: were none of its vertices
+    seeded, the first to activate would need an active neighbor inside it.
+    Once a region is swept, everything up to its target is active, so every
+    intermediate set is a target set.
     """
-    canonical = _path_canonical_set(comp)
-    steps: list[Step] = []
-    cur = set(s)
-    if cur >= canonical:
-        _removal_route(cur, canonical, steps)
-        return steps, canonical
-    sub, to_global, to_local = _induced(g, comp.vertices)
-    plan = chen_tree(sub)
-    down = tree_tar_to_canonical(sub, plan, frozenset(to_local[v] for v in s))
-    up = tree_tar_to_canonical(sub, plan, frozenset(to_local[v] for v in canonical))
-    steps = _map_steps(down.steps, to_global) + _map_steps(
-        _reverse_steps(up.steps), to_global
-    )
-    return steps, canonical
+    order, w, m = comp.order, comp.w, comp.m
+    wset = set(w)
+    pos = [i for i, v in enumerate(order) if v in wset]
+    regions = [(w[0], order[: pos[0] + 1])]
+    regions += [(w[j + 1], order[pos[j] : pos[j + 1] + 1]) for j in range(1, m - 1, 2)]
+    if m % 2 == 0:
+        regions.append((w[m - 1], order[pos[m - 1] :]))
+    return regions
 
 
-def _cycle_intervals_even(comp: Deg2Component, shift: int) -> list[tuple[int, ...]]:
-    """Arcs [w'_{2i-1} .. w'_{2i}] of the relabeled cycle, 0-based shift."""
-    order = comp.order
+def _cycle_arc(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """Cycle vertices from position a through position b, wrapping around."""
     n = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    wpos = [pos[comp.w[(shift + j) % comp.m]] for j in range(comp.m)]
-    intervals = []
-    for i in range(comp.m // 2):
-        a, b = wpos[2 * i], wpos[2 * i + 1]
-        arc = []
-        j = a
-        while True:
-            arc.append(order[j])
-            if j == b:
-                break
-            j = (j + 1) % n
-        intervals.append(tuple(arc))
-    return intervals
+    return tuple(order[(a + i) % n] for i in range((b - a) % n + 1))
 
 
-def _even_cycle_route(comp: Deg2Component, s: frozenset[int]) -> tuple[list[Step], frozenset[int]]:
-    w = comp.w
-    m = comp.m
-    s1 = frozenset(w[i] for i in range(0, m, 2))
-    s2 = frozenset(w[i] for i in range(1, m, 2))
-    steps: list[Step] = []
-    cur = set(s)
-    if cur >= s1:
-        _removal_route(cur, s1, steps)
-        return steps, s1
-    if cur >= s2:
-        _removal_route(cur, s2, steps)
-        return steps, s2
+def _even_cycle_regions(comp: Deg2Component, s: frozenset[int]):
+    """Sweep regions toward a minimum of an even cycle; none when s contains one."""
+    w, m = comp.w, comp.m
+    for final in (frozenset(w[0::2]), frozenset(w[1::2])):
+        if s >= final:
+            return (), final
     # anchor the relabeling at the smallest-id threshold-2 vertex missing from s
-    anchor = min(v for v in w if v not in s)
-    shift = w.index(anchor)
-    intervals = _cycle_intervals_even(comp, shift)
-    final = frozenset(w[(shift + j) % m] for j in range(1, m, 2))
-    for i, arc in enumerate(intervals):
-        tgt = w[(shift + 2 * i + 1) % m]
-        if tgt not in cur:
-            steps.append(Step.add(tgt))
-            cur.add(tgt)
-        for v in sorted(cur & (set(arc) - {tgt})):
-            steps.append(Step.remove(v))
-            cur.remove(v)
-    _removal_route(cur, final, steps)
-    return steps, final
+    shift = w.index(min(v for v in w if v not in s))
+    lab = w[shift:] + w[:shift]
+    pos = {v: i for i, v in enumerate(comp.order)}
+    regions = [
+        (lab[2 * i + 1], _cycle_arc(comp.order, pos[lab[2 * i]], pos[lab[2 * i + 1]]))
+        for i in range(m // 2)
+    ]
+    return regions, frozenset(lab[1::2])
 
 
-def _odd_cycle_route(comp: Deg2Component, s: frozenset[int]) -> tuple[list[Step], frozenset[int], int]:
-    """Route to the all-threshold-2 minimum anchored where s first meets an interval."""
-    order = comp.order
-    n = len(order)
-    m = comp.m
+def _odd_cycle_regions(comp: Deg2Component, s: frozenset[int]):
+    """Sweep regions toward the all-threshold-2 minimum anchored where s first meets an interval."""
+    order, w, m = comp.order, comp.w, comp.m
     pos = {v: i for i, v in enumerate(order)}
-    wpos = [pos[v] for v in comp.w]
     # interval j (0-based): from w_j up to, not including, w_{j+1}; for m=1
     # the single interval wraps the whole cycle
-    intervals = []
-    for j in range(m):
-        a, b = wpos[j], wpos[(j + 1) % m]
-        arc = [order[a]]
-        i = (a + 1) % n
-        while i != b:
-            arc.append(order[i])
-            i = (i + 1) % n
-        intervals.append(tuple(arc))
+    intervals = [_cycle_arc(order, pos[w[j]], pos[w[(j + 1) % m]] - 1) for j in range(m)]
     p = next(j for j in range(m) if s & set(intervals[j]))
-    steps: list[Step] = []
-    cur = set(s)
-
-    def clear(arcs, tgt):
-        if tgt not in cur:
-            steps.append(Step.add(tgt))
-            cur.add(tgt)
-        drop = set()
-        for arc in arcs:
-            drop |= set(arc)
-        for v in sorted(cur & (drop - {tgt})):
-            steps.append(Step.remove(v))
-            cur.remove(v)
-
-    clear([intervals[p]], comp.w[p])
-    for j in range(1, (m - 1) // 2 + 1):
-        tgt = comp.w[(p + 2 * j) % m]
-        clear([intervals[(p + 2 * j - 1) % m], intervals[(p + 2 * j) % m]], tgt)
-    final = frozenset(comp.w[(p + 2 * t) % m] for t in range((m - 1) // 2 + 1))
-    assert cur == final
-    return steps, final, p
-
-
-def _zero_cycle_route(comp: Deg2Component, s: frozenset[int]) -> tuple[list[Step], frozenset[int]]:
-    canon = frozenset({comp.order[0]})
-    steps: list[Step] = []
-    cur = set(s)
-    if comp.order[0] not in cur:
-        steps.append(Step.add(comp.order[0]))
-        cur.add(comp.order[0])
-    _removal_route(cur, canon, steps)
-    return steps, canon
+    regions = [(w[p], intervals[p])]
+    regions += [
+        (w[(p + 2 * j) % m], intervals[(p + 2 * j - 1) % m] + intervals[(p + 2 * j) % m])
+        for j in range(1, (m - 1) // 2 + 1)
+    ]
+    final = frozenset(w[(p + 2 * t) % m] for t in range((m - 1) // 2 + 1))
+    return regions, final, p
 
 
 def even_cycle_flip_steps(comp: Deg2Component, current: frozenset[int]) -> tuple[list[Step], frozenset[int]]:
@@ -519,19 +410,19 @@ def odd_cycle_rotation_steps(comp: Deg2Component, p: int, q: int) -> list[Step]:
 
 
 def _component_route(
-    g: ThresholdGraph, comp: Deg2Component, s: frozenset[int]
+    comp: Deg2Component, s: frozenset[int]
 ) -> tuple[list[Step], frozenset[int], int | None]:
-    if comp.kind == "path":
-        steps, final = _path_route(g, comp, s)
-        return steps, final, None
+    """TAR steps from s to a canonical minimum of comp, that minimum, and the odd-cycle anchor."""
+    anchor = None
     if comp.m == 0:
-        steps, final = _zero_cycle_route(comp, s)
-        return steps, final, None
-    if comp.m % 2 == 0:
-        steps, final = _even_cycle_route(comp, s)
-        return steps, final, None
-    steps, final, anchor = _odd_cycle_route(comp, s)
-    return steps, final, anchor
+        regions, final = [(comp.order[0], comp.order)], frozenset({comp.order[0]})
+    elif comp.kind == "path":
+        regions, final = _path_regions(comp), _path_canonical_set(comp)
+    elif comp.m % 2 == 0:
+        regions, final = _even_cycle_regions(comp, s)
+    else:
+        regions, final, anchor = _odd_cycle_regions(comp, s)
+    return _sweep(s, regions, final), final, anchor
 
 
 @dataclasses.dataclass(frozen=True)
@@ -556,7 +447,7 @@ def cycle_analyze(g: ThresholdGraph, s) -> CycleAnalysis:
     ss = g.check_seed(s)
     if not is_target_set(g, ss):
         raise NotATargetSet(f"{sorted(ss)} is not a target set")
-    steps, final, anchor = _component_route(g, comp, ss)
+    steps, final, anchor = _component_route(comp, ss)
     m = comp.m
     if m == 0:
         case = "zero"
@@ -598,7 +489,7 @@ def path_canonical(
         ss = g.check_seed(s)
         if not is_target_set(g, ss):
             raise NotATargetSet(f"{sorted(ss)} is not a target set")
-        steps, _ = _path_route(g, comp, ss)
+        steps = _component_route(comp, ss)[0]
         return ReconfigSequence(ss, tuple(steps), TAR, k=len(ss))
 
     return comp.min_size, canonical, builder
@@ -634,25 +525,14 @@ def solve_maxdeg2(
     if xs == ys:
         return True, ReconfigSequence(xs, (), TJ if model == TJ else TAR, k=k)
 
-    steps: list[Step] = []
-    finals_x: dict[int, tuple[frozenset[int], int | None]] = {}
-    finals_y: dict[int, tuple[frozenset[int], int | None]] = {}
-    routes_y: dict[int, list[Step]] = {}
-    for i, comp in enumerate(dec.components):
-        st, final, anchor = _component_route(g, comp, xs & comp.vertices)
-        steps += st
-        finals_x[i] = (final, anchor)
-        st_y, final_y, anchor_y = _component_route(g, comp, ys & comp.vertices)
-        routes_y[i] = st_y
-        finals_y[i] = (final_y, anchor_y)
-
-    for i, comp in enumerate(dec.components):
-        fx, ax = finals_x[i]
-        fy, ay = finals_y[i]
+    routes_x = [_component_route(c, xs & c.vertices) for c in dec.components]
+    routes_y = [_component_route(c, ys & c.vertices) for c in dec.components]
+    steps = [st for route, _, _ in routes_x for st in route]
+    for comp, (_, fx, ax), (_, fy, ay) in zip(dec.components, routes_x, routes_y):
         if fx == fy:
             continue
         if comp.kind != "cycle":
-            raise AssertionError("path canonicals are unique")
+            raise InvariantViolated("path canonicals are unique")
         if comp.m % 2 == 1:
             steps += odd_cycle_rotation_steps(comp, ax, ay)
         elif comp.m == 2:
@@ -662,14 +542,16 @@ def solve_maxdeg2(
             steps.append(Step.remove(rem_v))
         else:
             flip, final = even_cycle_flip_steps(comp, fx)
-            assert final == fy
+            if final != fy:
+                raise InvariantViolated(f"even-cycle flip ended at {sorted(final)}, not {sorted(fy)}")
             steps += flip
 
-    for i in range(len(dec.components) - 1, -1, -1):
-        steps += _reverse_steps(tuple(routes_y[i]))
+    for route, _, _ in reversed(routes_y):
+        steps += reverse_steps(route)
 
-    seq = _stitch_tar(xs, [steps], k=k)
-    assert seq.end == ys
+    seq = ReconfigSequence(xs, tuple(steps), TAR, k=k)
+    if seq.end != ys:
+        raise InvariantViolated(f"route ended at {sorted(seq.end)}, not {sorted(ys)}")
     return True, (tar_to_tj(seq) if model == TJ else seq)
 
 

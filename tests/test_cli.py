@@ -36,6 +36,14 @@ def test_check_rejects_malformed(tmp_path, capsys):
     assert "error" in err
 
 
+def test_check_sequence_rejects_negative_k(tmp_path, capsys):
+    seq = tmp_path / "neg.seq"
+    seq.write_text("q tar -3\ns 1 6 9 10\n")
+    code, out, err = run(capsys, "check", FIG1, "--sequence", str(seq))
+    assert code == 2
+    assert "negative k" in err and "Traceback" not in err + out
+
+
 def test_activate_trace(capsys, tmp_path):
     seed = tmp_path / "m.seed"
     seed.write_text("s 2 9 13\n")

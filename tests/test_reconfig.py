@@ -177,6 +177,12 @@ def test_parse_sequence_errors():
         parse_sequence("q warp 0\ns 1\n")
 
 
+@pytest.mark.parametrize("model", ["tar", "tj"])
+def test_parse_sequence_rejects_negative_k(model):
+    with pytest.raises(errors.MalformedLine, match="negative"):
+        parse_sequence(f"q {model} -3\ns 1\n")
+
+
 def _project_to_tjn(sets, side):
     """Turn a projected set sequence into TJN steps (noop where unchanged)."""
     steps = []

@@ -66,6 +66,11 @@ def test_decompose_rejects_degree3(k4):
         (3, [1, 0, 1, 1], 2, (0, 2)),
         (0, [3], 1, None),
         (4, [1, 1, 1, 1, 1], 3, (0, 2, 3)),
+        (1, [2, 1], 1, (0,)),
+        (2, [1, 0, 1], 2, (0, 1)),
+        (4, [1, 0, 0, 0, 2], 3, (0, 2, 3)),
+        (5, [1, 0, 2, 0, 1, 1], 3, (0, 2, 4)),
+        (6, [1, 1, 0, 2, 0, 1, 1], 4, (0, 2, 4, 5)),
     ],
 )
 def test_path_canonical_examples(m, gaps, size, canon_positions):
