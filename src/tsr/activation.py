@@ -10,8 +10,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable
 
-from .errors import InvariantViolated, NotAnOrientation, NotATargetSet, PreconditionViolated
-from .graph import Edge, ThresholdGraph
+from .errors import (
+    InvariantViolated,
+    MalformedLine,
+    NotAnOrientation,
+    NotATargetSet,
+    PreconditionViolated,
+)
+from .graph import Edge, ThresholdGraph, records
 
 SeedSet = frozenset[int]
 
@@ -192,14 +198,8 @@ class Orientation:
 
 def parse_orientation(text: str) -> Orientation:
     """Parse an orientation file: one ``a <u> <v>`` line per directed edge."""
-    from .errors import MalformedLine
-
     arcs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] != "a" or len(parts) != 3:
             raise MalformedLine(f"line {lineno}: expected 'a <u> <v>'")
         try:

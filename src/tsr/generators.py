@@ -72,6 +72,10 @@ def random_path(rng: random.Random, m: int, max_gap: int = 3) -> ThresholdGraph:
 
 
 def random_cycle(rng: random.Random, m: int, max_gap: int = 3) -> ThresholdGraph:
+    if m < 0:
+        raise InvalidInput(f"negative threshold-2 count m={m}")
+    if 0 < m and m * (1 + max_gap) < 3:
+        raise InvalidInput(f"m={m} with gaps of at most {max_gap} cannot reach 3 vertices")
     while True:
         gaps = [rng.randint(0, max_gap) for _ in range(max(m, 1))]
         if m == 0:
@@ -130,6 +134,8 @@ def random_hitting_system(
     rng: random.Random, n: int, m: int, k: int
 ) -> HittingSystem:
     """Random set family over 1..n with m nonempty sets and target size k < n."""
+    if n < 1:
+        raise InvalidInput(f"universe size n={n} must be positive")
     family = []
     for _ in range(m):
         size = rng.randint(1, n)

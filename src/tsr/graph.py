@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeTooSmall,
@@ -270,15 +270,19 @@ def fvs_to_tss(g: PlainGraph) -> ThresholdGraph:
 #   # comment lines and blank lines are ignored
 
 
+def records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, fields)`` for every line that is neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            yield lineno, parts
+
+
 def parse_graph(text: str) -> ThresholdGraph:
     header: tuple[int, int] | None = None
     tau: dict[int, int] = {}
     edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         kind = parts[0]
         try:
             if kind == "p":
@@ -331,11 +335,7 @@ def parse_seed_set(text: str, g: ThresholdGraph | None = None) -> frozenset[int]
     """Parse a one-line seed file ``s <id> <id> ...``."""
     ids: list[int] = []
     seen_s = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         if parts[0] != "s" or seen_s:
             raise MalformedLine(f"line {lineno}: expected a single 's <ids...>' line")
         seen_s = True

@@ -1,26 +1,32 @@
 """Exhaustive ground truth for small instances.
 
-Enumerates target sets, walks the token-jumping reconfiguration graph by
-breadth-first search, and reconstructs shortest sequences.  Everything here
-is desk-scale: state exploration aborts once it exceeds a configurable guard.
+Enumerates target sets and runs one breadth-first search core, ``bfs``, over
+int masks: TJ moves (``tj_decide``, ``tj_components`` and
+``reductions.hs_tj_decide``) or k-TAR moves (``ktar_decide``), from which
+shortest sequences are rebuilt.  Everything here is desk-scale: state
+exploration aborts once it exceeds a configurable guard.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from collections import deque
 from math import comb
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .activation import closure_mask, mask_to_set
-from .errors import InstanceTooLarge, NotATargetSet, SizeMismatch
+from .activation import closure_mask, seed_mask
+from .errors import InstanceTooLarge, InvariantViolated, NotATargetSet, SizeMismatch
 from .graph import ThresholdGraph
 from .reconfig import TAR, TJ, ReconfigSequence, Step
 
 DEFAULT_GUARD = 5_000_000
 DEFAULT_CAP = 20
+
+Moves = Callable[[int], Iterable[tuple[int, int, int]]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,25 +45,9 @@ class OracleReport:
     explored: int = 0
 
 
-def _mask_of(seed) -> int:
-    m = 0
-    for v in seed:
-        m |= 1 << v
-    return m
-
-
-def _ts_test(g: ThresholdGraph):
+def _ts_test(g: ThresholdGraph) -> Callable[[int], bool]:
     full = g.full_mask
-    memo: dict[int, bool] = {}
-
-    def is_ts(mask: int) -> bool:
-        hit = memo.get(mask)
-        if hit is None:
-            hit = closure_mask(g, mask) == full
-            memo[mask] = hit
-        return hit
-
-    return is_ts
+    return functools.cache(lambda mask: closure_mask(g, mask) == full)
 
 
 def enumerate_target_sets(
@@ -75,11 +65,11 @@ def enumerate_target_sets(
     if comb(g.n, k) > guard:
         raise InstanceTooLarge(f"C({g.n},{k}) exceeds the enumeration guard")
     is_ts = _ts_test(g)
-    out = []
-    for combo in itertools.combinations(g.vertices, k):
-        if is_ts(_mask_of(combo)):
-            out.append(frozenset(combo))
-    return out
+    return [
+        frozenset(combo)
+        for combo in itertools.combinations(g.vertices, k)
+        if is_ts(sum(1 << v for v in combo))
+    ]
 
 
 def min_target_set_size(
@@ -91,7 +81,7 @@ def min_target_set_size(
     for k in range(0, g.n + 1):
         if enumerate_target_sets(g, k, guard=guard, cap=cap):
             return k
-    raise AssertionError("V itself is always a target set")
+    raise InvariantViolated("V itself is always a target set")
 
 
 def all_target_set_masks(g: ThresholdGraph, *, guard: int = DEFAULT_GUARD) -> list[int]:
@@ -130,13 +120,88 @@ def target_sets_by_size(
     return by_size
 
 
-def _check_pair(g: ThresholdGraph, x, y) -> tuple[frozenset[int], frozenset[int]]:
-    xs, ys = g.check_seed(x), g.check_seed(y)
+def _check_pair(g: ThresholdGraph, x, y):
+    """Validated endpoints as sets and masks, plus the memoized target-set test."""
+    xs, ys = frozenset(x), frozenset(y)
+    start, goal = seed_mask(g, xs), seed_mask(g, ys)
     is_ts = _ts_test(g)
-    for s in (xs, ys):
-        if not is_ts(_mask_of(s)):
+    for s, m in ((xs, start), (ys, goal)):
+        if not is_ts(m):
             raise NotATargetSet(f"{sorted(s)} is not a target set")
-    return xs, ys
+    return xs, ys, start, goal, is_ts
+
+
+def tj_moves(universe: Sequence[int]) -> Moves:
+    """Single jumps: ascending removed element, then ascending added element."""
+
+    def moves(cur: int):
+        for out in universe:
+            if cur >> out & 1:
+                base = cur & ~(1 << out)
+                for into in universe:
+                    if not cur >> into & 1:
+                        yield base | 1 << into, out, into
+
+    return moves
+
+
+def ktar_moves(universe: Sequence[int], k: int) -> Moves:
+    """Single additions (while the set has at most k elements), then removals."""
+
+    def moves(cur: int):
+        if cur.bit_count() <= k:
+            for into in universe:
+                if not cur >> into & 1:
+                    yield cur | 1 << into, 0, into
+        for out in universe:
+            if cur >> out & 1:
+                yield cur & ~(1 << out), out, 0
+
+    return moves
+
+
+def bfs(
+    start: int,
+    goal: int | None,
+    moves: Moves,
+    ok: Callable[[int], bool],
+    guard: int,
+) -> tuple[dict[int, tuple[int, int, int] | None], bool]:
+    """Parent map of the states reached from ``start``, and whether ``goal`` was.
+
+    ``moves(cur)`` yields ``(next, out, into)``, 0 meaning none: a jump, an
+    addition ``(0, into)`` or a removal ``(out, 0)``.  ``goal=None`` floods
+    the component.  Raises InstanceTooLarge after ``guard`` popped states.
+    """
+    parents: dict[int, tuple[int, int, int] | None] = {start: None}
+    if start == goal:
+        return parents, True
+    queue = deque([start])
+    explored = 0
+    while queue:
+        cur = queue.popleft()
+        explored += 1
+        if explored > guard:
+            raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
+        for nxt, out, into in moves(cur):
+            if nxt in parents or not ok(nxt):
+                continue
+            parents[nxt] = (cur, out, into)
+            if nxt == goal:
+                return parents, True
+            queue.append(nxt)
+    return parents, False
+
+
+def _steps_to(parents: dict[int, tuple[int, int, int] | None], goal: int) -> tuple[Step, ...]:
+    steps = []
+    node = goal
+    while parents[node] is not None:
+        node, out, into = parents[node]
+        steps.append(
+            Step.jump(out, into) if out and into else Step.add(into) if into else Step.remove(out)
+        )
+    return tuple(reversed(steps))
 
 
 def tj_decide(
@@ -152,47 +217,12 @@ def tj_decide(
     the full C(n,k) space.  Neighbor order is lexicographic (ascending removed
     vertex, then ascending added vertex) for reproducible shortest sequences.
     """
-    xs, ys = _check_pair(g, x, y)
+    xs, ys, start, goal, is_ts = _check_pair(g, x, y)
     if len(xs) != len(ys):
         raise SizeMismatch(f"|x|={len(xs)} != |y|={len(ys)}")
-    k = len(xs)
-    is_ts = _ts_test(g)
-    start, goal = _mask_of(xs), _mask_of(ys)
-    parents: dict[int, tuple[int, int, int] | None] = {start: None}
-    queue = deque([start])
-    explored = 0
-    found = start == goal
-    while queue and not found:
-        cur = queue.popleft()
-        explored += 1
-        if explored > guard:
-            raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
-        cur_set = sorted(mask_to_set(cur))
-        for out in cur_set:
-            base = cur & ~(1 << out)
-            for into in g.vertices:
-                if cur >> into & 1:
-                    continue
-                nxt = base | (1 << into)
-                if nxt in parents or not is_ts(nxt):
-                    continue
-                parents[nxt] = (cur, out, into)
-                if nxt == goal:
-                    found = True
-                    break
-                queue.append(nxt)
-            if found:
-                break
-    if not found:
-        return OracleReport(k=k, reconfigurable=False, explored=len(parents))
-    steps: list[Step] = []
-    node = goal
-    while parents[node] is not None:
-        prev, out, into = parents[node]
-        steps.append(Step.jump(out, into))
-        node = prev
-    seq = ReconfigSequence(xs, tuple(reversed(steps)), TJ)
-    return OracleReport(k=k, reconfigurable=True, shortest=seq, explored=len(parents))
+    parents, found = bfs(start, goal, tj_moves(g.vertices), is_ts, guard)
+    seq = ReconfigSequence(xs, _steps_to(parents, goal), TJ) if found else None
+    return OracleReport(k=len(xs), reconfigurable=found, shortest=seq, explored=len(parents))
 
 
 def ktar_decide(
@@ -204,46 +234,12 @@ def ktar_decide(
     guard: int = DEFAULT_GUARD,
 ) -> OracleReport:
     """BFS over target sets of size at most k+1 under single additions/removals."""
-    xs, ys = _check_pair(g, x, y)
+    xs, ys, start, goal, is_ts = _check_pair(g, x, y)
     if len(xs) > k or len(ys) > k:
         raise SizeMismatch(f"endpoint sizes {len(xs)}, {len(ys)} exceed k={k}")
-    is_ts = _ts_test(g)
-    start, goal = _mask_of(xs), _mask_of(ys)
-    parents: dict[int, tuple[int, Step] | None] = {start: None}
-    queue = deque([start])
-    explored = 0
-    found = start == goal
-    while queue and not found:
-        cur = queue.popleft()
-        explored += 1
-        if explored > guard:
-            raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
-        size = cur.bit_count()
-        moves: list[tuple[int, Step]] = []
-        if size <= k:
-            for into in g.vertices:
-                if not cur >> into & 1:
-                    moves.append((cur | (1 << into), Step.add(into)))
-        for out in sorted(mask_to_set(cur)):
-            moves.append((cur & ~(1 << out), Step.remove(out)))
-        for nxt, step in moves:
-            if nxt in parents or not is_ts(nxt):
-                continue
-            parents[nxt] = (cur, step)
-            if nxt == goal:
-                found = True
-                break
-            queue.append(nxt)
-    if not found:
-        return OracleReport(k=k, reconfigurable=False, explored=len(parents))
-    steps = []
-    node = goal
-    while parents[node] is not None:
-        prev, step = parents[node]
-        steps.append(step)
-        node = prev
-    seq = ReconfigSequence(xs, tuple(reversed(steps)), TAR, k=k)
-    return OracleReport(k=k, reconfigurable=True, shortest=seq, explored=len(parents))
+    parents, found = bfs(start, goal, ktar_moves(g.vertices, k), is_ts, guard)
+    seq = ReconfigSequence(xs, _steps_to(parents, goal), TAR, k=k) if found else None
+    return OracleReport(k=k, reconfigurable=found, shortest=seq, explored=len(parents))
 
 
 def tj_components(
@@ -255,33 +251,16 @@ def tj_components(
 ) -> OracleReport:
     """Full partition of the size-k target sets into TJ-connected classes."""
     sets = enumerate_target_sets(g, k, guard=guard, cap=cap)
-    masks = [_mask_of(s) for s in sets]
-    index = {m: i for i, m in enumerate(masks)}
-    parent = list(range(len(masks)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, m in enumerate(masks):
-        for out in sorted(mask_to_set(m)):
-            base = m & ~(1 << out)
-            for into in g.vertices:
-                if m >> into & 1:
-                    continue
-                j = index.get(base | (1 << into))
-                if j is not None:
-                    ra, rb = find(i), find(j)
-                    if ra != rb:
-                        parent[ra] = rb
-    groups: dict[int, list[frozenset[int]]] = {}
-    for i, s in enumerate(sets):
-        groups.setdefault(find(i), []).append(s)
+    index = {sum(1 << v for v in s): s for s in sets}
+    moves = tj_moves(g.vertices)
+    groups = []
+    while index:
+        # flood from the least unvisited set; visited classes leave the index
+        parents, _ = bfs(next(iter(index)), None, moves, index.__contains__, guard)
+        groups.append([index.pop(m) for m in parents])
     comps = tuple(
         tuple(sorted(grp, key=sorted)) for grp in
-        sorted(groups.values(), key=lambda grp: sorted(min(grp, key=sorted)))
+        sorted(groups, key=lambda grp: sorted(min(grp, key=sorted)))
     )
     return OracleReport(
         k=k,

@@ -14,7 +14,7 @@ from typing import Callable, Iterator
 
 from .activation import is_target_set
 from .errors import EndpointSizeMismatch, InvalidInput, MalformedLine
-from .graph import ThresholdGraph
+from .graph import ThresholdGraph, records
 
 TJ = "tj"
 TAR = "tar"
@@ -282,11 +282,7 @@ def parse_sequence(text: str) -> ReconfigSequence:
     k = 0
     start: frozenset[int] | None = None
     steps: list[Step] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         try:
             if parts[0] == "q":
                 if model is not None or len(parts) != 3:

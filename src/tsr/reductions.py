@@ -11,14 +11,12 @@ provenance tags.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from itertools import combinations
 from typing import Callable
 
 from .errors import (
     BadDegree,
     EmptyFamilySet,
-    InstanceTooLarge,
     MalformedLine,
     NotA33Graph,
     NotATargetSet,
@@ -35,8 +33,8 @@ from .gadgets import (
     replace_upsilon,
     subdivision_map,
 )
-from .graph import PlainGraph, ThresholdGraph, disjoint_union, subdivide_edge, vc_to_tss
-from .oracle import DEFAULT_GUARD, tj_decide
+from .graph import PlainGraph, ThresholdGraph, disjoint_union, records, subdivide_edge, vc_to_tss
+from .oracle import DEFAULT_GUARD, bfs, tj_decide, tj_moves
 
 SeedMap = Callable[[frozenset[int]], frozenset[int]]
 
@@ -262,8 +260,9 @@ class HittingSystem:
         return HittingSystem(n=n, family=fam, k=k)
 
     def is_hitting_set(self, s) -> bool:
+        """True iff s is a subset of 1..n that meets every family set."""
         ss = frozenset(s)
-        return all(ss & f for f in self.family)
+        return all(1 <= u <= self.n for u in ss) and all(ss & f for f in self.family)
 
     def hitting_sets(self, k: int | None = None) -> list[frozenset[int]]:
         k = self.k if k is None else k
@@ -278,11 +277,7 @@ def parse_hitting_system(text: str) -> HittingSystem:
     """Parse the ``p hs <n> <m> <k>`` format with one ``f <elems...>`` line per set."""
     header = None
     family = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(text):
         try:
             if parts[0] == "p":
                 if header is not None or len(parts) != 5 or parts[1] != "hs":
@@ -365,26 +360,10 @@ def hs_tj_decide(hs: HittingSystem, x, y, *, guard: int = DEFAULT_GUARD) -> bool
     for s in (xs, ys):
         if not hs.is_hitting_set(s):
             raise NotATargetSet(f"{sorted(s)} is not a hitting set")
-    if xs == ys:
-        return True
-    seen = {xs}
-    queue = deque([xs])
-    while queue:
-        cur = queue.popleft()
-        if len(seen) > guard:
-            raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
-        for out in sorted(cur):
-            for into in range(1, hs.n + 1):
-                if into in cur:
-                    continue
-                nxt = (cur - {out}) | {into}
-                if nxt in seen or not hs.is_hitting_set(nxt):
-                    continue
-                if nxt == ys:
-                    return True
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    family = [sum(1 << u for u in f) for f in hs.family]
+    start, goal = (sum(1 << u for u in s) for s in (xs, ys))
+    moves = tj_moves(range(1, hs.n + 1))
+    return bfs(start, goal, moves, lambda m: all(m & f for f in family), guard)[1]
 
 
 # -- instance-level equivalence checking --------------------------------------

@@ -1,5 +1,10 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from tsr.cli import main
 from tsr.graph import parse_graph, parse_seed_set
@@ -188,6 +193,30 @@ def test_gen_kinds(capsys):
         check(out)
     code, out, _ = run(capsys, "gen", "hs", "--n", "4", "--m", "3", "--k", "2", "--seed", "2")
     assert code == 0 and out.startswith("p hs 4 3 2")
+
+
+def python(*args):
+    """Run the interpreter on src/ in a subprocess with a timeout, so that a
+    generator that loops fails the test instead of hanging it."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=30
+    )
+
+
+@pytest.mark.parametrize("argv", [["cycle", "--m", "-1"], ["hs", "--n", "0"]], ids=" ".join)
+def test_gen_rejects_bad_sizes(argv):
+    proc = python("-m", "tsr.cli", "gen", *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_random_cycle_rejects_unreachable_size():
+    # one threshold-2 vertex plus at most one spacer can never make a cycle
+    proc = python("-c", "import random; from tsr.generators import random_cycle; "
+                  "random_cycle(random.Random(0), 1, max_gap=1)")
+    assert "InvalidInput: m=1 with gaps of at most 1" in proc.stderr
 
 
 def test_missing_file_is_input_error(capsys):

@@ -21,6 +21,20 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert on lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_raise_assertion_error(path):
+    """Invariants raise a TsrError subclass, never a bare AssertionError."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    ]
+    assert not lines, f"{path.name}: raise AssertionError on lines {lines}"
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -15,6 +15,7 @@ from tsr.oracle import (
     tj_decide,
 )
 from tsr.reconfig import validate_sequence
+from tsr.reductions import HittingSystem, hs_tj_decide
 
 THETA_M = frozenset({13, 2, 9})
 
@@ -149,6 +150,24 @@ def test_guards():
         all_target_set_masks(g, guard=1000)
     with pytest.raises(errors.InstanceTooLarge):
         tj_decide(g, {1, 2, 3}, {4, 5, 6}, guard=3)
+    with pytest.raises(errors.InstanceTooLarge):
+        ktar_decide(g, {1, 2, 3}, {4, 5, 6}, 3, guard=3)
+    with pytest.raises(errors.InstanceTooLarge):
+        hs_tj_decide(HittingSystem.build(6, [range(1, 7)], 2), {1, 2}, {5, 6}, guard=1)
+
+
+def test_fig1_outputs_pinned(fig1):
+    """Lexicographic tie-break: exact shortest sequences and component order."""
+    tj = tj_decide(fig1, {1, 6, 9, 10}, {3, 7, 9, 10})
+    assert tj.shortest.format() == "q tj 4\ns 1 6 9 10\nj 9 3\nj 1 7\nj 6 9\n"
+    assert tj.explored == 34
+    tar = ktar_decide(fig1, {1, 6, 9}, {3, 7, 9}, 4)
+    assert tar.shortest.format() == "q tar 4\ns 1 6 9\na 3\na 7\nr 1\nr 6\n"
+    assert tar.explored == 62
+    assert tj_components(fig1, 3).components == (
+        (frozenset({1, 6, 9}), frozenset({1, 6, 10})),
+        (frozenset({3, 7, 9}), frozenset({3, 7, 10})),
+    )
 
 
 def test_pair_preconditions(fig1):

@@ -227,6 +227,13 @@ def test_hs_tj_decide_small():
         hs_tj_decide(hs, {1, 2}, {3, 4})
 
 
+def test_hitting_sets_lie_in_the_universe():
+    hs = HittingSystem.build(4, [{1, 2}, {3, 4}], 2)
+    assert not hs.is_hitting_set({1, 3, 9})
+    with pytest.raises(errors.NotATargetSet):
+        hs_tj_decide(hs, {1, 3, 9}, {1, 3, 4})
+
+
 def test_verify_reduction_rejects_empty_seed():
     out = reduce_vc23_to_cubic(C4)
     with pytest.raises(errors.NotATargetSet):
