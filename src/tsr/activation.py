@@ -69,6 +69,41 @@ def closure_mask(g: ThresholdGraph, seed: int) -> int:
     return active
 
 
+def closure_contains(g: ThresholdGraph, seed: int, v: int) -> bool:
+    """True iff activating the bitmask ``seed`` eventually activates ``v``.
+
+    The propagation of ``closure_mask``, stopped as soon as v turns active.
+    If S is a target set containing v and S is a subset of S' + {v}, then S'
+    is a target set iff this holds for S': its closure then contains S, hence
+    every vertex.  Kept apart from ``closure_mask``, whose callers in the
+    oracle would pay for the stop test on every activation.
+    """
+    adj = g.adj_masks
+    tau = g.tau
+    active = seed
+    pending = [0] * (g.n + 1)
+    frontier = []
+    for u in range(1, g.n + 1):
+        if not seed >> u & 1:
+            pending[u] = tau[u] - (adj[u] & seed).bit_count()
+            if pending[u] <= 0:
+                if u == v:
+                    return True
+                active |= 1 << u
+                frontier.append(u)
+    while frontier:
+        w = frontier.pop()
+        for u in g.adj[w]:
+            if not active >> u & 1:
+                pending[u] -= 1
+                if pending[u] == 0:
+                    if u == v:
+                        return True
+                    active |= 1 << u
+                    frontier.append(u)
+    return bool(seed >> v & 1)
+
+
 @dataclasses.dataclass(frozen=True)
 class ActivationTrace:
     """Synchronous activation rounds A(0) <= A(1) <= ... up to the fixpoint.

@@ -65,6 +65,8 @@ def cycle_with_spacing(m: int, gaps: list[int]) -> ThresholdGraph:
 
 
 def random_path(rng: random.Random, m: int, max_gap: int = 3) -> ThresholdGraph:
+    if m < 0:
+        raise InvalidInput(f"negative threshold-2 count m={m}")
     gaps = [rng.randint(1, max_gap)] + [rng.randint(0, max_gap) for _ in range(max(m - 1, 0))] + [rng.randint(1, max_gap)]
     if m == 0:
         gaps = [rng.randint(2, max(2, 2 * max_gap))]
@@ -85,7 +87,9 @@ def random_cycle(rng: random.Random, m: int, max_gap: int = 3) -> ThresholdGraph
 
 
 def random_maxdeg2(rng: random.Random, n: int) -> ThresholdGraph:
-    """Disjoint paths and cycles totalling about n vertices, random thresholds."""
+    """Disjoint paths and cycles totalling about n >= 2 vertices, random thresholds."""
+    if n < 2:
+        raise InvalidInput(f"need at least 2 vertices, got n={n}")
     edges: list[tuple[int, int]] = []
     tau: list[int] = []
     base = 0
@@ -108,8 +112,6 @@ def random_maxdeg2(rng: random.Random, n: int) -> ThresholdGraph:
             tau.append(rng.randint(1, d))
         base += size
         left -= size
-    if base < 2:
-        return random_maxdeg2(rng, max(n, 2))
     return ThresholdGraph.build(base, edges, tau)
 
 
@@ -133,9 +135,11 @@ def random_connected(rng: random.Random, n: int, extra_edge_prob: float = 0.3) -
 def random_hitting_system(
     rng: random.Random, n: int, m: int, k: int
 ) -> HittingSystem:
-    """Random set family over 1..n with m nonempty sets and target size k < n."""
+    """Random set family over 1..n with m nonempty sets and target size 1 <= k < n."""
     if n < 1:
         raise InvalidInput(f"universe size n={n} must be positive")
+    if not 1 <= k < n:
+        raise InvalidInput(f"target size k={k} must satisfy 1 <= k < n={n}")
     family = []
     for _ in range(m):
         size = rng.randint(1, n)

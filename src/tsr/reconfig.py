@@ -10,9 +10,10 @@ the intermediate sets.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from typing import Callable, Iterator
 
-from .activation import is_target_set
+from .activation import closure_contains, closure_mask, seed_mask
 from .errors import EndpointSizeMismatch, InvalidInput, MalformedLine
 from .graph import ThresholdGraph, records
 
@@ -83,10 +84,10 @@ class ReconfigSequence:
 
     @property
     def end(self) -> frozenset[int]:
-        cur = self.start
+        cur = set(self.start)
         for st in self.steps:
-            cur = apply_step(cur, st)
-        return cur
+            _apply_in_place(cur, st)
+        return frozenset(cur)
 
     def format(self) -> str:
         lines = [f"q {self.model} {self.k if self.model == TAR else len(self.start)}"]
@@ -104,6 +105,14 @@ def apply_step(current: frozenset[int], step: Step) -> frozenset[int]:
     if step.kind == "remove":
         return current - {step.out}
     return current
+
+
+def _apply_in_place(cur: set[int], step: Step) -> None:
+    """``apply_step`` on a mutable set, in O(1)."""
+    if step.kind in ("jump", "remove"):
+        cur.discard(step.out)
+    if step.kind in ("jump", "add"):
+        cur.add(step.into)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,19 +136,27 @@ def validate_sequence(
     """Check step legality, the target-set property of every intermediate set,
     and the model's size constraint.  Reports the first violation, raising
     nothing.  ``is_ts`` optionally overrides the target-set test (e.g. a
-    precomputed table); it must agree with activation on g.
+    precomputed table).
+
+    Only the start set and the sets after removals and jumps are tested: a
+    superset of a target set is a target set, so adds and noops cannot fail.
+    After a removal or jump of v from a target set S, the new set is a target
+    set iff its closure re-activates v, which the default test checks with
+    an early exit.  So ``is_ts`` is called only on the start set and after
+    removals and jumps, and it must be monotone and agree with activation
+    on g.
     """
     if seq.model not in _ALLOWED_KINDS:
         return ValidityReport(False, -1, f"unknown model {seq.model!r}")
-    ts = is_ts if is_ts is not None else (lambda s: is_target_set(g, s))
-    cur = seq.start
-    for v in cur:
+    for v in seq.start:
         if not 1 <= v <= g.n:
             return ValidityReport(False, -1, f"start contains unknown vertex {v}")
-    if not ts(cur):
+    mask = seed_mask(g, seq.start)
+    if not (is_ts(seq.start) if is_ts is not None else closure_mask(g, mask) == g.full_mask):
         return ValidityReport(False, -1, "start set is not a target set")
-    if seq.model == TAR and len(cur) > seq.k + 1:
+    if seq.model == TAR and len(seq.start) > seq.k + 1:
         return ValidityReport(False, -1, f"start set exceeds size {seq.k}+1")
+    cur = set(seq.start)
     size0 = len(cur)
     for i, st in enumerate(seq.steps):
         if st.kind not in _ALLOWED_KINDS[seq.model]:
@@ -159,12 +176,18 @@ def validate_sequence(
         elif st.kind == "remove":
             if st.out not in cur:
                 return ValidityReport(False, i, f"remove of {st.out} not in the set")
-        cur = apply_step(cur, st)
+        _apply_in_place(cur, st)
+        if st.kind in ("jump", "remove"):
+            mask ^= 1 << st.out
+        if st.kind in ("jump", "add"):
+            mask |= 1 << st.into
         if seq.model in (TJ, TJN) and len(cur) != size0:
             return ValidityReport(False, i, "TJ/TJN set size changed")
         if seq.model == TAR and len(cur) > seq.k + 1:
             return ValidityReport(False, i, f"set size {len(cur)} exceeds {seq.k}+1")
-        if not ts(cur):
+        if st.kind in ("jump", "remove") and not (
+            is_ts(frozenset(cur)) if is_ts is not None else closure_contains(g, mask, st.out)
+        ):
             return ValidityReport(
                 False, i, f"set after step {i} is not a target set: {sorted(cur)}"
             )
@@ -188,13 +211,22 @@ def tj_to_tar(seq: ReconfigSequence) -> ReconfigSequence:
     return ReconfigSequence(seq.start, tuple(steps), TAR, k=len(seq.start))
 
 
+_UNPAIRED = "TAR sequence did not normalize to add/remove pairs"
+
+
 def tar_to_tj(seq: ReconfigSequence) -> ReconfigSequence:
     """Convert a TAR(k) sequence with size-k endpoints into a TJ sequence.
 
-    Scans left to right for a removal followed by an addition whose middle
-    set has size below k; cancels the pair when it removes and re-adds the
-    same vertex, otherwise swaps it into add-then-remove.  At the fixpoint
-    all sets have size k or k+1 and steps pair up into jumps.
+    One pass over the steps, tracking the set size.  An add made at size k
+    pairs with the next remove into jump(out, in); when both name the same
+    vertex the pair is a detour through a superset and is dropped.  A remove
+    made at size k or below is deferred, oldest first.  A later add cancels
+    the latest deferred removal of the same vertex if there is one, and
+    otherwise pairs with the oldest deferred removal into a jump.  This is
+    the normal form of moving each remove past the following add whenever
+    the set between them has size below k (the TJ = k-TAR argument); a
+    sequence whose normal form is not a chain of add/remove pairs at sizes
+    k and k+1 raises ``InvalidInput``.
     """
     if seq.model != TAR:
         raise InvalidInput(f"expected a TAR sequence, got model {seq.model}")
@@ -203,42 +235,41 @@ def tar_to_tj(seq: ReconfigSequence) -> ReconfigSequence:
         raise EndpointSizeMismatch(
             f"endpoints have sizes {len(seq.start)}, {len(seq.end)}; expected k={k}"
         )
-    kinds: list[Step] = list(seq.steps)
-    for st in kinds:
+    for st in seq.steps:
         if st.kind not in ("add", "remove"):
             raise InvalidInput(f"TAR sequence contains step kind {st.kind!r}")
 
-    changed = True
-    while changed:
-        changed = False
-        size = len(seq.start)
-        i = 0
-        while i + 1 < len(kinds):
-            a, b = kinds[i], kinds[i + 1]
-            mid = size - 1 if a.kind == "remove" else size + 1
-            if a.kind == "remove" and b.kind == "add" and mid < k:
-                if a.out == b.into:
-                    del kinds[i : i + 2]
-                else:
-                    kinds[i] = Step.add(b.into)
-                    kinds[i + 1] = Step.remove(a.out)
-                changed = True
-                break
-            size = mid
-            i += 1
-
-    # Pair adds with the following removes into jumps; an add/remove of the
-    # same vertex is a detour through a superset and is dropped.
     steps: list[Step] = []
-    i = 0
-    while i < len(kinds):
-        a = kinds[i]
-        if a.kind != "add" or i + 1 >= len(kinds) or kinds[i + 1].kind != "remove":
-            raise InvalidInput("TAR sequence did not normalize to add/remove pairs")
-        b = kinds[i + 1]
-        if a.into != b.out:
-            steps.append(Step.jump(b.out, a.into))
-        i += 2
+    size = k
+    pending = 0  # the add made at size k, once size is k+1
+    deferred: deque[tuple[int, int]] = deque()  # (index, vertex), oldest first
+    live: dict[int, deque[int]] = {}  # vertex -> indices of its removals still deferred
+    for i, st in enumerate(seq.steps):
+        if st.kind == "remove":
+            if size > k:
+                if st.out != pending:
+                    steps.append(Step.jump(st.out, pending))
+            else:
+                deferred.append((i, st.out))
+                live.setdefault(st.out, deque()).append(i)
+            size -= 1
+            continue
+        if size > k:
+            raise InvalidInput(_UNPAIRED)
+        if size == k:
+            pending = st.into
+        elif live.get(st.into):
+            live[st.into].pop()
+        else:
+            while True:  # skip removals that an add has cancelled
+                j, v = deferred.popleft()
+                if live[v] and live[v][0] == j:
+                    break
+            live[v].popleft()
+            steps.append(Step.jump(v, st.into))
+        size += 1
+    if size != k:
+        raise InvalidInput(_UNPAIRED)
     return ReconfigSequence(seq.start, tuple(steps), TJ)
 
 

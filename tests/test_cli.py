@@ -205,7 +205,19 @@ def python(*args):
     )
 
 
-@pytest.mark.parametrize("argv", [["cycle", "--m", "-1"], ["hs", "--n", "0"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cycle", "--m", "-1"],
+        ["hs", "--n", "0"],
+        ["hs", "--n", "3", "--k", "3"],
+        ["hs", "--n", "3", "--k", "0"],
+        ["random-deg2", "--n", "-3"],
+        ["random-deg2", "--n", "1"],
+        ["path", "--m", "-2"],
+    ],
+    ids=" ".join,
+)
 def test_gen_rejects_bad_sizes(argv):
     proc = python("-m", "tsr.cli", "gen", *argv)
     assert proc.returncode == 2
