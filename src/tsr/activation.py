@@ -8,6 +8,7 @@ irreversible and reaches a fixpoint after at most n rounds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterable
 
 from .errors import (
@@ -28,17 +29,6 @@ def seed_mask(g: ThresholdGraph, seed: Iterable[int]) -> int:
         g.check_vertex(v)
         m |= 1 << v
     return m
-
-
-def mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
 
 
 def closure_mask(g: ThresholdGraph, seed: int) -> int:
@@ -108,56 +98,74 @@ def closure_contains(g: ThresholdGraph, seed: int, v: int) -> bool:
 class ActivationTrace:
     """Synchronous activation rounds A(0) <= A(1) <= ... up to the fixpoint.
 
-    ``rounds[t]`` is the full active set after t rounds; ``activation_time[v]``
-    is the round at which v became active, or None if it never does.
+    Stored are ``layers[t]``, the sorted vertices that turned active in round
+    t (the seed at t = 0), and ``activation_time[v]``, the round at which v
+    became active, or None if it never does.  ``rounds[t]``, the full active
+    set after t rounds, is derived on demand: it costs O(n * rounds).
     """
 
-    rounds: tuple[frozenset[int], ...]
+    layers: tuple[tuple[int, ...], ...]
     activation_time: dict[int, int | None]
+
+    @functools.cached_property
+    def rounds(self) -> tuple[frozenset[int], ...]:
+        out = []
+        active: frozenset[int] = frozenset()
+        for layer in self.layers:
+            active = active.union(layer)
+            out.append(active)
+        return tuple(out)
 
     @property
     def final(self) -> frozenset[int]:
-        return self.rounds[-1]
+        return frozenset(v for v, t in self.activation_time.items() if t is not None)
 
     def newly_active(self, t: int) -> frozenset[int]:
-        if t == 0:
-            return self.rounds[0]
-        return self.rounds[t] - self.rounds[t - 1]
+        return frozenset(self.layers[t])
 
     def format(self) -> str:
+        names = {v: str(v) for v in self.activation_time}
         lines = []
-        for t, r in enumerate(self.rounds):
-            lines.append(f"round {t}: " + " ".join(str(v) for v in sorted(r)))
+        active: list[int] = []
+        for t, layer in enumerate(self.layers):
+            active += layer
+            active.sort()  # merges two sorted runs in linear time
+            lines.append(f"round {t}: " + " ".join([names[v] for v in active]))
         return "\n".join(lines) + "\n"
 
 
 def activate(g: ThresholdGraph, seed: Iterable[int]) -> ActivationTrace:
-    """Run the synchronous activation process from ``seed`` to its fixpoint."""
+    """Run the synchronous activation process from ``seed`` to its fixpoint.
+
+    Frontier-based, O(n + m): ``need[u]`` counts down the active neighbors u
+    still lacks, and round t + 1 only visits the neighbors of the vertices
+    that turned active in round t.
+    """
     s = g.check_seed(seed)
-    adj = g.adj_masks
-    tau = g.tau
-    active = seed_mask(g, s)
-    rounds = [active]
-    time: dict[int, int | None] = {v: None for v in g.vertices}
-    for v in s:
+    time: dict[int, int | None] = dict.fromkeys(g.vertices)
+    frontier = sorted(s)
+    for v in frontier:
         time[v] = 0
+    layers = [tuple(frontier)]
+    need = list(g.tau)
     t = 0
     while True:
-        new = 0
-        for v in range(1, g.n + 1):
-            if not active >> v & 1 and (adj[v] & active).bit_count() >= tau[v]:
-                new |= 1 << v
-        if not new:
+        hits = []
+        for v in frontier:
+            for u in g.adj[v]:
+                if time[u] is None:
+                    need[u] -= 1
+                    if need[u] == 0:
+                        hits.append(u)
+        if not hits:
             break
         t += 1
-        active |= new
-        rounds.append(active)
-        for v in mask_to_set(new):
-            time[v] = t
-    return ActivationTrace(
-        rounds=tuple(mask_to_set(r) for r in rounds),
-        activation_time=time,
-    )
+        hits.sort()
+        for u in hits:
+            time[u] = t
+        layers.append(tuple(hits))
+        frontier = hits
+    return ActivationTrace(layers=tuple(layers), activation_time=time)
 
 
 def is_target_set(g: ThresholdGraph, seed: Iterable[int]) -> bool:

@@ -8,6 +8,7 @@ exceeds (or was not granted) the exhaustive-search guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -254,14 +255,27 @@ def _cmd_gen(args) -> int:
     return OK
 
 
+def _count(text: str) -> int:
+    """A non-negative int option value; anything else is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tsr`` parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="tsr", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_guard(sp):
-        sp.add_argument("--guard", type=int, default=DEFAULT_GUARD,
+        sp.add_argument("--guard", type=_count, default=DEFAULT_GUARD,
                         help="abort exhaustive search beyond this many states")
-        sp.add_argument("--cap", type=int, default=20,
+        sp.add_argument("--cap", type=_count, default=20,
                         help="refuse enumeration beyond this many vertices")
 
     sp = sub.add_parser("check", help="validate graph / seed / sequence files")

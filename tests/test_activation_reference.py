@@ -1,0 +1,118 @@
+"""The frontier-based ``activate`` against the round-scan reference.
+
+``reference_activate`` is the round scan ``activate`` used to be: every round
+each inactive vertex counts its active neighbors (an AND of bitmasks) against
+its threshold, and every round is kept as a full active set.  It is
+O(n * rounds) and obviously faithful to the synchronous process; the library
+version must agree with it on every input.
+"""
+
+import random
+import time
+
+import pytest
+
+from tsr.activation import activate, certify_orientation, orientation_from_trace
+from tsr.generators import (
+    cycle_with_spacing,
+    path_with_spacing,
+    random_connected,
+    random_maxdeg2,
+    random_tree,
+)
+
+
+def reference_activate(g, seed):
+    """(rounds, activation_time) of the synchronous process, one full scan a round."""
+    adj = g.adj_masks
+    active = 0
+    for v in g.check_seed(seed):
+        active |= 1 << v
+    rounds = [active]
+    times = {v: (0 if active >> v & 1 else None) for v in g.vertices}
+    t = 0
+    while True:
+        new = 0
+        for v in range(1, g.n + 1):
+            if not active >> v & 1 and (adj[v] & active).bit_count() >= g.tau[v]:
+                new |= 1 << v
+        if not new:
+            break
+        t += 1
+        active |= new
+        rounds.append(active)
+        for v in g.vertices:
+            if new >> v & 1:
+                times[v] = t
+    return tuple(frozenset(v for v in g.vertices if r >> v & 1) for r in rounds), times
+
+
+def reference_format(rounds):
+    return "".join(
+        f"round {t}: " + " ".join(str(v) for v in sorted(r)) + "\n" for t, r in enumerate(rounds)
+    )
+
+
+def _instances():
+    rng = random.Random(20100)
+    for _ in range(120):
+        yield random_connected(rng, rng.randint(2, 12))
+        yield random_tree(rng, rng.randint(2, 40))
+        yield random_maxdeg2(rng, rng.randint(2, 40))
+    for n in (2, 3, 7, 30):
+        yield path_with_spacing(0, [n])
+    for n in (3, 4, 9, 31):
+        yield cycle_with_spacing(0, [n])
+
+
+def _seeds(rng, g):
+    yield frozenset()
+    yield frozenset(g.vertices)
+    yield frozenset({rng.randint(1, g.n)})
+    for _ in range(3):
+        yield frozenset(rng.sample(g.vertices, rng.randint(1, g.n)))
+
+
+def test_matches_reference():
+    rng = random.Random(555)
+    checked = targets = 0
+    for g in _instances():
+        for seed in _seeds(rng, g):
+            rounds, times = reference_activate(g, seed)
+            trace = activate(g, seed)
+            assert trace.format() == reference_format(rounds)
+            assert trace.activation_time == times
+            assert trace.final == rounds[-1]
+            assert trace.rounds == rounds
+            assert [trace.newly_active(t) for t in range(len(rounds))] == [
+                rounds[0],
+                *(b - a for a, b in zip(rounds, rounds[1:])),
+            ]
+            assert trace.layers == tuple(tuple(sorted(trace.newly_active(t))) for t in range(len(rounds)))
+            checked += 1
+            targets += len(rounds[-1]) == g.n
+    assert checked == 6 * 368
+    assert 0 < targets < checked  # both target sets and non-target sets were seeded
+
+
+@pytest.fixture(scope="module")
+def long_path():
+    return path_with_spacing(0, [20_000])
+
+
+def test_long_cascade_is_linear(long_path):
+    """One round per vertex: the round-scan reference would take minutes here."""
+    g = long_path
+    start = time.perf_counter()
+    trace = activate(g, {1})
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0
+    assert all(trace.activation_time[v] == v - 1 for v in g.vertices)
+    assert trace.final == frozenset(g.vertices)
+
+
+def test_long_cascade_orientation(long_path):
+    g = long_path
+    d = orientation_from_trace(g, {1})
+    assert d.arcs == tuple((v, v + 1) for v in range(1, g.n))
+    assert certify_orientation(g, {1}, d)

@@ -144,6 +144,25 @@ def test_oracle_components(capsys):
     assert any(line.startswith("component") for line in out.splitlines())
 
 
+@pytest.mark.parametrize("option", ["--guard", "--cap"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-min", THETA, "--oracle"],
+        ["oracle", FIG1, "--size", "3"],
+        ["reconfigure", FIG1, "--from", str(FIXTURES / "fig1_x1.seed"),
+         "--to", str(FIXTURES / "fig1_y1.seed"), "--oracle"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_guard_or_cap_is_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, "-5"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {option}: must not be negative, got -5" in err
+
+
 def test_reduce_split_stdout(capsys):
     code, out, _ = run(capsys, "reduce", "split", HS)
     assert code == 0

@@ -42,3 +42,38 @@ def test_demo_runs(path):
         [sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+
+def test_cli_subprocess_matches_in_process(tmp_path, capsys, monkeypatch):
+    """``python -O -m tsr.cli`` prints what ``main`` prints in-process, and the
+    parser, built once per process, gives the same ``--help`` on every call."""
+    from tsr.cli import main
+
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def cli(*args):
+        return subprocess.run(
+            [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+        )
+
+    seed = tmp_path / "m.seed"
+    seed.write_text("s 2 9 13\n")
+    argv = ["activate", str(ROOT / "tests" / "fixtures" / "theta.tsr"), "--seed", str(seed)]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert expected.endswith("round 7: " + " ".join(map(str, range(1, 14))) + "\ntarget set\n")
+    proc = cli("-O", "-m", "tsr.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    proc = cli("-m", "tsr.cli", "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: tsr ")
+    assert helps == [proc.stdout, proc.stdout]
