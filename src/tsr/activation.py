@@ -59,39 +59,57 @@ def closure_mask(g: ThresholdGraph, seed: int) -> int:
     return active
 
 
-def closure_contains(g: ThresholdGraph, seed: int, v: int) -> bool:
-    """True iff activating the bitmask ``seed`` eventually activates ``v``.
+def still_target(g: ThresholdGraph, mask: int, v: int) -> bool:
+    """True iff activating the bitmask ``mask`` eventually activates ``v``.
 
-    The propagation of ``closure_mask``, stopped as soon as v turns active.
-    If S is a target set containing v and S is a subset of S' + {v}, then S'
-    is a target set iff this holds for S': its closure then contains S, hence
-    every vertex.  Kept apart from ``closure_mask``, whose callers in the
-    oracle would pay for the stop test on every activation.
+    The removal test: if ``mask`` plus v contains a target set, ``mask`` is
+    one exactly when this holds.  Decided in the radius-r ball B around v:
+    the activation runs in B with the vertices outside B inactive unless in
+    ``mask`` (if v activates, yes), then goes on with them all active (if v
+    still does not, no); otherwise r doubles.  The first run is exact once
+    no edge leaves B, and runs on the whole graph once B holds more than
+    half the vertices.
     """
-    adj = g.adj_masks
-    tau = g.tau
-    active = seed
-    pending = [0] * (g.n + 1)
-    frontier = []
-    for u in range(1, g.n + 1):
-        if not seed >> u & 1:
-            pending[u] = tau[u] - (adj[u] & seed).bit_count()
-            if pending[u] <= 0:
-                if u == v:
-                    return True
-                active |= 1 << u
-                frontier.append(u)
+    if mask >> v & 1:
+        return True
+    adj, am, tau = g.adj, g.adj_masks, g.tau
+    ball, layer, depth, radius = {v}, [v], 0, 2
+    while True:
+        while layer and depth < radius and 2 * len(ball) <= g.n:
+            layer = [w for u in layer for w in adj[u] if w not in ball and not ball.add(w)]
+            depth += 1
+        if 2 * len(ball) > g.n:
+            ball, layer = g.vertices, []
+        need = {u: tau[u] - (am[u] & mask).bit_count() for u in ball if not mask >> u & 1}
+        if _reaches(adj, need, [u for u, c in need.items() if c <= 0], v):
+            return True
+        if not layer:
+            return False
+        frontier = []
+        for u in layer:
+            if need.get(u, 0) > 0:
+                need[u] -= sum(1 for w in adj[u] if w not in ball and not mask >> w & 1)
+                if need[u] <= 0:
+                    frontier.append(u)
+        if not _reaches(adj, need, frontier, v):
+            return False
+        radius *= 2
+
+
+def _reaches(adj, need: dict[int, int], frontier: list[int], v: int) -> bool:
+    """Activation from the newly active ``frontier``; ``need[u]`` counts the active
+    neighbors u still lacks, and vertices not keyed never change.  True once v is."""
     while frontier:
         w = frontier.pop()
-        for u in g.adj[w]:
-            if not active >> u & 1:
-                pending[u] -= 1
-                if pending[u] == 0:
-                    if u == v:
-                        return True
-                    active |= 1 << u
+        if w == v:
+            return True
+        for u in adj[w]:
+            c = need.get(u, 0)
+            if c > 0:
+                need[u] = c - 1
+                if c == 1:
                     frontier.append(u)
-    return bool(seed >> v & 1)
+    return False
 
 
 @dataclasses.dataclass(frozen=True)

@@ -121,23 +121,26 @@ def _emit_sequence(path: str | None, seq) -> None:
         Path(path).write_text(seq.format(), encoding="utf-8")
 
 
+def _oracle_pair(g, x, y, args):
+    """Exhaustive TJ or k-TAR decision; k defaults to |x|."""
+    if args.model == "tar":
+        k = args.k if args.k is not None else len(x)
+        return ktar_decide(g, x, y, k, guard=args.guard)
+    return tj_decide(g, x, y, guard=args.guard)
+
+
 def _cmd_reconfigure(args) -> int:
     g = _load_graph(args.graph)
     x = parse_seed_set(_read(args.src), g)
     y = parse_seed_set(_read(args.dst), g)
-    model = TAR if args.model == "tar" else TJ
     if args.oracle:
-        if model == TAR:
-            k = args.k if args.k is not None else len(x)
-            report = ktar_decide(g, x, y, k, guard=args.guard)
-        else:
-            report = tj_decide(g, x, y, guard=args.guard)
+        report = _oracle_pair(g, x, y, args)
         yes, seq = report.reconfigurable, report.shortest
     else:
         tractable = _tractable(g)
         if tractable is None:
             return GUARD_EXCEEDED
-        yes, seq = tractable[1](g, x, y, model=model)
+        yes, seq = tractable[1](g, x, y, model=TAR if args.model == "tar" else TJ)
     print("YES" if yes else "NO")
     if yes and seq is not None:
         _emit_sequence(args.emit_sequence, seq)
@@ -149,11 +152,7 @@ def _cmd_oracle(args) -> int:
     if args.src and args.dst:
         x = parse_seed_set(_read(args.src), g)
         y = parse_seed_set(_read(args.dst), g)
-        if args.model == "tar":
-            k = args.k if args.k is not None else len(x)
-            report = ktar_decide(g, x, y, k, guard=args.guard)
-        else:
-            report = tj_decide(g, x, y, guard=args.guard)
+        report = _oracle_pair(g, x, y, args)
         if args.json:
             payload = {
                 "k": report.k,
@@ -206,16 +205,10 @@ def _cmd_reduce(args) -> int:
         prefix = Path(args.output)
         prefix.with_suffix(".tsr").write_text(text, encoding="utf-8")
         prefix.with_suffix(".origin").write_text(out.format_provenance(), encoding="utf-8")
-        if args.src:
-            x = parse_seed_set(_read(args.src))
-            prefix.with_suffix(".from.seed").write_text(
-                serialize_seed_set(out.forward(x)), encoding="utf-8"
-            )
-        if args.dst:
-            y = parse_seed_set(_read(args.dst))
-            prefix.with_suffix(".to.seed").write_text(
-                serialize_seed_set(out.forward(y)), encoding="utf-8"
-            )
+        for seed, suffix in ((args.src, ".from.seed"), (args.dst, ".to.seed")):
+            if seed:
+                s = out.forward(parse_seed_set(_read(seed)))
+                prefix.with_suffix(suffix).write_text(serialize_seed_set(s), encoding="utf-8")
         print(f"wrote {prefix.with_suffix('.tsr')}")
     else:
         sys.stdout.write(text)

@@ -127,9 +127,6 @@ class ThresholdGraph:
             self.check_vertex(v)
         return s
 
-    def threshold2_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if self.tau[v] == 2)
-
     def components(self) -> list[tuple[int, ...]]:
         """Connected components as sorted vertex tuples, ordered by min id."""
         seen = [False] * (self.n + 1)

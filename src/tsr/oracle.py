@@ -3,8 +3,9 @@
 Enumerates target sets and runs one breadth-first search core, ``bfs``, over
 int masks: TJ moves (``tj_decide``, ``tj_components`` and
 ``reductions.hs_tj_decide``) or k-TAR moves (``ktar_decide``), from which
-shortest sequences are rebuilt.  Everything here is desk-scale: state
-exploration aborts once it exceeds a configurable guard.
+shortest sequences are rebuilt.  Pair queries test only jumps and removals,
+by the local removal test ``activation.still_target``.  Everything here is
+desk-scale: state exploration aborts once it exceeds a configurable guard.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .activation import closure_mask, seed_mask
+from .activation import closure_mask, seed_mask, still_target
 from .errors import InstanceTooLarge, InvariantViolated, NotATargetSet, SizeMismatch
 from .graph import ThresholdGraph
 from .reconfig import TAR, TJ, ReconfigSequence, Step
@@ -45,11 +46,6 @@ class OracleReport:
     explored: int = 0
 
 
-def _ts_test(g: ThresholdGraph) -> Callable[[int], bool]:
-    full = g.full_mask
-    return functools.cache(lambda mask: closure_mask(g, mask) == full)
-
-
 def enumerate_target_sets(
     g: ThresholdGraph,
     k: int,
@@ -64,11 +60,10 @@ def enumerate_target_sets(
         raise InstanceTooLarge(f"n={g.n} exceeds the enumeration cap of {cap}")
     if comb(g.n, k) > guard:
         raise InstanceTooLarge(f"C({g.n},{k}) exceeds the enumeration guard")
-    is_ts = _ts_test(g)
     return [
         frozenset(combo)
         for combo in itertools.combinations(g.vertices, k)
-        if is_ts(sum(1 << v for v in combo))
+        if closure_mask(g, sum(1 << v for v in combo)) == g.full_mask
     ]
 
 
@@ -121,14 +116,13 @@ def target_sets_by_size(
 
 
 def _check_pair(g: ThresholdGraph, x, y):
-    """Validated endpoints as sets and masks, plus the memoized target-set test."""
+    """Validated endpoints as sets and masks, plus the removal test for ``bfs``."""
     xs, ys = frozenset(x), frozenset(y)
     start, goal = seed_mask(g, xs), seed_mask(g, ys)
-    is_ts = _ts_test(g)
     for s, m in ((xs, start), (ys, goal)):
-        if not is_ts(m):
+        if closure_mask(g, m) != g.full_mask:
             raise NotATargetSet(f"{sorted(s)} is not a target set")
-    return xs, ys, start, goal, is_ts
+    return xs, ys, start, goal, functools.partial(still_target, g)
 
 
 def tj_moves(universe: Sequence[int]) -> Moves:
@@ -164,18 +158,23 @@ def bfs(
     start: int,
     goal: int | None,
     moves: Moves,
-    ok: Callable[[int], bool],
+    ok: Callable[[int, int], bool],
     guard: int,
 ) -> tuple[dict[int, tuple[int, int, int] | None], bool]:
     """Parent map of the states reached from ``start``, and whether ``goal`` was.
 
     ``moves(cur)`` yields ``(next, out, into)``, 0 meaning none: a jump, an
-    addition ``(0, into)`` or a removal ``(out, 0)``.  ``goal=None`` floods
-    the component.  Raises InstanceTooLarge after ``guard`` popped states.
+    addition ``(0, into)`` or a removal ``(out, 0)``.  Additions are never
+    tested: a superset of a target set is one.  A jump or removal is tested
+    by ``ok(next, out)``, which for target sets need only ask whether the
+    closure of ``next`` reaches ``out`` (``activation.still_target``); a
+    rejected state is not tested again.  ``goal=None`` floods the component.
+    Raises InstanceTooLarge after ``guard`` popped states.
     """
     parents: dict[int, tuple[int, int, int] | None] = {start: None}
     if start == goal:
         return parents, True
+    rejected: set[int] = set()
     queue = deque([start])
     explored = 0
     while queue:
@@ -184,7 +183,10 @@ def bfs(
         if explored > guard:
             raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
         for nxt, out, into in moves(cur):
-            if nxt in parents or not ok(nxt):
+            if nxt in parents or nxt in rejected:
+                continue
+            if out and not ok(nxt, out):
+                rejected.add(nxt)
                 continue
             parents[nxt] = (cur, out, into)
             if nxt == goal:
@@ -217,10 +219,10 @@ def tj_decide(
     the full C(n,k) space.  Neighbor order is lexicographic (ascending removed
     vertex, then ascending added vertex) for reproducible shortest sequences.
     """
-    xs, ys, start, goal, is_ts = _check_pair(g, x, y)
+    xs, ys, start, goal, ok = _check_pair(g, x, y)
     if len(xs) != len(ys):
         raise SizeMismatch(f"|x|={len(xs)} != |y|={len(ys)}")
-    parents, found = bfs(start, goal, tj_moves(g.vertices), is_ts, guard)
+    parents, found = bfs(start, goal, tj_moves(g.vertices), ok, guard)
     seq = ReconfigSequence(xs, _steps_to(parents, goal), TJ) if found else None
     return OracleReport(k=len(xs), reconfigurable=found, shortest=seq, explored=len(parents))
 
@@ -234,10 +236,10 @@ def ktar_decide(
     guard: int = DEFAULT_GUARD,
 ) -> OracleReport:
     """BFS over target sets of size at most k+1 under single additions/removals."""
-    xs, ys, start, goal, is_ts = _check_pair(g, x, y)
+    xs, ys, start, goal, ok = _check_pair(g, x, y)
     if len(xs) > k or len(ys) > k:
         raise SizeMismatch(f"endpoint sizes {len(xs)}, {len(ys)} exceed k={k}")
-    parents, found = bfs(start, goal, ktar_moves(g.vertices, k), is_ts, guard)
+    parents, found = bfs(start, goal, ktar_moves(g.vertices, k), ok, guard)
     seq = ReconfigSequence(xs, _steps_to(parents, goal), TAR, k=k) if found else None
     return OracleReport(k=k, reconfigurable=found, shortest=seq, explored=len(parents))
 
@@ -256,7 +258,7 @@ def tj_components(
     groups = []
     while index:
         # flood from the least unvisited set; visited classes leave the index
-        parents, _ = bfs(next(iter(index)), None, moves, index.__contains__, guard)
+        parents, _ = bfs(next(iter(index)), None, moves, lambda m, _: m in index, guard)
         groups.append([index.pop(m) for m in parents])
     comps = tuple(
         tuple(sorted(grp, key=sorted)) for grp in

@@ -13,7 +13,7 @@ import dataclasses
 from collections import deque
 from typing import Callable, Iterator
 
-from .activation import closure_contains, closure_mask, seed_mask
+from .activation import closure_mask, seed_mask, still_target
 from .errors import EndpointSizeMismatch, InvalidInput, MalformedLine
 from .graph import ThresholdGraph, records
 
@@ -98,13 +98,9 @@ class ReconfigSequence:
 
 def apply_step(current: frozenset[int], step: Step) -> frozenset[int]:
     """Apply a step without legality checks (the validator reports those)."""
-    if step.kind == "jump":
-        return (current - {step.out}) | {step.into}
-    if step.kind == "add":
-        return current | {step.into}
-    if step.kind == "remove":
-        return current - {step.out}
-    return current
+    cur = set(current)
+    _apply_in_place(cur, step)
+    return frozenset(cur)
 
 
 def _apply_in_place(cur: set[int], step: Step) -> None:
@@ -139,12 +135,11 @@ def validate_sequence(
     precomputed table).
 
     Only the start set and the sets after removals and jumps are tested: a
-    superset of a target set is a target set, so adds and noops cannot fail.
-    After a removal or jump of v from a target set S, the new set is a target
-    set iff its closure re-activates v, which the default test checks with
-    an early exit.  So ``is_ts`` is called only on the start set and after
-    removals and jumps, and it must be monotone and agree with activation
-    on g.
+    superset of a target set is one, so adds and noops cannot fail.  After a
+    removal or jump of v from a target set, the new set is one iff its
+    closure reaches v, which ``activation.still_target`` decides near v.
+    ``is_ts`` is called on the same sets; it must be monotone and agree with
+    activation on g.
     """
     if seq.model not in _ALLOWED_KINDS:
         return ValidityReport(False, -1, f"unknown model {seq.model!r}")
@@ -186,7 +181,7 @@ def validate_sequence(
         if seq.model == TAR and len(cur) > seq.k + 1:
             return ValidityReport(False, i, f"set size {len(cur)} exceeds {seq.k}+1")
         if st.kind in ("jump", "remove") and not (
-            is_ts(frozenset(cur)) if is_ts is not None else closure_contains(g, mask, st.out)
+            is_ts(frozenset(cur)) if is_ts is not None else still_target(g, mask, st.out)
         ):
             return ValidityReport(
                 False, i, f"set after step {i} is not a target set: {sorted(cur)}"

@@ -80,7 +80,7 @@ def reduce_vc23_to_cubic(g: PlainGraph) -> ReductionOutput:
             maps.append(gm)
             for lbl, nid in gm.named_internals.items():
                 prov[nid] = f"sigma:{v}:{lbl}"
-    m_union = frozenset().union(*(gm.m_set for gm in maps)) if maps else frozenset()
+    m_union = frozenset().union(*(gm.m_set for gm in maps))
     orig = frozenset(range(1, g.n + 1))
 
     def forward(s: frozenset[int]) -> frozenset[int]:
@@ -161,14 +161,8 @@ def reduce_33_to_pb342(g: ThresholdGraph) -> ReductionOutput:
         theta_maps.append(gm)
         for lbl, nid in gm.named_internals.items():
             prov[nid] = f"theta:{v}:{lbl}"
-    m_union = (
-        frozenset().union(*(gm.m_set for gm in theta_maps)) if theta_maps else frozenset()
-    )
-    theta_internals = (
-        frozenset().union(*(gm.internal_vertices for gm in theta_maps))
-        if theta_maps
-        else frozenset()
-    )
+    m_union = frozenset().union(*(gm.m_set for gm in theta_maps))
+    theta_internals = frozenset().union(*(gm.internal_vertices for gm in theta_maps))
 
     def forward(s: frozenset[int]) -> frozenset[int]:
         return frozenset(s) | m_union
@@ -363,7 +357,7 @@ def hs_tj_decide(hs: HittingSystem, x, y, *, guard: int = DEFAULT_GUARD) -> bool
     family = [sum(1 << u for u in f) for f in hs.family]
     start, goal = (sum(1 << u for u in s) for s in (xs, ys))
     moves = tj_moves(range(1, hs.n + 1))
-    return bfs(start, goal, moves, lambda m: all(m & f for f in family), guard)[1]
+    return bfs(start, goal, moves, lambda m, _: all(m & f for f in family), guard)[1]
 
 
 # -- instance-level equivalence checking --------------------------------------

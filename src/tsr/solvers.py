@@ -223,18 +223,16 @@ def chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
         if v == root and tau_prime[v] >= 1:
             s_star.add(v)
     s_list = tuple(v for v in post if v in s_star)
-    # nearest S*-ancestor-or-self, computed root-down (preorder)
+    # nearest S*-ancestor-or-self, computed root-down (preorder; the root's
+    # parent 0 has none)
     nearest = [0] * (g.n + 1)
     for v in order:
-        if v in s_star:
-            nearest[v] = v
-        elif v == root:
-            nearest[v] = 0
-        else:
-            nearest[v] = nearest[parent[v]]
-    packing = tuple(
-        frozenset(v for v in g.vertices if nearest[v] == s) for s in s_list
-    )
+        nearest[v] = v if v in s_star else nearest[parent[v]]
+    regions: dict[int, list[int]] = {s: [] for s in s_list}
+    for v in g.vertices:
+        if nearest[v]:
+            regions[nearest[v]].append(v)
+    packing = tuple(frozenset(regions[s]) for s in s_list)
     return TreePlan(
         root=root,
         parent=tuple(parent),

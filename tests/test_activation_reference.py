@@ -1,10 +1,12 @@
-"""The frontier-based ``activate`` against the round-scan reference.
+"""The frontier-based ``activate`` against the round-scan reference, and the
+local ``still_target`` against the full closure.
 
 ``reference_activate`` is the round scan ``activate`` used to be: every round
 each inactive vertex counts its active neighbors (an AND of bitmasks) against
 its threshold, and every round is kept as a full active set.  It is
 O(n * rounds) and obviously faithful to the synchronous process; the library
-version must agree with it on every input.
+version must agree with it on every input.  ``still_target(g, mask, v)`` must
+agree with ``closure_mask(g, mask) >> v & 1`` on every input.
 """
 
 import random
@@ -12,7 +14,13 @@ import time
 
 import pytest
 
-from tsr.activation import activate, certify_orientation, orientation_from_trace
+from tsr.activation import (
+    activate,
+    certify_orientation,
+    closure_mask,
+    orientation_from_trace,
+    still_target,
+)
 from tsr.generators import (
     cycle_with_spacing,
     path_with_spacing,
@@ -20,6 +28,7 @@ from tsr.generators import (
     random_maxdeg2,
     random_tree,
 )
+from tsr.graph import disjoint_union
 
 
 def reference_activate(g, seed):
@@ -116,3 +125,48 @@ def test_long_cascade_orientation(long_path):
     d = orientation_from_trace(g, {1})
     assert d.arcs == tuple((v, v + 1) for v in range(1, g.n))
     assert certify_orientation(g, {1}, d)
+
+
+def _target_set(rng, g):
+    """A target set from a random acyclic orientation: the vertices with fewer
+    earlier neighbors than their threshold."""
+    order = list(g.vertices)
+    rng.shuffle(order)
+    pos = {v: i for i, v in enumerate(order)}
+    return [v for v in g.vertices if sum(pos[u] < pos[v] for u in g.adj[v]) < g.tau[v]]
+
+
+def _still_target_graphs(rng):
+    for _ in range(60):
+        n = rng.randint(2, 60)
+        yield random_tree(rng, n)
+        yield random_connected(rng, max(n, 3), rng.choice([0.05, 0.2, 0.5, 0.8]))
+        yield random_maxdeg2(rng, n)
+        yield disjoint_union(random_tree(rng, rng.randint(2, 30)), random_maxdeg2(rng, rng.randint(2, 30)))[0]
+        yield path_with_spacing(0, [n])
+
+
+def test_still_target_matches_closure():
+    """Random masks, target sets minus one vertex and such sets plus another vertex."""
+    rng = random.Random(31337)
+    checked = yes = 0
+    for g in _still_target_graphs(rng):
+        queries = []
+        for _ in range(8):
+            p = rng.random()
+            queries.append((sum(1 << u for u in g.vertices if rng.random() < p), rng.randint(1, g.n)))
+        for _ in range(8):
+            ts = _target_set(rng, g)
+            v = rng.choice(ts)
+            mask = sum(1 << u for u in ts if u != v)
+            queries.append((mask, v))
+            u = rng.randint(1, g.n)
+            if u not in ts:
+                queries.append((mask | 1 << u, v))
+        for mask, v in queries:
+            want = bool(closure_mask(g, mask) >> v & 1)
+            assert still_target(g, mask, v) == want, (g, mask, v)
+            checked += 1
+            yes += want
+    assert checked > 4000
+    assert 0.2 < yes / checked < 0.8

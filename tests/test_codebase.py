@@ -1,8 +1,10 @@
 """Checks over the package source and the demo scripts as a whole."""
 
 import ast
+import collections
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -77,3 +79,21 @@ def test_cli_subprocess_matches_in_process(tmp_path, capsys, monkeypatch):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("usage: tsr ")
     assert helps == [proc.stdout, proc.stdout]
+
+
+def test_no_dead_definitions():
+    """Every function and class defined in ``src/tsr`` is named somewhere else
+    in ``src/``, ``tests/``, ``demos/`` or ``bench/``."""
+    files = [p for d in ("src", "tests", "demos", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    words = collections.Counter()
+    for p in files:
+        words.update(re.findall(r"\w+", p.read_text(encoding="utf-8")))
+    dead = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("__")
+        and words[node.name] < 2
+    ]
+    assert not dead, f"defined but never named elsewhere: {dead}"

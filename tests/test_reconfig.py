@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
 from tsr import errors
-from tsr.generators import random_connected
+from tsr.generators import random_connected, random_tree
 from tsr.oracle import target_sets_by_size, tj_decide
+from tsr.solvers import solve_tree
 from tsr.reconfig import (
     TAR,
     TJ,
@@ -226,3 +228,37 @@ def test_oplus_projection_is_tjn():
         assert validate_sequence(g1, tj).ok
         assert tj.end == y & side1
         done += 1
+
+
+def _far_pair(rng, g):
+    """Two same-size target sets read off opposite orientations of one random
+    vertex order (a vertex is in the set when fewer of its neighbors come
+    before it than its threshold), padded with random vertices."""
+    order = list(g.vertices)
+    rng.shuffle(order)
+    sets = []
+    for seq in (order, order[::-1]):
+        pos = {v: i for i, v in enumerate(seq)}
+        sets.append({v for v in g.vertices if sum(pos[u] < pos[v] for u in g.adj[v]) < g.tau[v]})
+    k = max(map(len, sets))
+    for s in sets:
+        s.update(rng.sample([v for v in g.vertices if v not in s], k - len(s)))
+    return frozenset(sets[0]), frozenset(sets[1])
+
+
+@pytest.mark.parametrize("model", [TJ, TAR])
+def test_validation_scales_on_a_large_tree(model):
+    """Validating a route of thousands of steps on an n = 4,000 tree takes well
+    under a second: each removal is tested near the removed vertex, not by a
+    closure over all n vertices."""
+    rng = random.Random(555)
+    g = random_tree(rng, 4000)
+    x, y = _far_pair(rng, g)
+    _, seq = solve_tree(g, x, y, model=model)
+    assert len(seq) > 1500
+    start = time.perf_counter()
+    report = validate_sequence(g, seq)
+    elapsed = time.perf_counter() - start
+    assert report.ok, report
+    assert (seq.start, seq.end) == (x, y)
+    assert elapsed < 1.0
