@@ -108,6 +108,7 @@ def outcome(fn):
 
 
 def graphs(seed, count):
+    """Small seeded graphs: connected, trees, max-degree-2 and spaced 4-cycles in turn."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
@@ -123,6 +124,14 @@ def graphs(seed, count):
             g = cycle_with_spacing(4, [rng.randint(0, 2) for _ in range(4)])
         out.append(g)
     return out
+
+
+def _summary(report):
+    """``reference_pair``'s shape for a report, or "guard"."""
+    if report == "guard":
+        return report
+    seq = report.shortest
+    return report.reconfigurable, report.explored, seq.format() if seq else None
 
 
 def test_pair_queries_match_reference():
@@ -150,13 +159,6 @@ def test_pair_queries_match_reference():
                     assert _summary(got) == want, (g, sorted(x), sorted(y), k, guard)
                 queries += 3
     assert queries >= 1500
-
-
-def _summary(report):
-    if report == "guard":
-        return report
-    seq = report.shortest
-    return report.reconfigurable, report.explored, seq.format() if seq else None
 
 
 def test_components_match_reference():
