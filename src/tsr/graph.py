@@ -35,7 +35,8 @@ class ThresholdGraph:
 
     ``adj[v]`` is the sorted neighbor tuple of vertex v (index 0 unused);
     ``tau[v]`` is the threshold of v.  Instances are immutable and safe to
-    share between threads.
+    share between threads; derived views and solver plans are cached in the
+    instance's ``__dict__`` and are pure functions of the three fields.
     """
 
     n: int

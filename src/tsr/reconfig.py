@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .activation import closure_mask, seed_mask, still_target
@@ -82,7 +83,7 @@ class ReconfigSequence:
             cur = apply_step(cur, st)
             yield cur
 
-    @property
+    @cached_property
     def end(self) -> frozenset[int]:
         cur = set(self.start)
         for st in self.steps:

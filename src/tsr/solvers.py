@@ -6,14 +6,21 @@ selection algorithm.  Every class routes a target set to a canonical minimum
 by one packing sweep (``_sweep``): for each region, add its canonical seed,
 then clear the rest of the region.  Paths are swept directly along their
 vertex order.
+
+Plans are built once per graph object, in its own ``__dict__`` as a
+``cached_property`` is, and live as long as it does; a ``dataclasses.replace``
+copy starts empty.  They are the maximum-degree-2 decomposition
+(``decompose_deg2``), whose route memo grows with the distinct component
+restrictions queried, and Chen's tree plan per root (``chen_tree``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from functools import cached_property
 from typing import Callable
 
-from .activation import is_target_set
+from .activation import closure_mask, is_target_set, seed_mask
 from .errors import (
     DegreeTooLarge,
     InvariantViolated,
@@ -78,11 +85,11 @@ class Deg2Component:
     def m(self) -> int:
         return len(self.w)
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset[int]:
         return frozenset(self.order)
 
-    @property
+    @cached_property
     def min_size(self) -> int:
         if self.kind == "path":
             return self.m // 2 + 1
@@ -93,15 +100,41 @@ class Deg2Component:
 
 @dataclasses.dataclass(frozen=True)
 class Deg2Decomposition:
-    components: tuple[Deg2Component, ...]
+    """The components of a maximum-degree-2 graph: the plan ``decompose_deg2`` caches.
 
-    @property
+    Its memos are keyed by (component index, restriction of a set to it): the
+    component route, and whether the restriction's closure covers the component.
+    """
+
+    components: tuple[Deg2Component, ...]
+    _routes: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+    _covers: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
     def min_size(self) -> int:
         return sum(c.min_size for c in self.components)
 
+    def route(self, i: int, r: frozenset[int]) -> tuple[tuple[Step, ...], frozenset[int], int | None]:
+        """``_component_route`` of component i from r, with the steps as a tuple."""
+        hit = self._routes.get((i, r))
+        if hit is None:
+            steps, final, anchor = _component_route(self.components[i], r)
+            hit = self._routes[i, r] = (tuple(steps), final, anchor)
+        return hit
+
+    def is_target_set(self, g: ThresholdGraph, s: frozenset[int], rs) -> bool:
+        """``is_target_set(g, s)``: the components are independent, so each restriction must cover its own."""
+        if any((i, r) not in self._covers for i, r in enumerate(rs)):
+            active = closure_mask(g, seed_mask(g, s))
+            for i, r in enumerate(rs):
+                self._covers[i, r] = all(active >> v & 1 for v in self.components[i].order)
+        return all(self._covers[i, r] for i, r in enumerate(rs))
+
 
 def decompose_deg2(g: ThresholdGraph) -> Deg2Decomposition:
-    """Partition a maximum-degree-2 graph into its path and cycle components."""
+    """Partition a maximum-degree-2 graph into its path and cycle components (cached on g)."""
+    if "_deg2_plan" in g.__dict__:
+        return g.__dict__["_deg2_plan"]
     for v in g.vertices:
         if len(g.adj[v]) > 2:
             raise DegreeTooLarge(f"vertex {v} has degree {len(g.adj[v])} > 2")
@@ -138,7 +171,7 @@ def decompose_deg2(g: ThresholdGraph) -> Deg2Decomposition:
                 terrible=(kind == "cycle" and m >= 4 and m % 2 == 0),
             )
         )
-    return Deg2Decomposition(components=tuple(comps))
+    return g.__dict__.setdefault("_deg2_plan", Deg2Decomposition(components=tuple(comps)))
 
 
 # -- trees ------------------------------------------------------------------
@@ -172,13 +205,15 @@ def chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
 
     Scans vertices in postorder (children in ascending id); tau'(v) subtracts
     the children that the current selection would have activated.  A non-root
-    joins S* when tau'(v) >= 2, the root when tau'(root) >= 1.
+    joins S* when tau'(v) >= 2, the root when tau'(root) >= 1.  The plan is
+    cached on g per root.
     """
-    rep = classify(g)
-    if not rep.is_tree:
+    root = 1 if root is None else root
+    plans = g.__dict__.setdefault("_tree_plans", {})
+    if root in plans:
+        return plans[root]
+    if not classify(g).is_tree:
         raise NotATree("graph is not a tree")
-    if root is None:
-        root = 1
     g.check_vertex(root)
     parent = [0] * (g.n + 1)
     order = []  # preorder
@@ -233,7 +268,7 @@ def chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
         if nearest[v]:
             regions[nearest[v]].append(v)
     packing = tuple(frozenset(regions[s]) for s in s_list)
-    return TreePlan(
+    plans[root] = TreePlan(
         root=root,
         parent=tuple(parent),
         tau_prime=tuple(tau_prime),
@@ -241,6 +276,7 @@ def chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
         s_list=s_list,
         packing=packing,
     )
+    return plans[root]
 
 
 def tree_tar_to_canonical(
@@ -443,9 +479,9 @@ def cycle_analyze(g: ThresholdGraph, s) -> CycleAnalysis:
         raise NotACycle("graph is not a single cycle")
     comp = dec.components[0]
     ss = g.check_seed(s)
-    if not is_target_set(g, ss):
+    if not dec.is_target_set(g, ss, [ss]):
         raise NotATargetSet(f"{sorted(ss)} is not a target set")
-    steps, final, anchor = _component_route(comp, ss)
+    steps, final, anchor = dec.route(0, ss)
     m = comp.m
     if m == 0:
         case = "zero"
@@ -467,7 +503,7 @@ def cycle_analyze(g: ThresholdGraph, s) -> CycleAnalysis:
         min_size=comp.min_size,
         case=case,
         minimum_sets=minima,
-        to_canonical=ReconfigSequence(ss, tuple(steps), TAR, k=len(ss)),
+        to_canonical=ReconfigSequence(ss, steps, TAR, k=len(ss)),
         canonical=final,
         anchor=anchor,
     )
@@ -485,10 +521,9 @@ def path_canonical(
 
     def builder(s) -> ReconfigSequence:
         ss = g.check_seed(s)
-        if not is_target_set(g, ss):
+        if not dec.is_target_set(g, ss, [ss]):
             raise NotATargetSet(f"{sorted(ss)} is not a target set")
-        steps = _component_route(comp, ss)[0]
-        return ReconfigSequence(ss, tuple(steps), TAR, k=len(ss))
+        return ReconfigSequence(ss, dec.route(0, ss)[0], TAR, k=len(ss))
 
     return comp.min_size, canonical, builder
 
@@ -511,20 +546,20 @@ def solve_maxdeg2(
     if len(xs) != len(ys):
         raise PreconditionViolated(f"|x|={len(xs)} != |y|={len(ys)}")
     dec = decompose_deg2(g)
-    if not is_target_set(g, xs) or not is_target_set(g, ys):
+    rx = [xs & c.vertices for c in dec.components]
+    ry = [ys & c.vertices for c in dec.components]
+    if not dec.is_target_set(g, xs, rx) or not dec.is_target_set(g, ys, ry):
         raise PreconditionViolated("endpoints must be target sets")
     k = len(xs)
-    min_total = dec.min_size
-    if k == min_total and any(
-        c.terrible and (xs & c.vertices) != (ys & c.vertices)
-        for c in dec.components
+    if k == dec.min_size and any(
+        c.terrible and a != b for c, a, b in zip(dec.components, rx, ry)
     ):
         return False, None
     if xs == ys:
         return True, ReconfigSequence(xs, (), TJ if model == TJ else TAR, k=k)
 
-    routes_x = [_component_route(c, xs & c.vertices) for c in dec.components]
-    routes_y = [_component_route(c, ys & c.vertices) for c in dec.components]
+    routes_x = [dec.route(i, r) for i, r in enumerate(rx)]
+    routes_y = [dec.route(i, r) for i, r in enumerate(ry)]
     steps = [st for route, _, _ in routes_x for st in route]
     for comp, (_, fx, ax), (_, fy, ay) in zip(dec.components, routes_x, routes_y):
         if fx == fy:

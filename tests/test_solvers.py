@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -18,7 +19,7 @@ from tsr.oracle import (
     target_sets_by_size,
     tj_decide,
 )
-from tsr.reconfig import TAR, validate_sequence
+from tsr.reconfig import TAR, TJ, tar_to_tj, validate_sequence
 from tsr.solvers import (
     chen_tree,
     cycle_analyze,
@@ -317,3 +318,86 @@ def test_solve_threshold1_p3_pair():
     assert yes
     rep = validate_sequence(g, seq)
     assert rep.ok and seq.end == {2, 3}
+
+
+def _pairs(g, rng, per_size=6):
+    """Seeded same-size target-set pairs of g at its two smallest sizes."""
+    by = target_sets_by_size(g)
+    out = []
+    for k in sorted(by)[:2]:
+        sets = [frozenset(v for v in g.vertices if m >> v & 1) for m in by[k]]
+        pairs = list(itertools.combinations(sets, 2))
+        out += rng.sample(pairs, min(per_size, len(pairs)))
+    return out
+
+
+def test_solve_maxdeg2_tar_model_random():
+    rng = random.Random(77)
+    yes_count = 0
+    for _ in range(60):
+        g = random_maxdeg2(rng, rng.randint(3, 11))
+        for x, y in _pairs(g, rng):
+            verdict, tar = solve_maxdeg2(g, x, y, model=TAR)
+            tj_verdict, tj = solve_maxdeg2(g, x, y, model=TJ)
+            assert verdict == tj_verdict
+            if not verdict:
+                assert tar is None and tj is None
+                continue
+            yes_count += 1
+            assert tar.model == TAR and tar.k == len(x)
+            assert validate_sequence(g, tar).ok
+            assert tar.start == x and tar.end == y
+            assert tar_to_tj(tar) == tj
+    assert yes_count > 100
+
+
+def _answer(solve, g, x, y, model):
+    """A solver's verdict and sequence text, or its error's type and message."""
+    try:
+        verdict, seq = solve(g, x, y, model=model)
+    except errors.TsrError as exc:
+        return type(exc).__name__, str(exc)
+    return verdict, None if seq is None else seq.format()
+
+
+def test_plans_are_per_instance_and_never_change_answers():
+    """Answers on one graph object, with repeats, match answers on fresh copies."""
+    rng = random.Random(4242)
+    graphs = [(random_maxdeg2(rng, rng.randint(3, 11)), solve_maxdeg2) for _ in range(25)]
+    graphs += [(random_tree(rng, rng.randint(2, 10)), solve_tree) for _ in range(25)]
+    for g, solve in graphs:
+        stream = []
+        for x, y in _pairs(g, rng, 4):
+            stream += [(x, y), (y, x), (x, y)]
+            bad = [frozenset(c) for c in itertools.combinations(g.vertices, len(x)) if not is_target_set(g, c)]
+            stream += [(bad[0], y), (x, bad[-1]), (x, y)] if bad else []
+        for model in (TJ, TAR):
+            shared = [_answer(solve, g, x, y, model) for x, y in stream]
+            alone = [_answer(solve, dataclasses.replace(g), x, y, model) for x, y in stream]
+            assert shared == alone
+        copy = dataclasses.replace(g)
+        assert vars(copy).keys() == {"n", "adj", "tau"}
+        if solve is solve_maxdeg2:
+            assert decompose_deg2(g) is decompose_deg2(g)
+            assert decompose_deg2(copy) is not decompose_deg2(g)
+        else:
+            assert chen_tree(g) is chen_tree(g)
+            assert chen_tree(copy) is not chen_tree(g)
+
+
+def test_chen_tree_plan_per_root():
+    rng = random.Random(9)
+    for _ in range(20):
+        g = random_tree(rng, rng.randint(3, 12))
+        r = rng.randint(2, g.n)
+        default, rooted = chen_tree(dataclasses.replace(g)), chen_tree(dataclasses.replace(g), root=r)
+        assert default.root == 1 and rooted.root == r
+        first_default = dataclasses.replace(g)
+        d = chen_tree(first_default)
+        assert chen_tree(first_default, root=r) == rooted
+        assert chen_tree(first_default) is d and d == default
+        first_rooted = dataclasses.replace(g)
+        p = chen_tree(first_rooted, root=r)
+        assert chen_tree(first_rooted) == default
+        assert chen_tree(first_rooted, root=1) is chen_tree(first_rooted)
+        assert chen_tree(first_rooted, root=r) is p and p == rooted
