@@ -4,14 +4,16 @@ Enumerates target sets and runs one breadth-first search core, ``bfs``, over
 int masks: TJ moves (``tj_decide``, ``tj_components`` and
 ``reductions.hs_tj_decide``) or k-TAR moves (``ktar_decide``), from which
 shortest sequences are rebuilt.  Pair queries test only jumps and removals,
-by the local removal test ``activation.still_target``.  Everything here is
-desk-scale: state exploration aborts once it exceeds a configurable guard.
+by the local removal test ``activation.still_target``, memoized per
+component: activation never crosses one, so the answer is exact under the
+set's restriction to the removed vertex's component (connected graphs bypass
+the memo).  Everything here is desk-scale: state exploration aborts once it
+exceeds a configurable guard.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from collections import deque
 from math import comb
@@ -116,40 +118,62 @@ def target_sets_by_size(
 
 
 def _check_pair(g: ThresholdGraph, x, y):
-    """Validated endpoints as sets and masks, plus the removal test for ``bfs``."""
+    """Validated endpoints as sets and masks, plus the removal test for ``bfs``.
+
+    ``ok(nxt, out)`` is ``still_target(g, nxt, out)`` memoized under
+    ``(nxt & comp[out], out)``, ``comp[out]`` being the mask of out's
+    component: the closure inside it depends only on that restriction.  On a
+    connected graph the key would be ``nxt``, which ``bfs`` never tests twice,
+    so the memo is bypassed and stores nothing.
+    """
     xs, ys = frozenset(x), frozenset(y)
     start, goal = seed_mask(g, xs), seed_mask(g, ys)
     for s, m in ((xs, start), (ys, goal)):
         if closure_mask(g, m) != g.full_mask:
             raise NotATargetSet(f"{sorted(s)} is not a target set")
-    return xs, ys, start, goal, functools.partial(still_target, g)
+    comp: dict[int, int] = {}
+    for vs in g.components():
+        comp.update(dict.fromkeys(vs, seed_mask(g, vs)))
+    memo: dict[tuple[int, int], bool] = {}
+
+    def ok(nxt: int, out: int) -> bool:
+        if comp[out] == g.full_mask:
+            return still_target(g, nxt, out)
+        key = (nxt & comp[out], out)
+        if key not in memo:
+            memo[key] = still_target(g, nxt, out)
+        return memo[key]
+
+    return xs, ys, start, goal, ok
 
 
 def tj_moves(universe: Sequence[int]) -> Moves:
     """Single jumps: ascending removed element, then ascending added element."""
+    bits = [(v, 1 << v) for v in universe]
 
     def moves(cur: int):
-        for out in universe:
-            if cur >> out & 1:
-                base = cur & ~(1 << out)
-                for into in universe:
-                    if not cur >> into & 1:
-                        yield base | 1 << into, out, into
+        absent = [(v, b) for v, b in bits if not cur & b]
+        for out, b in bits:
+            if cur & b:
+                base = cur ^ b
+                for into, c in absent:
+                    yield base | c, out, into
 
     return moves
 
 
 def ktar_moves(universe: Sequence[int], k: int) -> Moves:
     """Single additions (while the set has at most k elements), then removals."""
+    bits = [(v, 1 << v) for v in universe]
 
     def moves(cur: int):
         if cur.bit_count() <= k:
-            for into in universe:
-                if not cur >> into & 1:
-                    yield cur | 1 << into, 0, into
-        for out in universe:
-            if cur >> out & 1:
-                yield cur & ~(1 << out), out, 0
+            for into, b in bits:
+                if not cur & b:
+                    yield cur | b, 0, into
+        for out, b in bits:
+            if cur & b:
+                yield cur ^ b, out, 0
 
     return moves
 
@@ -168,8 +192,10 @@ def bfs(
     tested: a superset of a target set is one.  A jump or removal is tested
     by ``ok(next, out)``, which for target sets need only ask whether the
     closure of ``next`` reaches ``out`` (``activation.still_target``); a
-    rejected state is not tested again.  ``goal=None`` floods the component.
-    Raises InstanceTooLarge after ``guard`` popped states.
+    rejected state is not tested again, and pair queries memoize the answer
+    per component of ``out`` (exact, as activation never crosses one; see
+    ``_check_pair``).  ``goal=None`` floods the component.  Raises
+    InstanceTooLarge after ``guard`` popped states.
     """
     parents: dict[int, tuple[int, int, int] | None] = {start: None}
     if start == goal:

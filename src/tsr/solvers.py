@@ -103,7 +103,8 @@ class Deg2Decomposition:
     """The components of a maximum-degree-2 graph: the plan ``decompose_deg2`` caches.
 
     Its memos are keyed by (component index, restriction of a set to it): the
-    component route, and whether the restriction's closure covers the component.
+    component route with its reversed steps, and whether the restriction's
+    closure covers the component.
     """
 
     components: tuple[Deg2Component, ...]
@@ -114,12 +115,12 @@ class Deg2Decomposition:
     def min_size(self) -> int:
         return sum(c.min_size for c in self.components)
 
-    def route(self, i: int, r: frozenset[int]) -> tuple[tuple[Step, ...], frozenset[int], int | None]:
-        """``_component_route`` of component i from r, with the steps as a tuple."""
+    def route(self, i: int, r: frozenset[int]) -> tuple[tuple[Step, ...], frozenset[int], int | None, tuple[Step, ...]]:
+        """``_component_route`` of component i from r, the steps as a tuple, and the steps that undo them."""
         hit = self._routes.get((i, r))
         if hit is None:
             steps, final, anchor = _component_route(self.components[i], r)
-            hit = self._routes[i, r] = (tuple(steps), final, anchor)
+            hit = self._routes[i, r] = (tuple(steps), final, anchor, reverse_steps(steps))
         return hit
 
     def is_target_set(self, g: ThresholdGraph, s: frozenset[int], rs) -> bool:
@@ -481,7 +482,7 @@ def cycle_analyze(g: ThresholdGraph, s) -> CycleAnalysis:
     ss = g.check_seed(s)
     if not dec.is_target_set(g, ss, [ss]):
         raise NotATargetSet(f"{sorted(ss)} is not a target set")
-    steps, final, anchor = dec.route(0, ss)
+    steps, final, anchor, _ = dec.route(0, ss)
     m = comp.m
     if m == 0:
         case = "zero"
@@ -560,8 +561,8 @@ def solve_maxdeg2(
 
     routes_x = [dec.route(i, r) for i, r in enumerate(rx)]
     routes_y = [dec.route(i, r) for i, r in enumerate(ry)]
-    steps = [st for route, _, _ in routes_x for st in route]
-    for comp, (_, fx, ax), (_, fy, ay) in zip(dec.components, routes_x, routes_y):
+    steps = [st for route, *_ in routes_x for st in route]
+    for comp, (_, fx, ax, _), (_, fy, ay, _) in zip(dec.components, routes_x, routes_y):
         if fx == fy:
             continue
         if comp.kind != "cycle":
@@ -579,8 +580,8 @@ def solve_maxdeg2(
                 raise InvariantViolated(f"even-cycle flip ended at {sorted(final)}, not {sorted(fy)}")
             steps += flip
 
-    for route, _, _ in reversed(routes_y):
-        steps += reverse_steps(route)
+    for *_, back in reversed(routes_y):
+        steps += back
 
     seq = ReconfigSequence(xs, tuple(steps), TAR, k=k)
     if seq.end != ys:

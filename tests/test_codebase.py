@@ -97,3 +97,19 @@ def test_no_dead_definitions():
         and words[node.name] < 2
     ]
     assert not dead, f"defined but never named elsewhere: {dead}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    """Every module-level import in ``src/tsr`` (``__future__`` aside) is used in its module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        f"{node.lineno} {alias.asname or alias.name}"
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in used
+    ]
+    assert not unused, f"{path.name}: unused imports on lines {unused}"

@@ -4,27 +4,32 @@
 state, additions included, goes through a memoized full closure.  The
 library ``bfs`` skips additions and asks ``activation.still_target`` only
 whether the closure of a state reached by a jump or removal of v still
-reaches v.  Verdicts, explored counts, shortest sequences and guard trips
-must not change.
+reaches v, memoized per component of v on disconnected graphs.  Verdicts,
+explored counts, shortest sequences and guard trips must not change.
 """
 
 import functools
+import inspect
 import itertools
 import random
 from collections import deque
 
 import pytest
 
-from tsr import errors
+from tsr import errors, oracle
 from tsr.activation import closure_mask, seed_mask
 from tsr.generators import (
     cycle_with_spacing,
+    path_with_spacing,
     random_connected,
     random_hitting_system,
     random_maxdeg2,
     random_tree,
 )
 from tsr.oracle import (
+    DEFAULT_GUARD,
+    _check_pair,
+    bfs,
     ktar_decide,
     ktar_moves,
     target_sets_by_size,
@@ -32,6 +37,7 @@ from tsr.oracle import (
     tj_decide,
     tj_moves,
 )
+from tsr.graph import disjoint_union
 from tsr.reconfig import TAR, TJ, ReconfigSequence, Step
 from tsr.reductions import hs_tj_decide
 
@@ -192,3 +198,93 @@ def test_hitting_set_queries_match_reference(guard):
         assert outcome(lambda: hs_tj_decide(hs, x, y, guard=guard)) == want, (hs, x, y)
         decided += 1
     assert decided >= 100
+
+
+def _part(rng):
+    """One component: a spaced terrible 4-cycle, a threshold-1 path, or a small
+    random connected graph or tree."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return cycle_with_spacing(4, [rng.randint(0, 2) for _ in range(4)])
+    if kind == 1:
+        return path_with_spacing(0, [rng.randint(2, 5)])
+    if kind == 2:
+        return random_connected(rng, rng.randint(3, 4), rng.choice([0.2, 0.5]))
+    return random_tree(rng, rng.randint(2, 5))
+
+
+def _union_pair(rng):
+    """A disjoint union of 2-4 parts with n <= 24, and two target sets of one size.
+
+    Each part gets its own size, its minimum (nine times in ten) or one
+    more, and x and y each pick a target set of that size in every part, so
+    terrible cycles at their minimum give NO instances beside YES parts.
+    """
+    g, x, y = None, set(), set()
+    for _ in range(rng.randint(2, 4)):
+        p = _part(rng)
+        if g is not None and g.n + p.n > 24:
+            continue
+        by_size = target_sets_by_size(p)
+        masks = by_size[sorted(by_size)[rng.random() < 0.1]]
+        base = g.n if g is not None else 0
+        for s in (x, y):
+            m = rng.choice(masks)
+            s.update(base + v for v in p.vertices if m >> v & 1)
+        g = p if g is None else disjoint_union(g, p)[0]
+    return g, frozenset(x), frozenset(y)
+
+
+def test_multi_component_pair_queries_match_reference():
+    """``tj_decide`` and ``ktar_decide`` at k = |x| and |x| + 1 on 60 disjoint
+    unions, where the removal test is memoized per component; 9 TJ pairs are NO."""
+    rng = random.Random(2718)
+    no = 0
+    for _ in range(60):
+        g, x, y = _union_pair(rng)
+        for guard in GUARDS:
+            got = outcome(lambda: tj_decide(g, x, y, guard=guard))
+            want = outcome(lambda: reference_pair(g, x, y, tj_moves(g.vertices), TJ, 0, guard))
+            assert _summary(got) == want, (g, sorted(x), sorted(y), guard)
+            no += guard == GUARDS[-1] and not want[0]
+            for k in (len(x), len(x) + 1):
+                got = outcome(lambda: ktar_decide(g, x, y, k, guard=guard))
+                want = outcome(lambda: reference_pair(g, x, y, ktar_moves(g.vertices, k), TAR, k, guard))
+                assert _summary(got) == want, (g, sorted(x), sorted(y), k, guard)
+    assert no >= 8
+
+
+def _terrible_beside_paths(paths):
+    """C8 with four threshold-2 vertices beside ``paths`` copies of P5; x and y
+    differ on the cycle at its minimum, so both searches flood their component."""
+    rng = random.Random(1)
+    g = cycle_with_spacing(4, [0, 1, 1, 2])
+    w = [v for v in g.vertices if g.tau[v] == 2]
+    x, y = {w[0], w[2]}, {w[1], w[3]}
+    for _ in range(paths):
+        base = g.n
+        g, _ = disjoint_union(g, path_with_spacing(0, [5]))
+        x.add(base + rng.randint(1, 5))
+        y.add(base + rng.randint(1, 5))
+    return g, frozenset(x), frozenset(y)
+
+
+def test_removal_tests_are_memoized_per_component(monkeypatch):
+    """On C8 + 3 x P5 (n = 23, k = 5) each search makes at most 60 removal tests
+    (29 measured; 3,874 and 4,199 without the memo), and a connected graph
+    stores no memo entry."""
+    calls = []
+    real = oracle.still_target
+    monkeypatch.setattr(oracle, "still_target", lambda *a: calls.append(a) or real(*a))
+    g, x, y = _terrible_beside_paths(3)
+    for decide in (tj_decide, lambda *a: ktar_decide(*a, len(x))):
+        calls.clear()
+        assert decide(g, x, y).reconfigurable is False
+        assert 0 < len(calls) <= 60
+
+    for g, x, y in (_terrible_beside_paths(0), _terrible_beside_paths(1)):
+        _, _, start, goal, ok = _check_pair(g, x, y)
+        calls.clear()
+        bfs(start, goal, tj_moves(g.vertices), ok, DEFAULT_GUARD)
+        memo = inspect.getclosurevars(ok).nonlocals["memo"]
+        assert calls and (len(memo) == 0) == (len(g.components()) == 1)
