@@ -1,14 +1,18 @@
 """Exhaustive ground truth for small instances.
 
-Enumerates target sets and runs one breadth-first search core, ``bfs``, over
-int masks: TJ moves (``tj_decide``, ``tj_components`` and
-``reductions.hs_tj_decide``) or k-TAR moves (``ktar_decide``), from which
-shortest sequences are rebuilt.  Pair queries test only jumps and removals,
-by the local removal test ``activation.still_target``, memoized per
-component: activation never crosses one, so the answer is exact under the
-set's restriction to the removed vertex's component (connected graphs bypass
-the memo).  Everything here is desk-scale: state exploration aborts once it
-exceeds a configurable guard.
+Two cores.  ``_full_rows`` is the one batch closure, in float32 matmul
+rounds that run in BLAS and are exact (every count is a small integer):
+``enumerate_target_sets`` feeds it the C(n, k) combinations and
+``all_target_set_masks`` all 2^n sets.  ``bfs`` is the one
+breadth-first search over int masks: TJ moves (``tj_decide``,
+``tj_components`` and ``reductions.hs_tj_decide``) or k-TAR moves
+(``ktar_decide``), from which shortest sequences are rebuilt.  Pair queries
+test only jumps and removals, by the local removal test
+``activation.still_target``, memoized per component: activation never
+crosses one, so the answer is exact under the set's restriction to the
+removed vertex's component (connected graphs bypass the memo).  Everything
+here is desk-scale: enumeration checks its cap and guard before it allocates
+anything, and state exploration aborts once it exceeds a configurable guard.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .reconfig import TAR, TJ, ReconfigSequence, Step
 
 DEFAULT_GUARD = 5_000_000
 DEFAULT_CAP = 20
+_BLOCK = 4096  # seed rows per batch-closure block: 16 KB of float32 per vertex
 
 Moves = Callable[[int], Iterable[tuple[int, int, int]]]
 
@@ -60,13 +65,15 @@ def enumerate_target_sets(
         raise SizeMismatch(f"k={k} not in 0..{g.n}")
     if g.n > cap:
         raise InstanceTooLarge(f"n={g.n} exceeds the enumeration cap of {cap}")
-    if comb(g.n, k) > guard:
+    rows = comb(g.n, k)
+    if rows > guard:
         raise InstanceTooLarge(f"C({g.n},{k}) exceeds the enumeration guard")
-    return [
-        frozenset(combo)
-        for combo in itertools.combinations(g.vertices, k)
-        if closure_mask(g, sum(1 << v for v in combo)) == g.full_mask
-    ]
+    flat = itertools.chain.from_iterable(itertools.combinations(g.vertices, k))
+    combos = np.fromiter(flat, dtype=np.intp, count=rows * k).reshape(rows, k)
+    seeds = np.zeros((rows, g.n), dtype=bool)
+    np.put_along_axis(seeds, combos - 1, True, axis=1)
+    full = _full_rows(g, seeds)
+    return list(map(frozenset, itertools.compress(itertools.combinations(g.vertices, k), full)))
 
 
 def min_target_set_size(
@@ -81,28 +88,49 @@ def min_target_set_size(
     raise InvariantViolated("V itself is always a target set")
 
 
+def _full_rows(g: ThresholdGraph, seeds: np.ndarray) -> np.ndarray:
+    """Which rows of the (rows x n) bool matrix ``seeds`` activate every vertex.
+
+    The one batch closure; column j is vertex j + 1.  Each round counts the
+    active neighbours of every row with one float32 matmul against the dense
+    adjacency, in BLAS.  The counts are integers of at most the maximum
+    degree, far below 2^24, so float32 holds them exactly.  Rows go in blocks
+    of ``_BLOCK``, which bounds the working copy.
+    """
+    adj = np.zeros((g.n, g.n), dtype=np.float32)
+    for u, v in g.edges:
+        adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1
+    tau = np.array(g.tau[1:], dtype=np.float32)
+    full = np.empty(len(seeds), dtype=bool)
+    for lo in range(0, len(seeds), _BLOCK):
+        active = seeds[lo : lo + _BLOCK].astype(np.float32)
+        while True:
+            new = (active @ adj >= tau) & (active == 0)
+            if not new.any():
+                break
+            active[new] = 1
+        full[lo : lo + _BLOCK] = active.all(axis=1)
+    return full
+
+
 def all_target_set_masks(g: ThresholdGraph, *, guard: int = DEFAULT_GUARD) -> list[int]:
-    """Bitmasks of every target set of g, by batch closure over all 2^n seeds."""
+    """Bitmasks of every target set of g, ascending, from ``_full_rows`` over all 2^n seeds.
+
+    Row i of the seed matrix is the binary expansion of i, built in place by
+    doubling (rows 2^j..2^(j+1)-1 are rows 0..2^j-1 plus vertex j + 1), so
+    beside its 2^n x n bytes only one ``_BLOCK`` of rows is ever copied.
+    """
     n = g.n
     if n == 0:
         return [0]
     if (1 << n) > guard:
         raise InstanceTooLarge(f"2^{n} exceeds the enumeration guard")
-    masks = np.arange(1 << n, dtype=np.uint32)
-    active = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
-    adj = np.zeros((n, n), dtype=np.int16)
-    for u, v in g.edges:
-        adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1
-    tau = np.array([g.tau[v] for v in g.vertices], dtype=np.int16)
-    while True:
-        counts = active.astype(np.int16) @ adj
-        new = (counts >= tau) & ~active
-        if not new.any():
-            break
-        active |= new
-    full = active.all(axis=1)
+    seeds = np.zeros((1 << n, n), dtype=bool)
+    for j in range(n):
+        seeds[1 << j : 2 << j] = seeds[: 1 << j]
+        seeds[1 << j : 2 << j, j] = True
     # package masks use bit v for vertex v, so shift the dense mask up by one
-    return [int(m) << 1 for m in np.flatnonzero(full)]
+    return (np.flatnonzero(_full_rows(g, seeds)) << 1).tolist()
 
 
 def target_sets_by_size(

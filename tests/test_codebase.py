@@ -113,3 +113,16 @@ def test_no_unused_imports(path):
         if (alias.asname or alias.name.split(".")[0]) not in used
     ]
     assert not unused, f"{path.name}: unused imports on lines {unused}"
+
+
+def test_numpy_only_in_oracle():
+    """numpy, the package's one dependency, is imported only by ``oracle.py``,
+    whose batch closure core is its one user."""
+    users = []
+    for path in SOURCES:
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+        names = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+        names += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+        if any(name.split(".")[0] == "numpy" for name in names):
+            users.append(path.name)
+    assert users == ["oracle.py"]

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +20,9 @@ from tsr.reconfig import validate_sequence
 from tsr.reductions import HittingSystem, hs_tj_decide
 
 THETA_M = frozenset({13, 2, 9})
+# sha256 of repr(all_target_set_masks(g)) for g = random_connected(Random(20), 20, 0.25),
+# as the int16 table computed it
+TABLE_20_DIGEST = "adacb8f773268cf41aa7c338f85d45ae7b87e273d56c8726da5a8ad4d1b6d739"
 
 
 def test_theta_r1_no_size2(theta_r1):
@@ -184,3 +189,44 @@ def test_batch_matches_single(fig2):
     for m in range(1 << fig2.n):
         s = frozenset(v for v in fig2.vertices if m >> (v - 1) & 1)
         assert ((m << 1) in masks) == is_target_set(fig2, s)
+
+
+def _traced_peak(fn):
+    """``fn()``'s result (or the TsrError it raised) and its tracemalloc peak in
+    bytes; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        try:
+            out = fn()
+        except errors.TsrError as exc:
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table_memory_is_bounded():
+    """All 2^20 seeds of a seeded n = 20 graph close in blocks: under 64 MB of
+    tracemalloc peak (the int16 table peaked at 164 MB), and the masks are the
+    int16 table's, pinned by count and digest."""
+    g = random_connected(random.Random(20), 20, 0.25)
+    masks, peak = _traced_peak(lambda: all_target_set_masks(g))
+    assert peak < 64 << 20, peak
+    assert len(masks) == 622_464
+    assert hashlib.sha256(repr(masks).encode()).hexdigest() == TABLE_20_DIGEST
+
+
+def test_guards_precede_allocation():
+    """Each enumeration guard raises its message before any seed matrix exists."""
+    g = cycle_with_spacing(0, [21])
+    cases = [
+        (lambda: enumerate_target_sets(g, 10), "n=21 exceeds the enumeration cap of 20"),
+        (lambda: tj_components(g, 10, cap=21, guard=10**5), "C(21,10) exceeds the enumeration guard"),
+        (lambda: min_target_set_size(g, cap=21, guard=20), "C(21,1) exceeds the enumeration guard"),
+        (lambda: all_target_set_masks(g, guard=1 << 20), "2^21 exceeds the enumeration guard"),
+        (lambda: target_sets_by_size(g, guard=1 << 20), "2^21 exceeds the enumeration guard"),
+    ]
+    for fn, message in cases:
+        exc, peak = _traced_peak(fn)
+        assert isinstance(exc, errors.InstanceTooLarge) and str(exc) == message, exc
+        assert peak < 1 << 20, (message, peak)

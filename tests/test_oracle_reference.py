@@ -6,6 +6,11 @@ library ``bfs`` skips additions and asks ``activation.still_target`` only
 whether the closure of a state reached by a jump or removal of v still
 reaches v, memoized per component of v on disconnected graphs.  Verdicts,
 explored counts, shortest sequences and guard trips must not change.
+
+``reference_components`` (a ``closure_mask`` per combination) and
+``reference_table`` (int16 matmul rounds over all 2^n seeds) keep the two
+closure engines the exhaustive paths ran before the one batch core
+``oracle._full_rows``.
 """
 
 import functools
@@ -14,10 +19,12 @@ import itertools
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from tsr import errors, oracle
 from tsr.activation import closure_mask, seed_mask
+from tsr.gadgets import theta_gadget
 from tsr.generators import (
     cycle_with_spacing,
     path_with_spacing,
@@ -29,15 +36,18 @@ from tsr.generators import (
 from tsr.oracle import (
     DEFAULT_GUARD,
     _check_pair,
+    all_target_set_masks,
     bfs,
+    enumerate_target_sets,
     ktar_decide,
     ktar_moves,
+    min_target_set_size,
     target_sets_by_size,
     tj_components,
     tj_decide,
     tj_moves,
 )
-from tsr.graph import disjoint_union
+from tsr.graph import ThresholdGraph, disjoint_union
 from tsr.reconfig import TAR, TJ, ReconfigSequence, Step
 from tsr.reductions import hs_tj_decide
 
@@ -84,6 +94,26 @@ def reference_pair(g, x, y, moves, model, k, guard):
     parents, found = reference_bfs(start, goal, moves, is_ts, guard)
     seq = ReconfigSequence(frozenset(x), reference_steps(parents, goal), model, k=k) if found else None
     return found, len(parents), seq.format() if seq else None
+
+
+def reference_table(g):
+    """Every target-set mask, ascending, by int16 matmul rounds over all 2^n seeds."""
+    n = g.n
+    if n == 0:
+        return [0]
+    masks = np.arange(1 << n, dtype=np.uint32)
+    active = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
+    adj = np.zeros((n, n), dtype=np.int16)
+    for u, v in g.edges:
+        adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1
+    tau = np.array([g.tau[v] for v in g.vertices], dtype=np.int16)
+    while True:
+        counts = active.astype(np.int16) @ adj
+        new = (counts >= tau) & ~active
+        if not new.any():
+            break
+        active |= new
+    return [int(m) << 1 for m in np.flatnonzero(active.all(axis=1))]
 
 
 def reference_components(g, k):
@@ -288,3 +318,42 @@ def test_removal_tests_are_memoized_per_component(monkeypatch):
         bfs(start, goal, tj_moves(g.vertices), ok, DEFAULT_GUARD)
         memo = inspect.getclosurevars(ok).nonlocals["memo"]
         assert calls and (len(memo) == 0) == (len(g.components()) == 1)
+
+
+def _enumeration_graphs():
+    """The empty graph, the theta gadget (both apex thresholds), threshold-1
+    paths and cycles, and seeded random connected graphs, trees and
+    max-degree-2 graphs on 2..14 vertices.  No graph has n = 1: a lone vertex
+    has degree 0, below every allowed threshold."""
+    rng = random.Random(1729)
+    out = [ThresholdGraph.build(0, [], []), theta_gadget()[0], theta_gadget(r_tau=1)[0]]
+    out += [path_with_spacing(0, [n]) for n in (2, 3, 8, 13)]
+    out += [cycle_with_spacing(0, [n]) for n in (3, 4, 9, 14)]
+    for n in range(2, 15):
+        out.append(random_connected(rng, n, rng.choice([0.2, 0.5, 0.8])))
+        out.append(random_tree(rng, n))
+        out.append(random_maxdeg2(rng, n))
+    return out
+
+
+def test_enumeration_matches_reference():
+    """The batch closure's callers against the per-combination and int16
+    references, at every k from 0 to n: values and order of
+    ``enumerate_target_sets``, ``all_target_set_masks``,
+    ``target_sets_by_size``, ``min_target_set_size`` and ``tj_components``."""
+    for g in _enumeration_graphs():
+        table = reference_table(g)
+        assert all_target_set_masks(g) == table, g
+        by_size: dict[int, list[int]] = {}
+        for m in table:
+            by_size.setdefault(m.bit_count(), []).append(m)
+        assert list(target_sets_by_size(g).items()) == list(by_size.items()), g
+        assert min_target_set_size(g) == min(by_size), g
+        for k in range(g.n + 1):
+            count, comps = reference_components(g, k)
+            report = tj_components(g, k)
+            assert (report.num_target_sets, report.components, report.explored) == (count, comps, count), (g, k)
+            # combination order is the lexicographic order of the sorted id lists
+            sets = sorted(itertools.chain.from_iterable(comps), key=sorted)
+            assert enumerate_target_sets(g, k) == sets, (g, k)
+            assert len(sets) == len(by_size.get(k, [])), (g, k)
