@@ -49,11 +49,11 @@ class NotAnOrientation(TsrError):
     pass
 
 
-class NotATargetSet(TsrError):
+class PreconditionViolated(TsrError):
     pass
 
 
-class PreconditionViolated(TsrError):
+class NotATargetSet(PreconditionViolated):
     pass
 
 

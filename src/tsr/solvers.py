@@ -3,9 +3,11 @@
 Covers threshold-1 graphs, graphs of maximum degree 2 (paths and cycles,
 including the "terrible cycle" obstruction), and trees via Chen's bottom-up
 selection algorithm.  Every class routes a target set to a canonical minimum
-by one packing sweep (``_sweep``): for each region, add its canonical seed,
-then clear the rest of the region.  Paths are swept directly along their
-vertex order.
+by one packing sweep (``_sweep``): for each region, add its target, then
+clear the rest of the region.  The canonical minimum is the set of region
+targets.  Paths are swept directly along their vertex order.  Every solver
+ends in one checked join (``_joined``): x's route down, then y's route
+reversed, which must end at y; x == y is the empty sequence.
 
 Plans are built once per graph object, in its own ``__dict__`` as a
 ``cached_property`` is, and live as long as it does; a ``dataclasses.replace``
@@ -37,30 +39,45 @@ from .reconfig import TAR, TJ, ReconfigSequence, Step, reverse_steps, tar_to_tj
 # -- the packing sweep -------------------------------------------------------
 
 
-def _sweep(s, regions, final: frozenset[int]) -> list[Step]:
-    """TAR steps from s to ``final`` by the packing argument.
+def _sweep(s, regions) -> tuple[list[Step], frozenset[int]]:
+    """TAR steps from s to the set of region targets, and that set.
 
     For each ``(target, region)`` in order: add ``target`` if absent, then
     remove the rest of the region from the set; finish by removing whatever
-    lies outside ``final``.  Callers pick regions that every target set meets
-    and whose sweep leaves a target set, so every intermediate set is a
-    target set and the peak stays within |s|+1.
+    is not a target.  Callers pick regions that every target set meets and
+    whose sweep leaves a target set, so every intermediate set is a target
+    set and the peak stays within |s|+1.  The targets are then a minimum
+    target set: the canonical one of the class.
     """
     cur = set(s)
     steps: list[Step] = []
+    targets: set[int] = set()
     for target, region in regions:
+        targets.add(target)
         if target not in cur:
             steps.append(Step.add(target))
             cur.add(target)
         for v in sorted(cur.intersection(region) - {target}):
             steps.append(Step.remove(v))
             cur.remove(v)
-    for v in sorted(cur - final):
+    for v in sorted(cur - targets):
         steps.append(Step.remove(v))
         cur.remove(v)
-    if cur != final:
-        raise InvariantViolated(f"sweep ended at {sorted(cur)}, not {sorted(final)}")
-    return steps
+    # a later region that overlaps an earlier one could clear its target
+    if cur != targets:
+        raise InvariantViolated(f"sweep ended at {sorted(cur)}, not {sorted(targets)}")
+    return steps, frozenset(targets)
+
+
+def _joined(xs: frozenset[int], ys: frozenset[int], steps, model: str) -> ReconfigSequence:
+    """The TAR route xs -> ys along ``steps``, checked to end at ys, in ``model``.
+
+    x == y is the empty sequence.  A TJ answer is the route's ``tar_to_tj``.
+    """
+    seq = ReconfigSequence(xs, () if xs == ys else tuple(steps), TAR, k=len(xs))
+    if seq.end != ys:
+        raise InvariantViolated(f"route ended at {sorted(seq.end)}, not {sorted(ys)}")
+    return tar_to_tj(seq) if model == TJ else seq
 
 
 # -- degree-2 decomposition ------------------------------------------------
@@ -70,10 +87,10 @@ def _sweep(s, regions, final: frozenset[int]) -> list[Step]:
 class Deg2Component:
     """One path or cycle component of a maximum-degree-2 graph.
 
-    ``order`` lists the vertices along the component (for cycles, starting at
-    the smallest id and heading toward its smaller neighbor); ``w`` is the
-    subsequence of threshold-2 vertices.  A cycle is terrible when it has an
-    even number m >= 4 of threshold-2 vertices.
+    ``order`` lists the vertices along the component, from the smaller end of
+    a path or the smallest id of a cycle toward its smaller neighbor; ``w`` is
+    the subsequence of threshold-2 vertices.  A cycle is terrible when it has
+    an even number m >= 4 of threshold-2 vertices.
     """
 
     kind: str  # "path" | "cycle"
@@ -93,9 +110,8 @@ class Deg2Component:
     def min_size(self) -> int:
         if self.kind == "path":
             return self.m // 2 + 1
-        if self.m == 0:
-            return 1
-        return self.m // 2 if self.m % 2 == 0 else (self.m + 1) // 2
+        # ceil(m/2) threshold-2 vertices, and one vertex when there are none
+        return max(1, (self.m + 1) // 2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,27 +157,17 @@ def decompose_deg2(g: ThresholdGraph) -> Deg2Decomposition:
             raise DegreeTooLarge(f"vertex {v} has degree {len(g.adj[v])} > 2")
     comps = []
     for comp in g.components():
-        degs = {v: len(g.adj[v]) for v in comp}
-        ends = sorted(v for v in comp if degs[v] == 1)
-        if ends:
-            start = ends[0]
-            kind = "path"
-        else:
-            start = comp[0]
-            kind = "cycle"
+        ends = [v for v in comp if len(g.adj[v]) == 1]
+        start = (ends or comp)[0]
         order = [start]
-        prev = None
-        cur = start
-        while True:
-            nxts = [u for u in g.adj[cur] if u != prev]
-            if kind == "cycle" and cur == start:
-                nxts = [min(nxts)]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            if kind == "cycle" and cur == start:
-                break
+        prev, cur = start, min(g.adj[start])
+        while cur != start:
             order.append(cur)
+            nxt = [u for u in g.adj[cur] if u != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+        kind = "path" if ends else "cycle"
         w = tuple(v for v in order if g.tau[v] == 2)
         m = len(w)
         comps.append(
@@ -217,39 +223,24 @@ def chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
         raise NotATree("graph is not a tree")
     g.check_vertex(root)
     parent = [0] * (g.n + 1)
-    order = []  # preorder
-    parent[root] = 0
+    # neighbors pushed in ascending id pop in descending id, so this preorder
+    # visits children in descending id and its reverse is the postorder with
+    # children in ascending id
+    order = []
     stack = [root]
-    seen = {root}
     while stack:
         v = stack.pop()
         order.append(v)
-        for u in reversed(g.adj[v]):
-            if u not in seen:
-                seen.add(u)
+        for u in g.adj[v]:
+            if u != parent[v]:
                 parent[u] = v
                 stack.append(u)
-    children: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for v in order:
-        if v != root:
-            children[parent[v]].append(v)
-    for c in children:
-        c.sort()
-    post: list[int] = []
-    stack2: list[tuple[int, bool]] = [(root, False)]
-    while stack2:
-        v, done = stack2.pop()
-        if done:
-            post.append(v)
-            continue
-        stack2.append((v, True))
-        for u in reversed(children[v]):
-            stack2.append((u, False))
+    post = order[::-1]
     tau_prime = [0] * (g.n + 1)
     s_star: set[int] = set()
     for v in post:
         activated = sum(
-            1 for w in children[v] if tau_prime[w] == 0 or w in s_star
+            1 for w in g.adj[v] if w != parent[v] and (tau_prime[w] == 0 or w in s_star)
         )
         # floored at 0: tau' counts the remaining requirement, and a vertex
         # with more activated children than its threshold is itself activated
@@ -292,7 +283,7 @@ def tree_tar_to_canonical(
     ss = g.check_seed(s)
     if not is_target_set(g, ss):
         raise NotATargetSet(f"{sorted(ss)} is not a target set")
-    steps = _sweep(ss, zip(plan.s_list, plan.packing), plan.s_star)
+    steps, _ = _sweep(ss, zip(plan.s_list, plan.packing))
     return ReconfigSequence(ss, tuple(steps), TAR, k=len(ss))
 
 
@@ -310,8 +301,7 @@ def solve_tree(
     plan = chen_tree(g)
     down = tree_tar_to_canonical(g, plan, xs)
     up = tree_tar_to_canonical(g, plan, ys)
-    seq = ReconfigSequence(xs, down.steps + reverse_steps(up.steps), TAR, k=len(xs))
-    return True, (tar_to_tj(seq) if model == TJ else seq)
+    return True, _joined(xs, ys, down.steps + reverse_steps(up.steps), model)
 
 
 # -- threshold-1 graphs ------------------------------------------------------
@@ -326,28 +316,16 @@ def solve_threshold1(
     xs, ys = g.check_seed(x), g.check_seed(y)
     if len(xs) != len(ys):
         raise PreconditionViolated(f"|x|={len(xs)} != |y|={len(ys)}")
-    if not is_target_set(g, xs) or not is_target_set(g, ys):
-        raise PreconditionViolated("endpoints must be target sets")
+    for s in (xs, ys):
+        if not is_target_set(g, s):
+            raise NotATargetSet(f"{sorted(s)} is not a target set")
     # one canonical seed per component: its smallest vertex
     regions = [(comp[0], comp) for comp in g.components()]
-    canon = frozenset(target for target, _ in regions)
-    down, up = _sweep(xs, regions, canon), _sweep(ys, regions, canon)
-    seq = ReconfigSequence(xs, tuple(down) + reverse_steps(up), TAR, k=len(xs))
-    return True, (tar_to_tj(seq) if model == TJ else seq)
+    (down, _), (up, _) = _sweep(xs, regions), _sweep(ys, regions)
+    return True, _joined(xs, ys, tuple(down) + reverse_steps(up), model)
 
 
 # -- paths and cycles --------------------------------------------------------
-
-
-def _path_canonical_set(comp: Deg2Component) -> frozenset[int]:
-    m = comp.m
-    if m == 0:
-        return frozenset({comp.order[0]})
-    if m % 2 == 1:
-        idx = range(0, m, 2)
-    else:
-        idx = list(range(0, m - 1, 2)) + [m - 1]
-    return frozenset(comp.w[i] for i in idx)
 
 
 def _path_regions(comp: Deg2Component) -> list[tuple[int, tuple[int, ...]]]:
@@ -378,20 +356,20 @@ def _cycle_arc(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
 
 
 def _even_cycle_regions(comp: Deg2Component, s: frozenset[int]):
-    """Sweep regions toward a minimum of an even cycle; none when s contains one."""
+    """Sweep regions toward a minimum of an even cycle; when s contains one,
+    an empty region for each of its vertices."""
     w, m = comp.w, comp.m
-    for final in (frozenset(w[0::2]), frozenset(w[1::2])):
-        if s >= final:
-            return (), final
+    for minimum in (w[0::2], w[1::2]):
+        if s.issuperset(minimum):
+            return [(v, ()) for v in minimum]
     # anchor the relabeling at the smallest-id threshold-2 vertex missing from s
     shift = w.index(min(v for v in w if v not in s))
     lab = w[shift:] + w[:shift]
     pos = {v: i for i, v in enumerate(comp.order)}
-    regions = [
+    return [
         (lab[2 * i + 1], _cycle_arc(comp.order, pos[lab[2 * i]], pos[lab[2 * i + 1]]))
         for i in range(m // 2)
     ]
-    return regions, frozenset(lab[1::2])
 
 
 def _odd_cycle_regions(comp: Deg2Component, s: frozenset[int]):
@@ -407,8 +385,7 @@ def _odd_cycle_regions(comp: Deg2Component, s: frozenset[int]):
         (w[(p + 2 * j) % m], intervals[(p + 2 * j - 1) % m] + intervals[(p + 2 * j) % m])
         for j in range(1, (m - 1) // 2 + 1)
     ]
-    final = frozenset(w[(p + 2 * t) % m] for t in range((m - 1) // 2 + 1))
-    return regions, final, p
+    return regions, p
 
 
 def even_cycle_flip_steps(comp: Deg2Component, current: frozenset[int]) -> tuple[list[Step], frozenset[int]]:
@@ -419,7 +396,7 @@ def even_cycle_flip_steps(comp: Deg2Component, current: frozenset[int]) -> tuple
     """
     w = comp.w
     m = comp.m
-    s1 = frozenset(w[i] for i in range(0, m, 2))
+    s1 = frozenset(w[0::2])
     shift = 0 if current == s1 else 1
     if current != frozenset(w[(shift + i) % m] for i in range(0, m, 2)):
         raise PreconditionViolated("flip must start at a minimum target set of the cycle")
@@ -450,14 +427,14 @@ def _component_route(
     """TAR steps from s to a canonical minimum of comp, that minimum, and the odd-cycle anchor."""
     anchor = None
     if comp.m == 0:
-        regions, final = [(comp.order[0], comp.order)], frozenset({comp.order[0]})
+        regions = [(comp.order[0], comp.order)]
     elif comp.kind == "path":
-        regions, final = _path_regions(comp), _path_canonical_set(comp)
+        regions = _path_regions(comp)
     elif comp.m % 2 == 0:
-        regions, final = _even_cycle_regions(comp, s)
+        regions = _even_cycle_regions(comp, s)
     else:
-        regions, final, anchor = _odd_cycle_regions(comp, s)
-    return _sweep(s, regions, final), final, anchor
+        regions, anchor = _odd_cycle_regions(comp, s)
+    return (*_sweep(s, regions), anchor)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -489,10 +466,7 @@ def cycle_analyze(g: ThresholdGraph, s) -> CycleAnalysis:
         minima = tuple(frozenset({v}) for v in comp.order)
     elif m % 2 == 0:
         case = "even"
-        minima = (
-            frozenset(comp.w[i] for i in range(0, m, 2)),
-            frozenset(comp.w[i] for i in range(1, m, 2)),
-        )
+        minima = (frozenset(comp.w[0::2]), frozenset(comp.w[1::2]))
     else:
         case = "odd"
         minima = tuple(
@@ -518,7 +492,8 @@ def path_canonical(
     if len(dec.components) != 1 or dec.components[0].kind != "path":
         raise NotAPath("graph is not a single path")
     comp = dec.components[0]
-    canonical = _path_canonical_set(comp)
+    # every route ends at the canonical minimum; the whole vertex set is a target set
+    canonical = dec.route(0, comp.vertices)[1]
 
     def builder(s) -> ReconfigSequence:
         ss = g.check_seed(s)
@@ -540,7 +515,7 @@ def solve_maxdeg2(
     The answer is no exactly when both endpoints are minimum and some terrible
     cycle carries different restrictions.  Otherwise the route runs in three
     phases: take every component of x down to a canonical minimum, resolve the
-    per-cycle mismatches (flips, jumps, rotations) at the global minimum where
+    per-cycle mismatches (even flips, odd rotations) at the global minimum where
     a spare token is guaranteed, then replay y's descent backwards.
     """
     xs, ys = g.check_seed(x), g.check_seed(y)
@@ -549,15 +524,13 @@ def solve_maxdeg2(
     dec = decompose_deg2(g)
     rx = [xs & c.vertices for c in dec.components]
     ry = [ys & c.vertices for c in dec.components]
-    if not dec.is_target_set(g, xs, rx) or not dec.is_target_set(g, ys, ry):
-        raise PreconditionViolated("endpoints must be target sets")
-    k = len(xs)
-    if k == dec.min_size and any(
+    for s, rs in ((xs, rx), (ys, ry)):
+        if not dec.is_target_set(g, s, rs):
+            raise NotATargetSet(f"{sorted(s)} is not a target set")
+    if len(xs) == dec.min_size and any(
         c.terrible and a != b for c, a, b in zip(dec.components, rx, ry)
     ):
         return False, None
-    if xs == ys:
-        return True, ReconfigSequence(xs, (), TJ if model == TJ else TAR, k=k)
 
     routes_x = [dec.route(i, r) for i, r in enumerate(rx)]
     routes_y = [dec.route(i, r) for i, r in enumerate(ry)]
@@ -569,11 +542,6 @@ def solve_maxdeg2(
             raise InvariantViolated("path canonicals are unique")
         if comp.m % 2 == 1:
             steps += odd_cycle_rotation_steps(comp, ax, ay)
-        elif comp.m == 2:
-            add_v = next(iter(fy - fx))
-            rem_v = next(iter(fx - fy))
-            steps.append(Step.add(add_v))
-            steps.append(Step.remove(rem_v))
         else:
             flip, final = even_cycle_flip_steps(comp, fx)
             if final != fy:
@@ -582,11 +550,7 @@ def solve_maxdeg2(
 
     for *_, back in reversed(routes_y):
         steps += back
-
-    seq = ReconfigSequence(xs, tuple(steps), TAR, k=k)
-    if seq.end != ys:
-        raise InvariantViolated(f"route ended at {sorted(seq.end)}, not {sorted(ys)}")
-    return True, (tar_to_tj(seq) if model == TJ else seq)
+    return True, _joined(xs, ys, steps, model)
 
 
 def maxdeg2_min_size(g: ThresholdGraph) -> int:

@@ -104,6 +104,28 @@ def test_reconfigure_fig1_yes_with_sequence(capsys, tmp_path):
     assert code == 0 and "sequence OK" in out
 
 
+@pytest.mark.parametrize("model", ["tj", "tar"])
+def test_reconfigure_same_endpoints_writes_no_steps(capsys, tmp_path, model):
+    seed = tmp_path / "s.seed"
+    seed.write_text("s 1 3 6 8 9\n")
+    seqfile = tmp_path / "route.seq"
+    code, out, _ = run(
+        capsys, "reconfigure", TREE, "--from", str(seed), "--to", str(seed),
+        "--model", model, "--emit-sequence", str(seqfile),
+    )
+    assert code == 0 and out.strip() == "YES"
+    assert seqfile.read_text() == f"q {model} 5\ns 1 3 6 8 9\n"
+
+
+def test_reconfigure_non_target_endpoint_is_input_error(capsys, tmp_path):
+    x, y = tmp_path / "x.seed", tmp_path / "y.seed"
+    x.write_text("s 1 3 6 8 9\n")
+    y.write_text("s 10 11 12 13 14\n")
+    code, out, err = run(capsys, "reconfigure", TREE, "--from", str(x), "--to", str(y))
+    assert (code, out) == (2, "")
+    assert err == "error: [10, 11, 12, 13, 14] is not a target set\n"
+
+
 def test_reconfigure_oracle_fallback(capsys, tmp_path):
     x = tmp_path / "x.seed"
     y = tmp_path / "y.seed"

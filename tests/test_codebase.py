@@ -126,3 +126,19 @@ def test_numpy_only_in_oracle():
         if any(name.split(".")[0] == "numpy" for name in names):
             users.append(path.name)
     assert users == ["oracle.py"]
+
+
+def test_tar_to_tj_only_in_the_join():
+    """Every solver's TJ answer is ``tar_to_tj`` of its checked TAR route, so the
+    one function in ``src/tsr`` that calls it is the join, ``solvers._joined``."""
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "tar_to_tj"
+                for node in ast.walk(fn)
+            ):
+                callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["solvers._joined"]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -19,7 +20,7 @@ from tsr.oracle import (
     target_sets_by_size,
     tj_decide,
 )
-from tsr.reconfig import TAR, TJ, tar_to_tj, validate_sequence
+from tsr.reconfig import TAR, TJ, ReconfigSequence, tar_to_tj, validate_sequence
 from tsr.solvers import (
     chen_tree,
     cycle_analyze,
@@ -401,3 +402,35 @@ def test_chen_tree_plan_per_root():
         assert chen_tree(first_rooted) == default
         assert chen_tree(first_rooted, root=1) is chen_tree(first_rooted)
         assert chen_tree(first_rooted, root=r) is p and p == rooted
+
+
+@pytest.mark.parametrize("model", [TJ, TAR])
+@pytest.mark.parametrize("solve", [solve_tree, solve_threshold1, solve_maxdeg2])
+def test_same_endpoints_give_the_empty_sequence(solve, model):
+    """x == y is the empty sequence from every solver: with k=0 in TJ, as
+    every ``tar_to_tj`` answer carries, and with k=|x| in TAR."""
+    p4 = ThresholdGraph.build(4, [(1, 2), (2, 3), (3, 4)], [1, 1, 1, 1])
+    for x in enumerate_target_sets(p4, 1) + enumerate_target_sets(p4, 2):
+        yes, seq = solve(p4, x, set(x), model=model)
+        assert yes and seq == ReconfigSequence(x, (), model, k=len(x) if model == TAR else 0)
+
+
+@pytest.mark.parametrize(
+    "solve,n,edges,tau,x,y,bad",
+    [
+        (solve_tree, 4, [(1, 2), (2, 3), (3, 4)], [1, 2, 2, 1], {2, 3}, {1, 4}, {1, 4}),
+        (solve_tree, 4, [(1, 2), (2, 3), (3, 4)], [1, 2, 2, 1], {1, 4}, {1, 4}, {1, 4}),
+        (solve_threshold1, 4, [(1, 2), (3, 4)], [1, 1, 1, 1], {1, 3}, {1, 2}, {1, 2}),
+        (solve_threshold1, 4, [(1, 2), (3, 4)], [1, 1, 1, 1], {3, 4}, {2, 4}, {3, 4}),
+        (solve_maxdeg2, 4, [(1, 2), (2, 3), (3, 4)], [1, 2, 2, 1], {2, 3}, {1, 4}, {1, 4}),
+        (solve_maxdeg2, 4, [(1, 2), (3, 4)], [1, 1, 1, 1], {1, 2}, {2, 3}, {1, 2}),
+    ],
+)
+def test_endpoint_error_names_the_set(solve, n, edges, tau, x, y, bad):
+    """A non-target endpoint raises ``NotATargetSet``, a ``PreconditionViolated``,
+    naming the first endpoint that is not a target set."""
+    g = ThresholdGraph.build(n, edges, tau)
+    for model in (TJ, TAR):
+        with pytest.raises(errors.NotATargetSet, match=re.escape(f"{sorted(bad)} is not a target set")) as exc:
+            solve(g, x, y, model=model)
+        assert isinstance(exc.value, errors.PreconditionViolated)

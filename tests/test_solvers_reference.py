@@ -1,0 +1,148 @@
+"""The tree and maximum-degree-2 plans against their two-pass references.
+
+``reference_chen_tree`` is Chen's bottom-up selection as the solvers ran it
+with a second traversal: a DFS for parents and preorder, sorted ``children``
+lists, then an explicit-stack postorder.  The library ``chen_tree`` takes
+the postorder as the reverse of one DFS preorder.  ``reference_components``
+is the max-degree-2 walk with separate path and cycle cases.  Both are kept
+verbatim except that they cache nothing on the graph, so the library's
+per-graph caches never serve them.  Plans, and each component's ``order``,
+``kind``, ``w`` and ``terrible``, must not change.
+"""
+
+import random
+
+from tsr.errors import NotATree
+from tsr.generators import random_maxdeg2, random_tree
+from tsr.graph import ThresholdGraph, classify
+from tsr.solvers import TreePlan, chen_tree, decompose_deg2
+
+
+def reference_chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
+    root = 1 if root is None else root
+    if not classify(g).is_tree:
+        raise NotATree("graph is not a tree")
+    g.check_vertex(root)
+    parent = [0] * (g.n + 1)
+    order = []  # preorder
+    parent[root] = 0
+    stack = [root]
+    seen = {root}
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in reversed(g.adj[v]):
+            if u not in seen:
+                seen.add(u)
+                parent[u] = v
+                stack.append(u)
+    children: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for v in order:
+        if v != root:
+            children[parent[v]].append(v)
+    for c in children:
+        c.sort()
+    post: list[int] = []
+    stack2: list[tuple[int, bool]] = [(root, False)]
+    while stack2:
+        v, done = stack2.pop()
+        if done:
+            post.append(v)
+            continue
+        stack2.append((v, True))
+        for u in reversed(children[v]):
+            stack2.append((u, False))
+    tau_prime = [0] * (g.n + 1)
+    s_star: set[int] = set()
+    for v in post:
+        activated = sum(
+            1 for w in children[v] if tau_prime[w] == 0 or w in s_star
+        )
+        # floored at 0: tau' counts the remaining requirement, and a vertex
+        # with more activated children than its threshold is itself activated
+        tau_prime[v] = max(0, g.tau[v] - activated)
+        if v != root and tau_prime[v] >= 2:
+            s_star.add(v)
+        if v == root and tau_prime[v] >= 1:
+            s_star.add(v)
+    s_list = tuple(v for v in post if v in s_star)
+    # nearest S*-ancestor-or-self, computed root-down (preorder; the root's
+    # parent 0 has none)
+    nearest = [0] * (g.n + 1)
+    for v in order:
+        nearest[v] = v if v in s_star else nearest[parent[v]]
+    regions: dict[int, list[int]] = {s: [] for s in s_list}
+    for v in g.vertices:
+        if nearest[v]:
+            regions[nearest[v]].append(v)
+    packing = tuple(frozenset(regions[s]) for s in s_list)
+    return TreePlan(
+        root=root,
+        parent=tuple(parent),
+        tau_prime=tuple(tau_prime),
+        s_star=frozenset(s_star),
+        s_list=s_list,
+        packing=packing,
+    )
+
+
+def reference_components(g: ThresholdGraph) -> list[tuple[str, tuple[int, ...], tuple[int, ...], bool]]:
+    comps = []
+    for comp in g.components():
+        degs = {v: len(g.adj[v]) for v in comp}
+        ends = sorted(v for v in comp if degs[v] == 1)
+        if ends:
+            start = ends[0]
+            kind = "path"
+        else:
+            start = comp[0]
+            kind = "cycle"
+        order = [start]
+        prev = None
+        cur = start
+        while True:
+            nxts = [u for u in g.adj[cur] if u != prev]
+            if kind == "cycle" and cur == start:
+                nxts = [min(nxts)]
+            if not nxts:
+                break
+            prev, cur = cur, nxts[0]
+            if kind == "cycle" and cur == start:
+                break
+            order.append(cur)
+        w = tuple(v for v in order if g.tau[v] == 2)
+        m = len(w)
+        comps.append((kind, tuple(order), w, kind == "cycle" and m >= 4 and m % 2 == 0))
+    return comps
+
+
+def relabeled(g: ThresholdGraph, rng: random.Random) -> ThresholdGraph:
+    """g with its vertex ids shuffled, so walks and DFS orders meet ids in any order."""
+    ids = list(g.vertices)
+    rng.shuffle(ids)
+    new = dict(zip(g.vertices, ids))
+    tau = [0] * g.n
+    for v in g.vertices:
+        tau[new[v] - 1] = g.tau[v]
+    return ThresholdGraph.build(g.n, [(new[u], new[v]) for u, v in g.edges], tau)
+
+
+def test_chen_tree_matches_reference():
+    rng = random.Random(2009)
+    for i in range(2000):
+        g = random_tree(rng, rng.randint(2, 40))
+        if i % 2:
+            g = relabeled(g, rng)
+        r = rng.randint(1, g.n)
+        assert chen_tree(g) == reference_chen_tree(g)
+        assert chen_tree(g, root=r) == reference_chen_tree(g, r)
+
+
+def test_decompose_deg2_matches_reference():
+    rng = random.Random(2021)
+    for i in range(400):
+        g = random_maxdeg2(rng, rng.randint(2, 30))
+        if i % 2:
+            g = relabeled(g, rng)
+        got = [(c.kind, c.order, c.w, c.terrible) for c in decompose_deg2(g).components]
+        assert got == reference_components(g)
