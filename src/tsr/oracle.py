@@ -1,18 +1,25 @@
 """Exhaustive ground truth for small instances.
 
 Two cores.  ``_full_rows`` is the one batch closure, in float32 matmul
-rounds that run in BLAS and are exact (every count is a small integer):
-``enumerate_target_sets`` feeds it the C(n, k) combinations and
-``all_target_set_masks`` all 2^n sets.  ``bfs`` is the one
-breadth-first search over int masks: TJ moves (``tj_decide``,
-``tj_components`` and ``reductions.hs_tj_decide``) or k-TAR moves
+rounds that run in BLAS and are exact (every count is a small integer).  It
+takes seed rows one ``_BLOCK`` at a time, so no caller holds a whole seed
+matrix: ``enumerate_target_sets`` feeds it the C(n, k) combinations, and
+``_table`` all 2^n sets into one byte per set, which
+``all_target_set_masks`` and ``target_sets_by_size`` read.
+``tj_components`` unions the size-k target sets that share a (k-1)-subset.
+``bfs`` is the one breadth-first search over int masks: TJ moves
+(``tj_decide`` and ``reductions.hs_tj_decide``) or k-TAR moves
 (``ktar_decide``), from which shortest sequences are rebuilt.  Pair queries
-test only jumps and removals, by the local removal test
-``activation.still_target``, memoized per component: activation never
-crosses one, so the answer is exact under the set's restriction to the
-removed vertex's component (connected graphs bypass the memo).  Everything
-here is desk-scale: enumeration checks its cap and guard before it allocates
-anything, and state exploration aborts once it exceeds a configurable guard.
+test only jumps and removals, each state at most once.  When 2^n is within
+the guard and at most ``_ROWS_PER_TEST`` (16, the measured cost of a
+removal test in table rows) times the states the search could test, the
+test reads the exact table, built at the first test.  Otherwise it is the
+local removal test ``activation.still_target``, memoized per component:
+activation never crosses one, so the answer is exact under the set's
+restriction to the removed vertex's component (connected graphs bypass the
+memo).  Everything here is desk-scale: enumeration checks its cap and guard
+before it allocates anything, and state exploration aborts once it exceeds
+a configurable guard.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import dataclasses
 import itertools
 from collections import deque
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,7 +67,11 @@ def enumerate_target_sets(
     guard: int = DEFAULT_GUARD,
     cap: int = DEFAULT_CAP,
 ) -> list[frozenset[int]]:
-    """All size-k target sets in lexicographic order of their sorted id lists."""
+    """All size-k target sets in lexicographic order of their sorted id lists.
+
+    The combinations reach ``_full_rows`` one ``_BLOCK`` at a time, so beside
+    the result only one block of seed rows exists.
+    """
     if not 0 <= k <= g.n:
         raise SizeMismatch(f"k={k} not in 0..{g.n}")
     if g.n > cap:
@@ -69,10 +80,16 @@ def enumerate_target_sets(
     if rows > guard:
         raise InstanceTooLarge(f"C({g.n},{k}) exceeds the enumeration guard")
     flat = itertools.chain.from_iterable(itertools.combinations(g.vertices, k))
-    combos = np.fromiter(flat, dtype=np.intp, count=rows * k).reshape(rows, k)
-    seeds = np.zeros((rows, g.n), dtype=bool)
-    np.put_along_axis(seeds, combos - 1, True, axis=1)
-    full = _full_rows(g, seeds)
+
+    def blocks():
+        for lo in range(0, rows, _BLOCK):
+            r = min(_BLOCK, rows - lo)
+            combos = np.fromiter(flat, dtype=np.intp, count=r * k).reshape(r, k)
+            seeds = np.zeros((r, g.n), dtype=bool)
+            np.put_along_axis(seeds, combos - 1, True, axis=1)
+            yield seeds
+
+    full = itertools.chain.from_iterable(map(np.ndarray.tolist, _full_rows(g, blocks())))
     return list(map(frozenset, itertools.compress(itertools.combinations(g.vertices, k), full)))
 
 
@@ -88,79 +105,120 @@ def min_target_set_size(
     raise InvariantViolated("V itself is always a target set")
 
 
-def _full_rows(g: ThresholdGraph, seeds: np.ndarray) -> np.ndarray:
-    """Which rows of the (rows x n) bool matrix ``seeds`` activate every vertex.
+def _full_rows(g: ThresholdGraph, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """For each (rows x n) bool seed block, which of its rows activate every vertex.
 
     The one batch closure; column j is vertex j + 1.  Each round counts the
     active neighbours of every row with one float32 matmul against the dense
     adjacency, in BLAS.  The counts are integers of at most the maximum
-    degree, far below 2^24, so float32 holds them exactly.  Rows go in blocks
-    of ``_BLOCK``, which bounds the working copy.
+    degree, far below 2^24, so float32 holds them exactly.  Callers pass
+    blocks of at most ``_BLOCK`` rows, which bounds the working copy.
     """
     adj = np.zeros((g.n, g.n), dtype=np.float32)
     for u, v in g.edges:
         adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1
     tau = np.array(g.tau[1:], dtype=np.float32)
-    full = np.empty(len(seeds), dtype=bool)
-    for lo in range(0, len(seeds), _BLOCK):
-        active = seeds[lo : lo + _BLOCK].astype(np.float32)
+    for seeds in blocks:
+        active = seeds.astype(np.float32)
         while True:
             new = (active @ adj >= tau) & (active == 0)
             if not new.any():
                 break
             active[new] = 1
-        full[lo : lo + _BLOCK] = active.all(axis=1)
-    return full
+        yield active.all(axis=1)
+
+
+def _table(g: ThresholdGraph) -> bytearray:
+    """2^n bytes: byte i is 1 when the set with dense mask i (bit j is vertex
+    j + 1) is a target set, else 0.
+
+    Seed row i is the binary expansion of i, unpacked from its little-endian
+    bytes one ``_BLOCK`` at a time, so beside the table only one block of
+    seed rows exists.
+    """
+    size = 1 << g.n
+    starts = range(0, size, _BLOCK)
+    rows = (np.arange(lo, min(lo + _BLOCK, size), dtype="<u8") for lo in starts)
+    blocks = (
+        np.unpackbits(r.view(np.uint8).reshape(-1, 8), axis=1, count=g.n, bitorder="little").view(bool)
+        for r in rows
+    )
+    table = bytearray(size)
+    view = np.frombuffer(table, dtype=bool)
+    for lo, full in zip(starts, _full_rows(g, blocks)):
+        view[lo : lo + _BLOCK] = full
+    return table
+
+
+def _dense_target_sets(g: ThresholdGraph, guard: int) -> np.ndarray:
+    """Dense masks (bit j is vertex j + 1) of every target set, ascending."""
+    if (1 << g.n) > guard:
+        raise InstanceTooLarge(f"2^{g.n} exceeds the enumeration guard")
+    return np.flatnonzero(_table(g))
 
 
 def all_target_set_masks(g: ThresholdGraph, *, guard: int = DEFAULT_GUARD) -> list[int]:
-    """Bitmasks of every target set of g, ascending, from ``_full_rows`` over all 2^n seeds.
-
-    Row i of the seed matrix is the binary expansion of i, built in place by
-    doubling (rows 2^j..2^(j+1)-1 are rows 0..2^j-1 plus vertex j + 1), so
-    beside its 2^n x n bytes only one ``_BLOCK`` of rows is ever copied.
-    """
-    n = g.n
-    if n == 0:
-        return [0]
-    if (1 << n) > guard:
-        raise InstanceTooLarge(f"2^{n} exceeds the enumeration guard")
-    seeds = np.zeros((1 << n, n), dtype=bool)
-    for j in range(n):
-        seeds[1 << j : 2 << j] = seeds[: 1 << j]
-        seeds[1 << j : 2 << j, j] = True
+    """Bitmasks of every target set of g, ascending: the nonzero bytes of ``_table``."""
     # package masks use bit v for vertex v, so shift the dense mask up by one
-    return (np.flatnonzero(_full_rows(g, seeds)) << 1).tolist()
+    return (_dense_target_sets(g, guard) << 1).tolist()
 
 
 def target_sets_by_size(
     g: ThresholdGraph, *, guard: int = DEFAULT_GUARD
 ) -> dict[int, list[int]]:
-    """Target-set masks grouped by size, each list sorted by mask value."""
-    by_size: dict[int, list[int]] = {}
-    for m in all_target_set_masks(g, guard=guard):
-        by_size.setdefault(m.bit_count(), []).append(m)
-    for masks in by_size.values():
-        masks.sort()
-    return by_size
+    """Target-set masks grouped by size, each list sorted by mask value.
+
+    Sizes come in the order of their least mask.
+    """
+    dense = _dense_target_sets(g, guard)
+    sizes = np.bitwise_count(dense)
+    return {k: (dense[sizes == k] << 1).tolist() for k in dict.fromkeys(sizes.tolist())}
 
 
-def _check_pair(g: ThresholdGraph, x, y):
+# A removal test costs at least sixteen table rows.  On the oracle-search
+# benchmark's pair queries (seed 555, n = 12-13, k = 4-6; 2-core VM, Python
+# 3.11, numpy 2.4) ``still_target`` took 3.9-12.2 us a call and ``_table``
+# 0.26-0.47 us a row, ratios of 14 to 38.  So building the table costs at
+# most about what the search's worst case would spend on tests.
+_ROWS_PER_TEST = 16
+
+
+def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GUARD):
     """Validated endpoints as sets and masks, plus the removal test for ``bfs``.
 
-    ``ok(nxt, out)`` is ``still_target(g, nxt, out)`` memoized under
-    ``(nxt & comp[out], out)``, ``comp[out]`` being the mask of out's
-    component: the closure inside it depends only on that restriction.  On a
-    connected graph the key would be ``nxt``, which ``bfs`` never tests twice,
-    so the memo is bypassed and stores nothing.
+    ``tests`` is the most states the search can test (``bfs`` tests each at
+    most once); on a disconnected graph the memo below also caps the tests at
+    |C| 2^|C| per component C.  When 2^n is at most ``guard`` and at most
+    ``_ROWS_PER_TEST`` times that cap, ``ok(nxt, out)`` reads ``_table(g)``,
+    built at the first test.  That is exact: ``nxt`` plus ``out`` contains
+    the target set it was reached from, so the closure of ``nxt`` reaches
+    ``out`` exactly when ``nxt`` is a target set.  Otherwise ``ok(nxt, out)`` is
+    ``still_target(g, nxt, out)`` memoized under ``(nxt & comp[out], out)``,
+    ``comp[out]`` being the mask of out's component: the closure inside it
+    depends only on that restriction.  On a connected graph the key would be
+    ``nxt``, which ``bfs`` never tests twice, so the memo is bypassed and
+    stores nothing.
     """
     xs, ys = frozenset(x), frozenset(y)
     start, goal = seed_mask(g, xs), seed_mask(g, ys)
     for s, m in ((xs, start), (ys, goal)):
         if closure_mask(g, m) != g.full_mask:
             raise NotATargetSet(f"{sorted(s)} is not a target set")
+    comps = g.components()
+    # the memo below tests each (restriction, out) pair at most once
+    tests = min(tests, sum(len(vs) << len(vs) for vs in comps))
+    if (1 << g.n) <= min(guard, _ROWS_PER_TEST * tests):
+        table = None
+
+        def lookup(nxt: int, out: int) -> bool:
+            nonlocal table
+            if table is None:
+                table = _table(g)
+            return table[nxt >> 1]
+
+        return xs, ys, start, goal, lookup
     comp: dict[int, int] = {}
-    for vs in g.components():
+    for vs in comps:
         comp.update(dict.fromkeys(vs, seed_mask(g, vs)))
     memo: dict[tuple[int, int], bool] = {}
 
@@ -208,7 +266,7 @@ def ktar_moves(universe: Sequence[int], k: int) -> Moves:
 
 def bfs(
     start: int,
-    goal: int | None,
+    goal: int,
     moves: Moves,
     ok: Callable[[int, int], bool],
     guard: int,
@@ -219,11 +277,11 @@ def bfs(
     addition ``(0, into)`` or a removal ``(out, 0)``.  Additions are never
     tested: a superset of a target set is one.  A jump or removal is tested
     by ``ok(next, out)``, which for target sets need only ask whether the
-    closure of ``next`` reaches ``out`` (``activation.still_target``); a
-    rejected state is not tested again, and pair queries memoize the answer
-    per component of ``out`` (exact, as activation never crosses one; see
-    ``_check_pair``).  ``goal=None`` floods the component.  Raises
-    InstanceTooLarge after ``guard`` popped states.
+    closure of ``next`` reaches ``out``; a rejected state is not tested
+    again, so every state is tested at most once.  Pair queries answer from
+    the exact target-set table when it is cheap next to the search, else by
+    ``activation.still_target`` memoized per component of ``out`` (see
+    ``_check_pair``).  Raises InstanceTooLarge after ``guard`` popped states.
     """
     parents: dict[int, tuple[int, int, int] | None] = {start: None}
     if start == goal:
@@ -273,7 +331,8 @@ def tj_decide(
     the full C(n,k) space.  Neighbor order is lexicographic (ascending removed
     vertex, then ascending added vertex) for reproducible shortest sequences.
     """
-    xs, ys, start, goal, ok = _check_pair(g, x, y)
+    xs = frozenset(x)
+    xs, ys, start, goal, ok = _check_pair(g, xs, y, comb(g.n, len(xs)), guard)
     if len(xs) != len(ys):
         raise SizeMismatch(f"|x|={len(xs)} != |y|={len(ys)}")
     parents, found = bfs(start, goal, tj_moves(g.vertices), ok, guard)
@@ -290,7 +349,8 @@ def ktar_decide(
     guard: int = DEFAULT_GUARD,
 ) -> OracleReport:
     """BFS over target sets of size at most k+1 under single additions/removals."""
-    xs, ys, start, goal, ok = _check_pair(g, x, y)
+    tests = sum(comb(g.n, i) for i in range(min(k, g.n) + 1))  # removals leave at most k
+    xs, ys, start, goal, ok = _check_pair(g, x, y, tests, guard)
     if len(xs) > k or len(ys) > k:
         raise SizeMismatch(f"endpoint sizes {len(xs)}, {len(ys)} exceed k={k}")
     parents, found = bfs(start, goal, ktar_moves(g.vertices, k), ok, guard)
@@ -307,17 +367,27 @@ def tj_components(
 ) -> OracleReport:
     """Full partition of the size-k target sets into TJ-connected classes."""
     sets = enumerate_target_sets(g, k, guard=guard, cap=cap)
-    index = {sum(1 << v for v in s): s for s in sets}
-    moves = tj_moves(g.vertices)
-    groups = []
-    while index:
-        # flood from the least unvisited set; visited classes leave the index
-        parents, _ = bfs(next(iter(index)), None, moves, lambda m, _: m in index, guard)
-        groups.append([index.pop(m) for m in parents])
-    comps = tuple(
-        tuple(sorted(grp, key=sorted)) for grp in
-        sorted(groups, key=lambda grp: sorted(min(grp, key=sorted)))
-    )
+    # two size-k sets are one jump apart exactly when they share a hub, a
+    # (k-1)-subset, so one union-find pass joins each set to its k hubs
+    root = list(range(len(sets)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    hubs: dict[int, int] = {}
+    for i, s in enumerate(sets):
+        m = sum(1 << v for v in s)
+        for v in s:
+            a, b = find(i), find(hubs.setdefault(m ^ 1 << v, i))
+            root[max(a, b)] = min(a, b)
+    # enumeration order is the sorted order, so the groups and their sets
+    # come out sorted
+    groups: dict[int, list[frozenset[int]]] = {}
+    for i, s in enumerate(sets):
+        groups.setdefault(find(i), []).append(s)
+    comps = tuple(map(tuple, groups.values()))
     return OracleReport(
         k=k,
         num_target_sets=len(sets),

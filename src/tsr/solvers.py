@@ -32,7 +32,7 @@ from .errors import (
     NotATree,
     PreconditionViolated,
 )
-from .graph import ThresholdGraph, classify
+from .graph import ThresholdGraph
 from .reconfig import TAR, TJ, ReconfigSequence, Step, reverse_steps, tar_to_tj
 
 
@@ -219,7 +219,7 @@ def chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
     plans = g.__dict__.setdefault("_tree_plans", {})
     if root in plans:
         return plans[root]
-    if not classify(g).is_tree:
+    if len(g.components()) != 1 or g.m != g.n - 1:
         raise NotATree("graph is not a tree")
     g.check_vertex(root)
     parent = [0] * (g.n + 1)

@@ -4,18 +4,21 @@
 state, additions included, goes through a memoized full closure.  The
 library ``bfs`` skips additions and asks ``activation.still_target`` only
 whether the closure of a state reached by a jump or removal of v still
-reaches v, memoized per component of v on disconnected graphs.  Verdicts,
-explored counts, shortest sequences and guard trips must not change.
+reaches v, memoized per component of v on disconnected graphs, or reads
+the exact target-set table when that is cheap.  Verdicts, explored counts,
+shortest sequences and guard trips must not change.
 
-``reference_components`` (a ``closure_mask`` per combination) and
-``reference_table`` (int16 matmul rounds over all 2^n seeds) keep the two
-closure engines the exhaustive paths ran before the one batch core
-``oracle._full_rows``.
+``reference_components`` (a ``closure_mask`` per combination, then a BFS
+flood per TJ class) and ``reference_table`` (int16 matmul rounds over all
+2^n seeds) keep the closure engines the exhaustive paths ran before the one
+batch core ``oracle._full_rows``, and the flood that ``tj_components`` ran
+before its union-find over shared (k-1)-subsets.
 """
 
 import functools
 import inspect
 import itertools
+import math
 import random
 from collections import deque
 
@@ -318,6 +321,73 @@ def test_removal_tests_are_memoized_per_component(monkeypatch):
         bfs(start, goal, tj_moves(g.vertices), ok, DEFAULT_GUARD)
         memo = inspect.getclosurevars(ok).nonlocals["memo"]
         assert calls and (len(memo) == 0) == (len(g.components()) == 1)
+
+
+def _table_allowed(g, x, k, model, guard):
+    """The table rule: 2^n within the guard and within ``_ROWS_PER_TEST`` times
+    the most states the search can test, capped per component by the memo."""
+    sizes = [len(x)] if model == TJ else range(min(k, g.n) + 1)
+    tests = sum(math.comb(g.n, i) for i in sizes)
+    tests = min(tests, sum(len(c) << len(c) for c in g.components()))
+    return (1 << g.n) <= min(guard, oracle._ROWS_PER_TEST * tests)
+
+
+def test_pair_queries_switch_between_table_and_removal_test(monkeypatch):
+    """On 160 small graphs and 20 disjoint unions, at guards around 2^n, a
+    query either reads one exact table (built at most once, never when
+    2^n exceeds the guard or x == y) or calls ``still_target``, never both;
+    both sides run often and match the reference."""
+    builds, calls = [], []
+    real_table, real_test = oracle._table, oracle.still_target
+    monkeypatch.setattr(oracle, "_table", lambda g: builds.append(g.n) or real_table(g))
+    monkeypatch.setattr(oracle, "still_target", lambda *a: calls.append(a) or real_test(*a))
+    rng = random.Random(6174)
+    cases = []
+    for g in graphs(1618, 160):
+        by_size = target_sets_by_size(g)
+        masks = by_size[rng.choice(list(by_size))]
+        xm, ym = rng.choice(masks), rng.choice(masks)
+        cases.append((g, *(frozenset(v for v in g.vertices if m >> v & 1) for m in (xm, ym))))
+    cases += [_union_pair(rng) for _ in range(20)]
+    sides = {"table": 0, "still_target": 0}
+    for g, x, y in cases:
+        for guard in (5, (1 << g.n) - 1, 1 << g.n, DEFAULT_GUARD):
+            for model, k in ((TJ, 0), (TAR, len(x)), (TAR, len(x) + 1)):
+                builds.clear()
+                calls.clear()
+                if model == TJ:
+                    got = outcome(lambda: tj_decide(g, x, y, guard=guard))
+                    moves = tj_moves(g.vertices)
+                else:
+                    got = outcome(lambda: ktar_decide(g, x, y, k, guard=guard))
+                    moves = ktar_moves(g.vertices, k)
+                want = outcome(lambda: reference_pair(g, x, y, moves, model, k, guard))
+                assert _summary(got) == want, (g, x, y, model, k, guard)
+                if _table_allowed(g, x, k, model, guard) and x != y:
+                    assert builds in ([], [g.n]) and not calls, (g, x, y, model, k, guard)
+                else:
+                    assert not builds, (g, x, y, model, k, guard)
+                sides["table"] += bool(builds)
+                sides["still_target"] += bool(calls)
+    assert min(sides.values()) >= 300, sides
+
+    # endpoint checks come before any table, and the table is built lazily
+    g, x, y = cases[0]
+    builds.clear()
+    with pytest.raises(errors.NotATargetSet):
+        tj_decide(g, frozenset(), x)
+    with pytest.raises(errors.SizeMismatch):
+        tj_decide(g, x, frozenset(g.vertices))
+    with pytest.raises(errors.SizeMismatch):
+        ktar_decide(g, x, y, len(x) - 1)
+    assert tj_decide(g, x, x).reconfigurable and ktar_decide(g, x, x, len(x)).reconfigurable
+    assert not builds
+
+    # with no test count, as three arguments give, the removal test runs
+    _, _, start, goal, ok = _check_pair(g, x, y)
+    calls.clear()
+    bfs(start, goal, tj_moves(g.vertices), ok, DEFAULT_GUARD)
+    assert calls and not builds
 
 
 def _enumeration_graphs():
