@@ -16,12 +16,11 @@ from pathlib import Path
 
 from . import generators
 from .activation import activate, is_target_set
-from .errors import InstanceTooLarge, TsrError
+from .errors import InstanceTooLarge, TsrError, UnknownVertex
 from .gadgets import oneway_gadget, sigma_gadget, theta_gadget, xi_gadget
 from .graph import (
     PlainGraph,
     ThresholdGraph,
-    classify,
     parse_graph,
     parse_seed_set,
     serialize_graph,
@@ -44,7 +43,7 @@ from .reductions import (
     reduce_vc23_to_cubic,
     serialize_hitting_system,
 )
-from .solvers import chen_tree, maxdeg2_min_size, solve_maxdeg2, solve_threshold1, solve_tree
+from .solvers import component_plan, solve, solve_maxdeg2, solve_threshold1, solve_tree
 
 OK, INPUT_ERROR, GUARD_EXCEEDED = 0, 2, 3
 
@@ -85,23 +84,16 @@ def _cmd_activate(args) -> int:
 
 
 def _tractable(g: ThresholdGraph):
-    """The (minimum size, solver) pair of g's tractable class; None, with a hint, if none."""
-    rep = classify(g)
-    # dispatch order: threshold-1, then trees, then maximum degree 2
-    table = (
-        (all(g.tau[v] == 1 for v in g.vertices), lambda: len(g.components()), solve_threshold1),
-        (rep.is_tree, lambda: len(chen_tree(g).s_star), solve_tree),
-        (rep.max_degree <= 2, lambda: maxdeg2_min_size(g), solve_maxdeg2),
-    )
-    for applies, min_size, solve in table:
-        if applies:
-            return min_size, solve
-    print(
-        "instance is not threshold-1, a tree, or maximum degree 2; "
-        "rerun with --oracle to search exhaustively",
-        file=sys.stderr,
-    )
-    return None
+    """g's component plan and the solver for it; None, with a hint, if a component is not covered."""
+    plan = component_plan(g)
+    if plan is None:
+        print("instance has a component that is not threshold-1, a tree, a path or a cycle; "
+              "rerun with --oracle to search exhaustively", file=sys.stderr)
+        return None
+    # the named solvers in the order threshold-1, tree, maximum degree 2, looked
+    # up per call so that callers (bench/test_smoke.py) can patch them
+    tree = len(plan.components) == 1 and g.m == g.n - 1
+    return plan, solve_threshold1 if plan.tau1 else solve_tree if tree else solve_maxdeg2 if plan.deg2 else solve
 
 
 def _cmd_solve_min(args) -> int:
@@ -112,7 +104,7 @@ def _cmd_solve_min(args) -> int:
     tractable = _tractable(g)
     if tractable is None:
         return GUARD_EXCEEDED
-    print(tractable[0]())
+    print(tractable[0].min_size)
     return OK
 
 
@@ -192,23 +184,26 @@ def _cmd_oracle(args) -> int:
 def _cmd_reduce(args) -> int:
     if args.kind == "split":
         hs = parse_hitting_system(_read(args.input))
-        out = reduce_hitting_to_split(hs)
-    elif args.kind == "vc-cubic":
-        g = _load_graph(args.input)
-        out = reduce_vc23_to_cubic(PlainGraph.build(g.n, g.edges))
-    elif args.kind == "pb342":
-        out = reduce_33_to_pb342(_load_graph(args.input))
+        n, out = hs.n, reduce_hitting_to_split(hs)
     else:
-        out = reduce_33_to_b312(_load_graph(args.input))
+        g = _load_graph(args.input)
+        n, out = g.n, (
+            reduce_vc23_to_cubic(PlainGraph.build(g.n, g.edges)) if args.kind == "vc-cubic"
+            else reduce_33_to_pb342(g) if args.kind == "pb342" else reduce_33_to_b312(g)
+        )
     text = serialize_graph(out.graph)
     if args.output:
+        # seed ids name input vertices (hitting-system elements): check them before writing
+        paths = ((args.src, ".from.seed"), (args.dst, ".to.seed"))
+        seeds = {suffix: parse_seed_set(_read(path)) for path, suffix in paths if path}
+        for v in sorted(set().union(*seeds.values())):
+            if not 1 <= v <= n:
+                raise UnknownVertex(f"seed vertex {v} not in 1..{n}")
         prefix = Path(args.output)
         prefix.with_suffix(".tsr").write_text(text, encoding="utf-8")
         prefix.with_suffix(".origin").write_text(out.format_provenance(), encoding="utf-8")
-        for seed, suffix in ((args.src, ".from.seed"), (args.dst, ".to.seed")):
-            if seed:
-                s = out.forward(parse_seed_set(_read(seed)))
-                prefix.with_suffix(suffix).write_text(serialize_seed_set(s), encoding="utf-8")
+        for suffix, s in seeds.items():
+            prefix.with_suffix(suffix).write_text(serialize_seed_set(out.forward(s)), encoding="utf-8")
         print(f"wrote {prefix.with_suffix('.tsr')}")
     else:
         sys.stdout.write(text)

@@ -1,19 +1,19 @@
 """Polynomial-time deciders and sequence builders for tractable classes.
 
-Covers threshold-1 graphs, graphs of maximum degree 2 (paths and cycles,
-including the "terrible cycle" obstruction), and trees via Chen's bottom-up
-selection algorithm.  Every class routes a target set to a canonical minimum
-by one packing sweep (``_sweep``): for each region, add its target, then
-clear the rest of the region.  The canonical minimum is the set of region
-targets.  Paths are swept directly along their vertex order.  Every solver
-ends in one checked join (``_joined``): x's route down, then y's route
-reversed, which must end at y; x == y is the empty sequence.
+Activation never crosses a component, so one solver (``solve``) decides every
+graph whose components are each threshold-1, a tree (Chen's bottom-up
+selection), a path or a cycle; the only obstruction is the "terrible cycle".
+``solve_threshold1``, ``solve_tree`` and ``solve_maxdeg2`` check their class
+and call it.  Every component is routed to a canonical minimum by one packing
+sweep (``_sweep``): for each region, add its target, then clear the rest of
+the region; the canonical minimum is the set of region targets.  ``solve``
+ends in one checked join (``_joined``): x's route down, then y's reversed.
 
 Plans are built once per graph object, in its own ``__dict__`` as a
 ``cached_property`` is, and live as long as it does; a ``dataclasses.replace``
-copy starts empty.  They are the maximum-degree-2 decomposition
-(``decompose_deg2``), whose route memo grows with the distinct component
-restrictions queried, and Chen's tree plan per root (``chen_tree``).
+copy starts empty.  They are the component plan (``component_plan``), whose
+route memo grows with the distinct component restrictions queried, and Chen's
+tree plan per root (``chen_tree``).
 """
 
 from __future__ import annotations
@@ -80,23 +80,26 @@ def _joined(xs: frozenset[int], ys: frozenset[int], steps, model: str) -> Reconf
     return tar_to_tj(seq) if model == TJ else seq
 
 
-# -- degree-2 decomposition ------------------------------------------------
+# -- the component plan ------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
-class Deg2Component:
-    """One path or cycle component of a maximum-degree-2 graph.
+class Component:
+    """One connected component and the sweep regions that route it.
 
-    ``order`` lists the vertices along the component, from the smaller end of
-    a path or the smallest id of a cycle toward its smaller neighbor; ``w`` is
-    the subsequence of threshold-2 vertices.  A cycle is terrible when it has
-    an even number m >= 4 of threshold-2 vertices.
+    ``order`` lists a path from its smaller end and a cycle from its smallest
+    id toward its smaller neighbor; a threshold-1 or tree component ascends.
+    ``w`` is the subsequence of threshold-2 vertices of a path or cycle.
+    ``regions`` lead to the component's one canonical minimum; a cycle with
+    m >= 1 has none, since its regions depend on the set routed.  A cycle is
+    terrible when it has an even number m >= 4 of threshold-2 vertices.
     """
 
-    kind: str  # "path" | "cycle"
+    kind: str  # "path" | "cycle" | "threshold1" | "tree"
     order: tuple[int, ...]
-    w: tuple[int, ...]
-    terrible: bool
+    regions: tuple | None
+    w: tuple[int, ...] = ()
+    terrible: bool = False
 
     @property
     def m(self) -> int:
@@ -107,36 +110,49 @@ class Deg2Component:
         return frozenset(self.order)
 
     @cached_property
+    def mask(self) -> int:
+        return sum(1 << v for v in self.order)
+
+    @cached_property
     def min_size(self) -> int:
-        if self.kind == "path":
-            return self.m // 2 + 1
-        # ceil(m/2) threshold-2 vertices, and one vertex when there are none
-        return max(1, (self.m + 1) // 2)
+        # one vertex per region; ceil(m/2) threshold-2 vertices on a cycle
+        return (self.m + 1) // 2 if self.regions is None else len(self.regions)
 
 
 @dataclasses.dataclass(frozen=True)
-class Deg2Decomposition:
-    """The components of a maximum-degree-2 graph: the plan ``decompose_deg2`` caches.
+class Plan:
+    """Every component of a graph with its route: the plan ``component_plan`` caches.
 
-    Its memos are keyed by (component index, restriction of a set to it): the
-    component route with its reversed steps, and whether the restriction's
-    closure covers the component.
+    ``deg2`` and ``tau1`` say whether every degree is at most 2 and every
+    threshold is 1.  Its memos are keyed by (component index, restriction of
+    a set to it): the component route, the steps that undo it, and whether
+    the restriction's closure covers the component.
     """
 
-    components: tuple[Deg2Component, ...]
+    components: tuple[Component, ...]
+    deg2: bool
+    tau1: bool
     _routes: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+    _backs: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
     _covers: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def min_size(self) -> int:
         return sum(c.min_size for c in self.components)
 
-    def route(self, i: int, r: frozenset[int]) -> tuple[tuple[Step, ...], frozenset[int], int | None, tuple[Step, ...]]:
-        """``_component_route`` of component i from r, the steps as a tuple, and the steps that undo them."""
+    def route(self, i: int, r: frozenset[int]) -> tuple[tuple[Step, ...], frozenset[int], int | None]:
+        """``_component_route`` of component i from r, with the steps as a tuple."""
         hit = self._routes.get((i, r))
         if hit is None:
             steps, final, anchor = _component_route(self.components[i], r)
-            hit = self._routes[i, r] = (tuple(steps), final, anchor, reverse_steps(steps))
+            hit = self._routes[i, r] = (tuple(steps), final, anchor)
+        return hit
+
+    def back(self, i: int, r: frozenset[int]) -> tuple[Step, ...]:
+        """The steps that undo ``route(i, r)``."""
+        hit = self._backs.get((i, r))
+        if hit is None:
+            hit = self._backs[i, r] = reverse_steps(self.route(i, r)[0])
         return hit
 
     def is_target_set(self, g: ThresholdGraph, s: frozenset[int], rs) -> bool:
@@ -144,19 +160,20 @@ class Deg2Decomposition:
         if any((i, r) not in self._covers for i, r in enumerate(rs)):
             active = closure_mask(g, seed_mask(g, s))
             for i, r in enumerate(rs):
-                self._covers[i, r] = all(active >> v & 1 for v in self.components[i].order)
+                mask = self.components[i].mask
+                self._covers[i, r] = active & mask == mask
         return all(self._covers[i, r] for i, r in enumerate(rs))
 
 
-def decompose_deg2(g: ThresholdGraph) -> Deg2Decomposition:
-    """Partition a maximum-degree-2 graph into its path and cycle components (cached on g)."""
-    if "_deg2_plan" in g.__dict__:
-        return g.__dict__["_deg2_plan"]
-    for v in g.vertices:
-        if len(g.adj[v]) > 2:
-            raise DegreeTooLarge(f"vertex {v} has degree {len(g.adj[v])} > 2")
-    comps = []
-    for comp in g.components():
+def _component(g: ThresholdGraph, comp: tuple[int, ...], deg2: bool) -> Component | None:
+    """The plan's entry for one component, given sorted; None if no solver covers it.
+
+    On a graph of maximum degree 2 every component is walked as a path or a
+    cycle; elsewhere a threshold-1 component sweeps from its least vertex.
+    """
+    if not deg2 and all(g.tau[v] == 1 for v in comp):
+        return Component("threshold1", comp, ((comp[0], comp),))
+    if all(len(g.adj[v]) <= 2 for v in comp):
         ends = [v for v in comp if len(g.adj[v]) == 1]
         start = (ends or comp)[0]
         order = [start]
@@ -167,18 +184,39 @@ def decompose_deg2(g: ThresholdGraph) -> Deg2Decomposition:
             if not nxt:
                 break
             prev, cur = cur, nxt[0]
-        kind = "path" if ends else "cycle"
-        w = tuple(v for v in order if g.tau[v] == 2)
-        m = len(w)
-        comps.append(
-            Deg2Component(
-                kind=kind,
-                order=tuple(order),
-                w=w,
-                terrible=(kind == "cycle" and m >= 4 and m % 2 == 0),
-            )
-        )
-    return g.__dict__.setdefault("_deg2_plan", Deg2Decomposition(components=tuple(comps)))
+        walk = tuple(order)
+        w = tuple(v for v in walk if g.tau[v] == 2)
+        if not w:
+            return Component("path" if ends else "cycle", walk, ((start, walk),))
+        if ends:
+            return Component("path", walk, _path_regions(walk, w), w)
+        return Component("cycle", walk, None, w, len(w) >= 4 and len(w) % 2 == 0)
+    if sum(len(g.adj[v]) for v in comp) != 2 * len(comp) - 2:
+        return None
+    if len(comp) < g.n:
+        return Component("tree", comp, tuple(zip(*_chen(g, comp[0])[:2])))
+    tree = chen_tree(g)  # the graph is one tree: Chen runs once for it and the plan
+    return Component("tree", comp, tuple(zip(tree.s_list, tree.packing)))
+
+
+def component_plan(g: ThresholdGraph) -> Plan | None:
+    """The components of g with their routes (cached on g); None if one is not
+    threshold-1, a tree, a path or a cycle."""
+    if "_plan" in g.__dict__:
+        return g.__dict__["_plan"]
+    deg2 = all(len(g.adj[v]) <= 2 for v in g.vertices)
+    parts = [_component(g, comp, deg2) for comp in g.components()]
+    plan = None if None in parts else Plan(tuple(parts), deg2, all(g.tau[v] == 1 for v in g.vertices))
+    return g.__dict__.setdefault("_plan", plan)
+
+
+def decompose_deg2(g: ThresholdGraph) -> Plan:
+    """The plan of a maximum-degree-2 graph: its path and cycle components."""
+    plan = component_plan(g)
+    if plan is None or not plan.deg2:
+        v = next(v for v in g.vertices if len(g.adj[v]) > 2)
+        raise DegreeTooLarge(f"vertex {v} has degree {len(g.adj[v])} > 2")
+    return plan
 
 
 # -- trees ------------------------------------------------------------------
@@ -201,28 +239,36 @@ class TreePlan:
     packing: tuple[frozenset[int], ...]
 
     def format_packing(self) -> str:
-        lines = []
-        for i, p in enumerate(self.packing, start=1):
-            lines.append(f"packing {i}: " + " ".join(str(v) for v in sorted(p)))
-        return "\n".join(lines) + "\n"
+        return "".join(
+            f"packing {i}: " + " ".join(map(str, sorted(p))) + "\n" for i, p in enumerate(self.packing, start=1)
+        )
 
 
 def chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
-    """Bottom-up minimum target set of a tree.
+    """Bottom-up minimum target set of a tree (``_chen``), cached on g per root."""
+    root = 1 if root is None else root
+    plans = g.__dict__.setdefault("_tree_plans", {})
+    if root not in plans:
+        if len(g.components()) != 1 or g.m != g.n - 1:
+            raise NotATree("graph is not a tree")
+        g.check_vertex(root)
+        s_list, packing, parent, tau_prime = _chen(g, root)
+        ids = range(g.n + 1)  # index 0 unused
+        by_vertex = tuple(map(parent.get, ids)), tuple(map(tau_prime.get, ids))
+        plans[root] = TreePlan(root, *by_vertex, frozenset(s_list), s_list, packing)
+    return plans[root]
+
+
+def _chen(g: ThresholdGraph, root: int):
+    """Chen's algorithm on root's component, which must be a tree.
 
     Scans vertices in postorder (children in ascending id); tau'(v) subtracts
     the children that the current selection would have activated.  A non-root
-    joins S* when tau'(v) >= 2, the root when tau'(root) >= 1.  The plan is
-    cached on g per root.
+    joins S* when tau'(v) >= 2, the root when tau'(root) >= 1.  Returns S* in
+    postorder, its packing, and parent and tau' as dicts over the component
+    and 0, so that each tree of a forest costs its own size.
     """
-    root = 1 if root is None else root
-    plans = g.__dict__.setdefault("_tree_plans", {})
-    if root in plans:
-        return plans[root]
-    if len(g.components()) != 1 or g.m != g.n - 1:
-        raise NotATree("graph is not a tree")
-    g.check_vertex(root)
-    parent = [0] * (g.n + 1)
+    parent = {0: 0, root: 0}
     # neighbors pushed in ascending id pop in descending id, so this preorder
     # visits children in descending id and its reverse is the postorder with
     # children in ascending id
@@ -236,44 +282,28 @@ def chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
                 parent[u] = v
                 stack.append(u)
     post = order[::-1]
-    tau_prime = [0] * (g.n + 1)
+    tau_prime = {0: 0}
     s_star: set[int] = set()
     for v in post:
-        activated = sum(
-            1 for w in g.adj[v] if w != parent[v] and (tau_prime[w] == 0 or w in s_star)
-        )
+        activated = sum(1 for w in g.adj[v] if w != parent[v] and (tau_prime[w] == 0 or w in s_star))
         # floored at 0: tau' counts the remaining requirement, and a vertex
         # with more activated children than its threshold is itself activated
         tau_prime[v] = max(0, g.tau[v] - activated)
-        if v != root and tau_prime[v] >= 2:
-            s_star.add(v)
-        if v == root and tau_prime[v] >= 1:
+        if tau_prime[v] >= (1 if v == root else 2):
             s_star.add(v)
     s_list = tuple(v for v in post if v in s_star)
-    # nearest S*-ancestor-or-self, computed root-down (preorder; the root's
-    # parent 0 has none)
-    nearest = [0] * (g.n + 1)
+    # each vertex joins the region of its nearest S*-ancestor-or-self,
+    # computed root-down (preorder; the root's parent 0 has none)
+    nearest = {0: 0}
+    regions: dict[int, list[int]] = {s: [] for s in s_list}
     for v in order:
         nearest[v] = v if v in s_star else nearest[parent[v]]
-    regions: dict[int, list[int]] = {s: [] for s in s_list}
-    for v in g.vertices:
         if nearest[v]:
             regions[nearest[v]].append(v)
-    packing = tuple(frozenset(regions[s]) for s in s_list)
-    plans[root] = TreePlan(
-        root=root,
-        parent=tuple(parent),
-        tau_prime=tuple(tau_prime),
-        s_star=frozenset(s_star),
-        s_list=s_list,
-        packing=packing,
-    )
-    return plans[root]
+    return s_list, tuple(frozenset(regions[s]) for s in s_list), parent, tau_prime
 
 
-def tree_tar_to_canonical(
-    g: ThresholdGraph, plan: TreePlan, s
-) -> ReconfigSequence:
+def tree_tar_to_canonical(g: ThresholdGraph, plan: TreePlan, s) -> ReconfigSequence:
     """|S|-TAR route from any target set S of a tree to the canonical S*.
 
     For each canonical seed in postorder: add it if absent, then clear the
@@ -287,48 +317,10 @@ def tree_tar_to_canonical(
     return ReconfigSequence(ss, tuple(steps), TAR, k=len(ss))
 
 
-def solve_tree(
-    g: ThresholdGraph, x, y, *, model: str = TJ
-) -> tuple[bool, ReconfigSequence]:
-    """Trees: any two same-size target sets are reconfigurable.
-
-    Routes x down to the canonical S* and back up to y; the TAR peak stays
-    within max(|x|,|y|)+1.
-    """
-    xs, ys = g.check_seed(x), g.check_seed(y)
-    if len(xs) != len(ys):
-        raise PreconditionViolated(f"|x|={len(xs)} != |y|={len(ys)}")
-    plan = chen_tree(g)
-    down = tree_tar_to_canonical(g, plan, xs)
-    up = tree_tar_to_canonical(g, plan, ys)
-    return True, _joined(xs, ys, down.steps + reverse_steps(up.steps), model)
-
-
-# -- threshold-1 graphs ------------------------------------------------------
-
-
-def solve_threshold1(
-    g: ThresholdGraph, x, y, *, model: str = TJ
-) -> tuple[bool, ReconfigSequence]:
-    """Threshold-1 graphs: always reconfigurable via one canonical seed per component."""
-    if any(g.tau[v] != 1 for v in g.vertices):
-        raise PreconditionViolated("graph has a vertex of threshold != 1")
-    xs, ys = g.check_seed(x), g.check_seed(y)
-    if len(xs) != len(ys):
-        raise PreconditionViolated(f"|x|={len(xs)} != |y|={len(ys)}")
-    for s in (xs, ys):
-        if not is_target_set(g, s):
-            raise NotATargetSet(f"{sorted(s)} is not a target set")
-    # one canonical seed per component: its smallest vertex
-    regions = [(comp[0], comp) for comp in g.components()]
-    (down, _), (up, _) = _sweep(xs, regions), _sweep(ys, regions)
-    return True, _joined(xs, ys, tuple(down) + reverse_steps(up), model)
-
-
 # -- paths and cycles --------------------------------------------------------
 
 
-def _path_regions(comp: Deg2Component) -> list[tuple[int, tuple[int, ...]]]:
+def _path_regions(order: tuple[int, ...], w: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Sweep regions of a path with m >= 1 threshold-2 vertices.
 
     With w_1..w_m the threshold-2 vertices and P_j the threshold-1 run between
@@ -339,14 +331,14 @@ def _path_regions(comp: Deg2Component) -> list[tuple[int, tuple[int, ...]]]:
     Once a region is swept, everything up to its target is active, so every
     intermediate set is a target set.
     """
-    order, w, m = comp.order, comp.w, comp.m
+    m = len(w)
     wset = set(w)
     pos = [i for i, v in enumerate(order) if v in wset]
     regions = [(w[0], order[: pos[0] + 1])]
     regions += [(w[j + 1], order[pos[j] : pos[j + 1] + 1]) for j in range(1, m - 1, 2)]
     if m % 2 == 0:
         regions.append((w[m - 1], order[pos[m - 1] :]))
-    return regions
+    return tuple(regions)
 
 
 def _cycle_arc(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
@@ -355,7 +347,7 @@ def _cycle_arc(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     return tuple(order[(a + i) % n] for i in range((b - a) % n + 1))
 
 
-def _even_cycle_regions(comp: Deg2Component, s: frozenset[int]):
+def _even_cycle_regions(comp: Component, s: frozenset[int]):
     """Sweep regions toward a minimum of an even cycle; when s contains one,
     an empty region for each of its vertices."""
     w, m = comp.w, comp.m
@@ -372,7 +364,7 @@ def _even_cycle_regions(comp: Deg2Component, s: frozenset[int]):
     ]
 
 
-def _odd_cycle_regions(comp: Deg2Component, s: frozenset[int]):
+def _odd_cycle_regions(comp: Component, s: frozenset[int]):
     """Sweep regions toward the all-threshold-2 minimum anchored where s first meets an interval."""
     order, w, m = comp.order, comp.w, comp.m
     pos = {v: i for i, v in enumerate(order)}
@@ -388,16 +380,14 @@ def _odd_cycle_regions(comp: Deg2Component, s: frozenset[int]):
     return regions, p
 
 
-def even_cycle_flip_steps(comp: Deg2Component, current: frozenset[int]) -> tuple[list[Step], frozenset[int]]:
+def even_cycle_flip_steps(comp: Component, current: frozenset[int]) -> tuple[list[Step], frozenset[int]]:
     """(m/2+1)-TAR flip between the two minima of an even cycle.
 
     Relabels so the current set sits on odd positions, then: add the last w,
     jump along even positions, drop the second-to-last w.
     """
-    w = comp.w
-    m = comp.m
-    s1 = frozenset(w[0::2])
-    shift = 0 if current == s1 else 1
+    w, m = comp.w, comp.m
+    shift = 0 if current == frozenset(w[0::2]) else 1
     if current != frozenset(w[(shift + i) % m] for i in range(0, m, 2)):
         raise PreconditionViolated("flip must start at a minimum target set of the cycle")
     lab = [w[(shift + i) % m] for i in range(m)]
@@ -406,11 +396,10 @@ def even_cycle_flip_steps(comp: Deg2Component, current: frozenset[int]) -> tuple
         steps.append(Step.add(lab[2 * i - 1]))
         steps.append(Step.remove(lab[2 * i - 2]))
     steps.append(Step.remove(lab[m - 2]))
-    final = frozenset(lab[i] for i in range(1, m, 2))
-    return steps, final
+    return steps, frozenset(lab[1::2])
 
 
-def odd_cycle_rotation_steps(comp: Deg2Component, p: int, q: int) -> list[Step]:
+def odd_cycle_rotation_steps(comp: Component, p: int, q: int) -> list[Step]:
     """TJ rotation S*_p -> S*_q of an odd cycle, emitted as add/remove pairs."""
     m = comp.m
     steps: list[Step] = []
@@ -421,15 +410,11 @@ def odd_cycle_rotation_steps(comp: Deg2Component, p: int, q: int) -> list[Step]:
     return steps
 
 
-def _component_route(
-    comp: Deg2Component, s: frozenset[int]
-) -> tuple[list[Step], frozenset[int], int | None]:
+def _component_route(comp: Component, s: frozenset[int]) -> tuple[list[Step], frozenset[int], int | None]:
     """TAR steps from s to a canonical minimum of comp, that minimum, and the odd-cycle anchor."""
     anchor = None
-    if comp.m == 0:
-        regions = [(comp.order[0], comp.order)]
-    elif comp.kind == "path":
-        regions = _path_regions(comp)
+    if comp.regions is not None:
+        regions = comp.regions
     elif comp.m % 2 == 0:
         regions = _even_cycle_regions(comp, s)
     else:
@@ -441,7 +426,7 @@ def _component_route(
 class CycleAnalysis:
     """Case record and canonical routing for one cycle graph."""
 
-    component: Deg2Component
+    component: Component
     min_size: int
     case: str  # "zero" | "even" | "odd"
     minimum_sets: tuple[frozenset[int], ...]
@@ -459,7 +444,7 @@ def cycle_analyze(g: ThresholdGraph, s) -> CycleAnalysis:
     ss = g.check_seed(s)
     if not dec.is_target_set(g, ss, [ss]):
         raise NotATargetSet(f"{sorted(ss)} is not a target set")
-    steps, final, anchor, _ = dec.route(0, ss)
+    steps, final, anchor = dec.route(0, ss)
     m = comp.m
     if m == 0:
         case = "zero"
@@ -484,9 +469,7 @@ def cycle_analyze(g: ThresholdGraph, s) -> CycleAnalysis:
     )
 
 
-def path_canonical(
-    g: ThresholdGraph,
-) -> tuple[int, frozenset[int], Callable[[frozenset[int]], ReconfigSequence]]:
+def path_canonical(g: ThresholdGraph) -> tuple[int, frozenset[int], Callable[[frozenset[int]], ReconfigSequence]]:
     """Minimum size, canonical minimum set, and TAR builder for a path graph."""
     dec = decompose_deg2(g)
     if len(dec.components) != 1 or dec.components[0].kind != "path":
@@ -504,13 +487,16 @@ def path_canonical(
     return comp.min_size, canonical, builder
 
 
-# -- the full maximum-degree-2 solver ---------------------------------------
+def maxdeg2_min_size(g: ThresholdGraph) -> int:
+    """Minimum target set size of a maximum-degree-2 graph."""
+    return decompose_deg2(g).min_size
 
 
-def solve_maxdeg2(
-    g: ThresholdGraph, x, y, *, model: str = TJ
-) -> tuple[bool, ReconfigSequence | None]:
-    """Decide TJ-reconfigurability on a maximum-degree-2 graph, with a sequence.
+# -- the one solver and its entry points -------------------------------------
+
+
+def solve(g: ThresholdGraph, x, y, *, model: str = TJ) -> tuple[bool, ReconfigSequence | None]:
+    """Decide reconfigurability on a graph ``component_plan`` covers, with a sequence.
 
     The answer is no exactly when both endpoints are minimum and some terrible
     cycle carries different restrictions.  Otherwise the route runs in three
@@ -521,25 +507,25 @@ def solve_maxdeg2(
     xs, ys = g.check_seed(x), g.check_seed(y)
     if len(xs) != len(ys):
         raise PreconditionViolated(f"|x|={len(xs)} != |y|={len(ys)}")
-    dec = decompose_deg2(g)
-    rx = [xs & c.vertices for c in dec.components]
-    ry = [ys & c.vertices for c in dec.components]
+    plan = component_plan(g)
+    if plan is None:
+        raise PreconditionViolated("a component is not threshold-1, a tree, a path or a cycle")
+    rx = [xs & c.vertices for c in plan.components]
+    ry = [ys & c.vertices for c in plan.components]
     for s, rs in ((xs, rx), (ys, ry)):
-        if not dec.is_target_set(g, s, rs):
+        if not plan.is_target_set(g, s, rs):
             raise NotATargetSet(f"{sorted(s)} is not a target set")
-    if len(xs) == dec.min_size and any(
-        c.terrible and a != b for c, a, b in zip(dec.components, rx, ry)
-    ):
+    if len(xs) == plan.min_size and any(c.terrible and a != b for c, a, b in zip(plan.components, rx, ry)):
         return False, None
 
-    routes_x = [dec.route(i, r) for i, r in enumerate(rx)]
-    routes_y = [dec.route(i, r) for i, r in enumerate(ry)]
+    routes_x = [plan.route(i, r) for i, r in enumerate(rx)]
+    routes_y = [plan.route(i, r) for i, r in enumerate(ry)]
     steps = [st for route, *_ in routes_x for st in route]
-    for comp, (_, fx, ax, _), (_, fy, ay, _) in zip(dec.components, routes_x, routes_y):
+    for comp, (_, fx, ax), (_, fy, ay) in zip(plan.components, routes_x, routes_y):
         if fx == fy:
             continue
-        if comp.kind != "cycle":
-            raise InvariantViolated("path canonicals are unique")
+        if comp.regions is not None:
+            raise InvariantViolated(f"{comp.kind} canonicals are unique")
         if comp.m % 2 == 1:
             steps += odd_cycle_rotation_steps(comp, ax, ay)
         else:
@@ -548,11 +534,28 @@ def solve_maxdeg2(
                 raise InvariantViolated(f"even-cycle flip ended at {sorted(final)}, not {sorted(fy)}")
             steps += flip
 
-    for *_, back in reversed(routes_y):
-        steps += back
+    for i in reversed(range(len(ry))):
+        steps += plan.back(i, ry[i])
     return True, _joined(xs, ys, steps, model)
 
 
-def maxdeg2_min_size(g: ThresholdGraph) -> int:
-    """Minimum target set size of a maximum-degree-2 graph."""
-    return decompose_deg2(g).min_size
+def solve_tree(g: ThresholdGraph, x, y, *, model: str = TJ) -> tuple[bool, ReconfigSequence]:
+    """Trees: any two same-size target sets are reconfigurable (``solve``)."""
+    plan = component_plan(g)
+    if plan is None or len(plan.components) != 1 or g.m != g.n - 1:
+        raise NotATree("graph is not a tree")
+    return solve(g, x, y, model=model)
+
+
+def solve_threshold1(g: ThresholdGraph, x, y, *, model: str = TJ) -> tuple[bool, ReconfigSequence]:
+    """Threshold-1 graphs: always reconfigurable via one canonical seed per component (``solve``)."""
+    plan = component_plan(g)
+    if plan is None or not plan.tau1:
+        raise PreconditionViolated("graph has a vertex of threshold != 1")
+    return solve(g, x, y, model=model)
+
+
+def solve_maxdeg2(g: ThresholdGraph, x, y, *, model: str = TJ) -> tuple[bool, ReconfigSequence | None]:
+    """Maximum degree 2: paths and cycles, where terrible cycles can say no (``solve``)."""
+    decompose_deg2(g)
+    return solve(g, x, y, model=model)

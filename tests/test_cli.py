@@ -289,3 +289,50 @@ def test_solve_min_oracle_agrees(capsys):
     _, fast, _ = run(capsys, "solve-min", FIG1)
     _, slow, _ = run(capsys, "solve-min", FIG1, "--oracle")
     assert fast == slow
+
+
+def test_reconfigure_tree_beside_terrible_cycle_needs_no_oracle(capsys, tmp_path):
+    """A star with a threshold-2 center beside a threshold-2 C4 is neither a tree
+    nor of maximum degree 2; the component-wise solver decides it."""
+    g = tmp_path / "mixed.tsr"
+    g.write_text(
+        "p tsr 8 7\n" + "".join(f"v {v} {t}\n" for v, t in zip(range(1, 9), [2, 1, 1, 1, 2, 2, 2, 2]))
+        + "e 1 2\ne 1 3\ne 1 4\ne 5 6\ne 6 7\ne 7 8\ne 5 8\n"
+    )
+    seeds = {}
+    for name, ids in (("x", "1 5 7"), ("y", "1 6 8"), ("x1", "1 2 5 7"), ("y1", "1 2 6 8"), ("k4", "1 2 3")):
+        seeds[name] = tmp_path / f"{name}.seed"
+        seeds[name].write_text(f"s {ids}\n")
+    code, out, _ = run(capsys, "solve-min", str(g))
+    assert (code, out) == (0, "3\n")
+    code, out, _ = run(capsys, "reconfigure", str(g), "--from", str(seeds["x"]), "--to", str(seeds["y"]))
+    assert (code, out) == (0, "NO\n")
+    seqfile = tmp_path / "route.seq"
+    for model in ("tj", "tar"):
+        code, out, _ = run(
+            capsys, "reconfigure", str(g), "--from", str(seeds["x1"]), "--to", str(seeds["y1"]),
+            "--model", model, "--emit-sequence", str(seqfile),
+        )
+        assert (code, out) == (0, "YES\n")
+        code, out, _ = run(capsys, "check", str(g), "--sequence", str(seqfile))
+        assert code == 0 and f"sequence OK: model={model}" in out
+        seq = parse_sequence(seqfile.read_text())
+        assert (seq.start, seq.end) == ({1, 2, 5, 7}, {1, 2, 6, 8})
+    code, _, err = run(capsys, "reconfigure", K4, "--from", str(seeds["k4"]), "--to", str(seeds["k4"]))
+    assert code == 3 and "--oracle" in err
+
+
+@pytest.mark.parametrize("kind,source", [("split", HS), ("pb342", K4)])
+def test_reduce_rejects_seed_ids_outside_the_input(capsys, tmp_path, kind, source):
+    """A seed id outside the input graph (or hitting-system universe) exits 2 before any file is written."""
+    good, bad = tmp_path / "good.seed", tmp_path / "bad.seed"
+    good.write_text("s 1 2\n")
+    bad.write_text("s 99\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    for src, dst in ((bad, good), (good, bad)):
+        code, out, err = run(capsys, "reduce", kind, source, "-o", str(out_dir / "r"), "--from", str(src), "--to", str(dst))
+        assert (code, out) == (2, "") and "99" in err
+        assert list(out_dir.iterdir()) == []
+    code, _, _ = run(capsys, "reduce", kind, source, "-o", str(out_dir / "r"), "--from", str(good), "--to", str(good))
+    assert code == 0 and (out_dir / "r.from.seed").exists()

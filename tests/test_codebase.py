@@ -142,3 +142,21 @@ def test_tar_to_tj_only_in_the_join():
             ):
                 callers.append(f"{path.stem}.{fn.name}")
     assert callers == ["solvers._joined"]
+
+
+def test_one_solver_behind_the_named_solvers():
+    """``solvers.solve`` is the one caller of the join ``_joined``, and each named
+    solver calls it, so the three stay thin entry points."""
+    calls = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls[f"{path.stem}.{fn.name}"] = {
+                    getattr(node.func, "id", getattr(node.func, "attr", None))
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                }
+    assert [name for name, called in calls.items() if "_joined" in called] == ["solvers.solve"]
+    for name in ("solve_tree", "solve_threshold1", "solve_maxdeg2"):
+        assert "solve" in calls[f"solvers.{name}"]

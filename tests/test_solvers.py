@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -10,23 +11,29 @@ from tsr.activation import is_target_set
 from tsr.generators import (
     cycle_with_spacing,
     path_with_spacing,
+    random_connected,
+    random_cycle,
     random_maxdeg2,
+    random_path,
     random_tree,
 )
-from tsr.graph import ThresholdGraph
+from tsr.graph import ThresholdGraph, disjoint_union
 from tsr.oracle import (
     enumerate_target_sets,
     min_target_set_size,
     target_sets_by_size,
+    tj_components,
     tj_decide,
 )
 from tsr.reconfig import TAR, TJ, ReconfigSequence, tar_to_tj, validate_sequence
 from tsr.solvers import (
     chen_tree,
+    component_plan,
     cycle_analyze,
     decompose_deg2,
     maxdeg2_min_size,
     path_canonical,
+    solve,
     solve_maxdeg2,
     solve_threshold1,
     solve_tree,
@@ -434,3 +441,56 @@ def test_endpoint_error_names_the_set(solve, n, edges, tau, x, y, bad):
         with pytest.raises(errors.NotATargetSet, match=re.escape(f"{sorted(bad)} is not a target set")) as exc:
             solve(g, x, y, model=model)
         assert isinstance(exc.value, errors.PreconditionViolated)
+
+
+def _mixed_union(rng):
+    """Two or three pieces with n <= 13 in all, in shuffled order: at least one
+    tree or connected threshold-1 graph, beside trees, threshold-1 graphs,
+    paths and cycles (terrible ones included)."""
+    makers = (
+        lambda: random_tree(rng, rng.randint(2, 6)),
+        lambda: (lambda h: ThresholdGraph.build(h.n, h.edges, [1] * h.n))(random_connected(rng, rng.randint(3, 5))),
+        lambda: random_cycle(rng, rng.choice([0, 2, 3, 4]), 1),
+        lambda: random_path(rng, rng.randint(0, 2), 1),
+    )
+    pieces = []
+    while not pieces or sum(p.n for p in pieces) > 13:
+        pieces = [rng.choice(makers[:2])()] + [rng.choice(makers)() for _ in range(rng.randint(1, 2))]
+    rng.shuffle(pieces)
+    g = pieces[0]
+    for p in pieces[1:]:
+        g = disjoint_union(g, p)[0]
+    return g
+
+
+def test_solve_matches_tj_components_on_mixed_unions():
+    """On disjoint unions of trees, threshold-1 graphs, paths and cycles, ``solve``
+    says YES exactly when ``tj_components`` puts both ends in one class, at the
+    minimum size and one above, in TJ and TAR; every YES sequence validates."""
+    rng = random.Random(2026)
+    verdicts, kinds = collections.Counter(), collections.Counter()
+    for _ in range(300):
+        g = _mixed_union(rng)
+        plan = component_plan(g)
+        assert plan.min_size == min_target_set_size(g)
+        kinds.update(c.kind for c in plan.components)
+        for k in (plan.min_size, plan.min_size + 1):
+            classes = tj_components(g, k).components
+            sets = [(i, s) for i, cls in enumerate(classes) for s in cls]
+            pairs = list(itertools.combinations(sets, 2))
+            pairs = rng.sample(pairs, min(10, len(pairs)))
+            if len(classes) > 1:
+                a, b = rng.sample(classes, 2)
+                pairs.append(((0, rng.choice(a)), (1, rng.choice(b))))
+            for (i, x), (j, y) in pairs:
+                for model in (TJ, TAR):
+                    yes, seq = solve(g, x, y, model=model)
+                    assert yes == (i == j), (g, x, y, model)
+                    verdicts[yes] += 1
+                    if yes:
+                        assert seq.model == model and (seq.start, seq.end) == (x, y)
+                        assert validate_sequence(g, seq).ok
+                    else:
+                        assert seq is None
+    assert set(kinds) == {"path", "cycle", "threshold1", "tree"} and min(kinds.values()) >= 50, kinds
+    assert verdicts[True] >= 5000 and verdicts[False] >= 100, verdicts
