@@ -122,6 +122,10 @@ def _oracle_pair(g, x, y, args):
 
 
 def _cmd_reconfigure(args) -> int:
+    if args.k is not None and not args.oracle:
+        # the solvers answer the |x|-TAR question; another budget needs the search
+        print("error: --k applies only with --oracle", file=sys.stderr)
+        return INPUT_ERROR
     g = _load_graph(args.graph)
     x = parse_seed_set(_read(args.src), g)
     y = parse_seed_set(_read(args.dst), g)
@@ -191,14 +195,14 @@ def _cmd_reduce(args) -> int:
             reduce_vc23_to_cubic(PlainGraph.build(g.n, g.edges)) if args.kind == "vc-cubic"
             else reduce_33_to_pb342(g) if args.kind == "pb342" else reduce_33_to_b312(g)
         )
+    # seed ids name input vertices (hitting-system elements): check them before any output
+    paths = ((args.src, ".from.seed"), (args.dst, ".to.seed"))
+    seeds = {suffix: parse_seed_set(_read(path)) for path, suffix in paths if path}
+    for v in sorted(set().union(*seeds.values())):
+        if not 1 <= v <= n:
+            raise UnknownVertex(f"seed vertex {v} not in 1..{n}")
     text = serialize_graph(out.graph)
     if args.output:
-        # seed ids name input vertices (hitting-system elements): check them before writing
-        paths = ((args.src, ".from.seed"), (args.dst, ".to.seed"))
-        seeds = {suffix: parse_seed_set(_read(path)) for path, suffix in paths if path}
-        for v in sorted(set().union(*seeds.values())):
-            if not 1 <= v <= n:
-                raise UnknownVertex(f"seed vertex {v} not in 1..{n}")
         prefix = Path(args.output)
         prefix.with_suffix(".tsr").write_text(text, encoding="utf-8")
         prefix.with_suffix(".origin").write_text(out.format_provenance(), encoding="utf-8")
@@ -288,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", dest="src", required=True, help="seed file for X")
     sp.add_argument("--to", dest="dst", required=True, help="seed file for Y")
     sp.add_argument("--model", choices=["tj", "tar"], default="tj")
-    sp.add_argument("--k", type=int, default=None, help="TAR budget (oracle mode)")
+    sp.add_argument("--k", type=int, default=None, help="TAR budget (only with --oracle)")
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--emit-sequence", default=None)
     add_guard(sp)

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from tsr.cli import main
-from tsr.graph import parse_graph, parse_seed_set
+from tsr.generators import cycle_with_spacing
+from tsr.graph import parse_graph, parse_seed_set, serialize_graph
 from tsr.reconfig import parse_sequence, validate_sequence
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -324,7 +325,8 @@ def test_reconfigure_tree_beside_terrible_cycle_needs_no_oracle(capsys, tmp_path
 
 @pytest.mark.parametrize("kind,source", [("split", HS), ("pb342", K4)])
 def test_reduce_rejects_seed_ids_outside_the_input(capsys, tmp_path, kind, source):
-    """A seed id outside the input graph (or hitting-system universe) exits 2 before any file is written."""
+    """A seed id outside the input graph (or hitting-system universe) exits 2 before
+    any output: no file with ``-o``, nothing on stdout without it."""
     good, bad = tmp_path / "good.seed", tmp_path / "bad.seed"
     good.write_text("s 1 2\n")
     bad.write_text("s 99\n")
@@ -334,5 +336,58 @@ def test_reduce_rejects_seed_ids_outside_the_input(capsys, tmp_path, kind, sourc
         code, out, err = run(capsys, "reduce", kind, source, "-o", str(out_dir / "r"), "--from", str(src), "--to", str(dst))
         assert (code, out) == (2, "") and "99" in err
         assert list(out_dir.iterdir()) == []
+        code, out, err = run(capsys, "reduce", kind, source, "--from", str(src), "--to", str(dst))
+        assert (code, out) == (2, "") and "99" in err
     code, _, _ = run(capsys, "reduce", kind, source, "-o", str(out_dir / "r"), "--from", str(good), "--to", str(good))
     assert code == 0 and (out_dir / "r.from.seed").exists()
+
+
+def test_tar_budget_without_oracle_is_usage_error(capsys, tmp_path):
+    """The solvers answer the |x|-TAR question only, so ``--k`` needs ``--oracle``:
+    on a threshold-2 C4, {1, 3} reaches {2, 4} within budget 3 but not within 2."""
+    g = tmp_path / "c4.tsr"
+    g.write_text(serialize_graph(cycle_with_spacing(4, [0, 0, 0, 0])))
+    x, y, seqfile = tmp_path / "x.seed", tmp_path / "y.seed", tmp_path / "route.seq"
+    x.write_text("s 1 3\n")
+    y.write_text("s 2 4\n")
+    pair = ["reconfigure", str(g), "--from", str(x), "--to", str(y), "--model", "tar"]
+    code, out, err = run(capsys, *pair, "--k", "3", "--emit-sequence", str(seqfile))
+    assert (code, out) == (2, "") and "--oracle" in err
+    assert not seqfile.exists()
+    assert run(capsys, *pair)[:2] == (0, "NO\n")
+    assert run(capsys, *pair, "--oracle", "--k", "3")[:2] == (0, "YES\n")
+
+
+def test_cold_commands_leave_numpy_unloaded(capsys, tmp_path):
+    """Only the exhaustive table needs numpy, so a fresh interpreter that imports
+    ``tsr`` and runs commands that never enumerate does not load it; the first
+    ``tsr oracle --size`` loads it and prints what it prints in this process."""
+    x, y = tmp_path / "x.seed", tmp_path / "y.seed"
+    x.write_text("s 1 2 6 8 9\n")
+    y.write_text("s 1 5 6 12 14\n")
+    script = """
+import contextlib, io, sys
+import tsr, tsr.cli
+tree, x, y, tmp = sys.argv[1:]
+argvs = []
+for model in ("tj", "tar"):
+    seq = f"{tmp}/{model}.seq"
+    argvs += [
+        ["reconfigure", tree, "--from", x, "--to", y, "--model", model, "--emit-sequence", seq],
+        ["check", tree, "--sequence", seq],
+    ]
+argvs += [["activate", tree, "--seed", x], ["solve-min", tree]]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = tsr.cli.main(argv)
+    assert code == 0 and out.getvalue(), (argv, code, out.getvalue())
+print("numpy" in sys.modules)
+assert tsr.cli.main(["oracle", tree, "--size", "5"]) == 0
+print("numpy" in sys.modules)
+"""
+    proc = python("-c", script, TREE, str(x), str(y), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    before, *report, after = proc.stdout.splitlines()
+    assert (before, after) == ("False", "True")
+    code, out, _ = run(capsys, "oracle", TREE, "--size", "5")
+    assert code == 0 and report == out.splitlines()
