@@ -143,9 +143,27 @@ def _cmd_reconfigure(args) -> int:
     return OK
 
 
+def _oracle_misuse(args) -> str | None:
+    """Why the options of ``tsr oracle`` do not make one query, or None."""
+    pair = (args.src, args.dst, args.model, args.k, args.emit_sequence)
+    if args.size is not None and any(o is not None for o in pair):
+        return "--size takes none of --from, --to, --model, --k and --emit-sequence"
+    if (args.src is None) != (args.dst is None):
+        return "--from and --to go together"
+    if args.size is None and args.src is None:
+        return "oracle needs --size, or both --from and --to"
+    if args.k is not None and args.model != "tar":
+        return "--k applies only with --model tar"
+    return None
+
+
 def _cmd_oracle(args) -> int:
+    misuse = _oracle_misuse(args)
+    if misuse:
+        print(f"error: {misuse}", file=sys.stderr)
+        return INPUT_ERROR
     g = _load_graph(args.graph)
-    if args.src and args.dst:
+    if args.src is not None:
         x = parse_seed_set(_read(args.src), g)
         y = parse_seed_set(_read(args.dst), g)
         report = _oracle_pair(g, x, y, args)
@@ -164,9 +182,6 @@ def _cmd_oracle(args) -> int:
         if report.reconfigurable and report.shortest is not None:
             _emit_sequence(args.emit_sequence, report.shortest)
         return OK
-    if args.size is None:
-        print("oracle needs --size, or both --from and --to", file=sys.stderr)
-        return INPUT_ERROR
     report = tj_components(g, args.size, guard=args.guard, cap=args.cap)
     if args.json:
         payload = {
@@ -303,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--size", type=int, default=None)
     sp.add_argument("--from", dest="src", default=None)
     sp.add_argument("--to", dest="dst", default=None)
-    sp.add_argument("--model", choices=["tj", "tar"], default="tj")
-    sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--model", choices=["tj", "tar"], default=None, help="pair model (default tj)")
+    sp.add_argument("--k", type=int, default=None, help="TAR budget (only with --model tar)")
     sp.add_argument("--emit-sequence", default=None)
     sp.add_argument("--json", action="store_true")
     add_guard(sp)

@@ -1,8 +1,12 @@
 """Gadget constructors with seed-projection maps.
 
-Each constructor grafts a fixed subgraph onto a host graph, assigns the new
-vertices the next available ids, and records the labeling in a GadgetMap so
-seed sets can be projected back and forth.
+Each gadget is defined once, as data: a ``_Spec`` lists its labels with their
+thresholds (in id order), its internal edges and its frozen seed block.
+``_Build.graft`` adds one to a mutable graph: fresh ids, hookups to anchors,
+threshold bumps, and a GadgetMap that projects seed sets back and forth.
+``attach_*`` grafts onto a copy of its host, ``*_gadget`` onto an empty graph,
+and each reduction grafts all its gadgets onto one builder; each validates its
+result once, with ``ThresholdGraph.build`` (``PlainGraph.build`` for sigma).
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 
 from .errors import NotA33Vertex, SameVertex, UnknownVertex
-from .graph import PlainGraph, ThresholdGraph
+from .graph import Edge, PlainGraph, ThresholdGraph
 
 ONEWAY = "oneway"
 UPSILON = "upsilon"
@@ -40,12 +44,115 @@ class GadgetMap:
         return frozenset(self.named_internals.values())
 
 
-def _extend(g: ThresholdGraph, new_tau: list[int], new_edges, tau_overrides=None) -> ThresholdGraph:
-    tau = [g.tau[v] for v in g.vertices] + new_tau
-    if tau_overrides:
-        for v, t in tau_overrides.items():
-            tau[v - 1] = t
-    return ThresholdGraph.build(g.n + len(new_tau), list(g.edges) + list(new_edges), tau)
+def _pairs(text: str) -> tuple[tuple[str, str], ...]:
+    return tuple(tuple(e.split("-")) for e in text.split())
+
+
+@dataclasses.dataclass(frozen=True)
+class _Spec:
+    """One gadget: ``tau`` maps its labels, in id order, to thresholds."""
+
+    kind: str
+    tau: dict[str, int]
+    edges: tuple[tuple[str, str], ...]
+    m_set: tuple[str, ...] = ()
+
+
+_ONEWAY = _Spec(ONEWAY, {"t": 1, "h": 2, "b1": 1, "b2": 1}, _pairs("t-b1 t-b2 h-b1 h-b2"))
+_UPSILON = _Spec(
+    UPSILON,
+    {"v_x": 1, "v_y": 1, "v_xy": 2, "v_z": 1, "wbar": 2, "v_w": 1,
+     "t_x": 1, "h_x": 2, "b_x1": 1, "b_x2": 1, "t_y": 1, "h_y": 2, "b_y1": 1, "b_y2": 1},
+    _pairs("v_x-v_xy v_y-v_xy v_w-wbar wbar-v_z v_w-v_xy"
+           " t_x-b_x1 t_x-b_x2 h_x-b_x1 h_x-b_x2 b_x1-b_x2 v_x-h_x"
+           " t_y-b_y1 t_y-b_y2 h_y-b_y1 h_y-b_y2 b_y1-b_y2 wbar-t_y v_y-h_y"),
+)
+# hexagonal prism t_{i,j} (rings i = 1, 2, rungs j), the chord t_{2,3}t_{2,6}
+# and the apex r on t_{1,1} and t_{1,5}
+_THETA = _Spec(
+    THETA,
+    dict.fromkeys([f"t_{i}_{j}" for i in (1, 2) for j in range(1, 7)] + ["r"], 2),
+    tuple((f"t_{i}_{j}", f"t_{i}_{j % 6 + 1}") for i in (1, 2) for j in range(1, 7))
+    + tuple((f"t_1_{j}", f"t_2_{j}") for j in range(1, 7))
+    + _pairs("t_2_3-t_2_6 r-t_1_1 r-t_1_5"),
+    ("r", "t_1_2", "t_2_3"),
+)
+_XI = _Spec(
+    XI,
+    {"a1": 2, "b1": 1, "c1": 1, "d1": 1, "a2": 2, "b2": 1, "c2": 1, "d2": 1},
+    _pairs("a1-b1 b1-c1 c1-d1 d1-a1 a2-b2 b2-c2 c2-d2 d2-a2 b1-b2 c1-c2 d1-d2"),
+)
+# a vertex-cover gadget: plain graphs carry no thresholds
+_SIGMA = _Spec(
+    SIGMA,
+    dict.fromkeys(("r", "t1", "t2", "t3", "t4"), 0),
+    _pairs("r-t1 r-t3 t1-t2 t1-t4 t2-t3 t2-t4 t3-t4"),
+    ("r", "t2", "t4"),
+)
+_SUBDIVISION = _Spec(SUBDIVISION, {"w": 1}, ())
+
+
+class _Build:
+    """A graph under construction: ``tau`` and ``adj`` (neighbour sets), index 0 unused.
+
+    Starts empty or as a copy of a graph (a plain one with thresholds 0),
+    changes in place, and is validated once by ``graph()`` or ``plain()``.
+    """
+
+    def __init__(self, g: ThresholdGraph | PlainGraph | None = None):
+        n = 0 if g is None else g.n
+        self.tau = list(g.tau) if isinstance(g, ThresholdGraph) else [0] * (n + 1)
+        self.adj: list[set[int]] = [set() for _ in range(n + 1)]
+        for u, v in () if g is None else g.edges:
+            self.link(u, v)
+
+    @property
+    def n(self) -> int:
+        return len(self.tau) - 1
+
+    def vertex(self, tau: int) -> int:
+        self.tau.append(tau)
+        self.adj.append(set())
+        return self.n
+
+    def link(self, u: int, v: int) -> None:
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+
+    def unlink(self, u: int, v: int) -> None:
+        self.adj[u].remove(v)
+        self.adj[v].remove(u)
+
+    def edges(self) -> list[Edge]:
+        """The edges (u, v), u < v, in ascending order."""
+        return [(u, v) for u in range(1, self.n + 1) for v in sorted(self.adj[u]) if u < v]
+
+    def graft(self, spec: _Spec, anchors: dict[str, int], hookups=(), bumps=()) -> GadgetMap:
+        """Add spec's vertices and edges, link each ``(vertex, label)`` hookup,
+        and raise each bumped vertex's threshold by 1."""
+        ids = {lbl: self.vertex(t) for lbl, t in spec.tau.items()}
+        for a, b in spec.edges:
+            self.link(ids[a], ids[b])
+        for v, lbl in hookups:
+            self.link(v, ids[lbl])
+        for v in bumps:
+            self.tau[v] += 1
+        m_set = frozenset(ids[lbl] for lbl in spec.m_set) if spec.m_set else None
+        return GadgetMap(spec.kind, anchors, ids, m_set)
+
+    def graph(self) -> ThresholdGraph:
+        return ThresholdGraph.build(self.n, self.edges(), self.tau[1:])
+
+    def plain(self) -> PlainGraph:
+        return PlainGraph.build(self.n, self.edges())
+
+
+def _grafted(host, spec: _Spec, anchors: dict[str, int], hookups=(), bumps=()):
+    """Graft spec onto a copy of host (onto an empty graph if host is None)
+    and build the result once: a PlainGraph for sigma, the vertex-cover gadget."""
+    b = _Build(host)
+    gmap = b.graft(spec, anchors, hookups, bumps)
+    return b.plain() if spec is _SIGMA else b.graph(), gmap
 
 
 def attach_oneway(g: ThresholdGraph, v: int, w: int) -> tuple[ThresholdGraph, GadgetMap]:
@@ -58,31 +165,22 @@ def attach_oneway(g: ThresholdGraph, v: int, w: int) -> tuple[ThresholdGraph, Ga
     g.check_vertex(w)
     if v == w:
         raise UnknownVertex(f"one-way gadget needs distinct endpoints, got {v} twice")
-    t, h, b1, b2 = g.n + 1, g.n + 2, g.n + 3, g.n + 4
-    edges = [(t, b1), (t, b2), (h, b1), (h, b2), (v, t), (w, h)]
-    out = _extend(g, [1, 2, 1, 1], edges)
-    gmap = GadgetMap(
-        kind=ONEWAY,
-        anchors={"v": v, "w": w},
-        named_internals={"t": t, "h": h, "b1": b1, "b2": b2},
-    )
-    return out, gmap
+    return _grafted(g, _ONEWAY, {"v": v, "w": w}, [(v, "t"), (w, "h")])
 
 
 def oneway_gadget() -> tuple[ThresholdGraph, GadgetMap]:
     """The bare four-vertex one-way gadget (t=1, h=2, b1=3, b2=4)."""
-    g = ThresholdGraph.build(4, [(1, 3), (1, 4), (2, 3), (2, 4)], [1, 2, 1, 1])
-    gmap = GadgetMap(
-        kind=ONEWAY, anchors={}, named_internals={"t": 1, "h": 2, "b1": 3, "b2": 4}
-    )
-    return g, gmap
+    return _grafted(None, _ONEWAY, {})
 
 
-_UPSILON_LABELS = (
-    "v_x", "v_y", "v_xy", "v_z", "wbar", "v_w",
-    "t_x", "h_x", "b_x1", "b_x2", "t_y", "h_y", "b_y1", "b_y2",
-)
-_UPSILON_TAU = (1, 1, 2, 1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1)
+def _upsilon(b: _Build, w: int) -> GadgetMap:
+    """Graft an upsilon gadget in place of the (3,3)-vertex w's edges."""
+    x, y, z = sorted(b.adj[w])
+    for u in (x, y, z):
+        b.unlink(w, u)
+    b.tau[w] = 2
+    hookups = [(x, "v_x"), (y, "v_y"), (w, "v_w"), (w, "v_z"), (z, "v_z"), (w, "t_x")]
+    return b.graft(_UPSILON, {"w": w, "x": x, "y": y, "z": z}, hookups)
 
 
 def replace_upsilon(g: ThresholdGraph, w: int) -> tuple[ThresholdGraph, GadgetMap]:
@@ -93,49 +191,13 @@ def replace_upsilon(g: ThresholdGraph, w: int) -> tuple[ThresholdGraph, GadgetMa
     the same residual as in the original graph.
     """
     g.check_vertex(w)
-    nbrs = g.adj[w]
-    if len(nbrs) != 3 or g.tau[w] != 3:
+    if len(g.adj[w]) != 3 or g.tau[w] != 3:
         raise NotA33Vertex(
-            f"vertex {w} is a ({len(nbrs)},{g.tau[w]})-vertex, needs (3,3)"
+            f"vertex {w} is a ({len(g.adj[w])},{g.tau[w]})-vertex, needs (3,3)"
         )
-    x, y, z = nbrs
-    ids = {lbl: g.n + i + 1 for i, lbl in enumerate(_UPSILON_LABELS)}
-    v_x, v_y, v_xy = ids["v_x"], ids["v_y"], ids["v_xy"]
-    v_z, wbar, v_w = ids["v_z"], ids["wbar"], ids["v_w"]
-    t_x, h_x, b_x1, b_x2 = ids["t_x"], ids["h_x"], ids["b_x1"], ids["b_x2"]
-    t_y, h_y, b_y1, b_y2 = ids["t_y"], ids["h_y"], ids["b_y1"], ids["b_y2"]
-    edges = [e for e in g.edges if w not in e]
-    edges += [(x, v_x), (y, v_y), (v_x, v_xy), (v_y, v_xy)]
-    edges += [(v_w, w), (v_w, wbar), (w, v_z), (wbar, v_z), (v_w, v_xy), (v_z, z)]
-    edges += [(t_x, b_x1), (t_x, b_x2), (h_x, b_x1), (h_x, b_x2), (b_x1, b_x2),
-              (w, t_x), (v_x, h_x)]
-    edges += [(t_y, b_y1), (t_y, b_y2), (h_y, b_y1), (h_y, b_y2), (b_y1, b_y2),
-              (wbar, t_y), (v_y, h_y)]
-    tau = [g.tau[u] for u in g.vertices] + list(_UPSILON_TAU)
-    tau[w - 1] = 2
-    out = ThresholdGraph.build(g.n + 14, edges, tau)
-    gmap = GadgetMap(
-        kind=UPSILON,
-        anchors={"w": w, "x": x, "y": y, "z": z},
-        named_internals=ids,
-    )
-    return out, gmap
-
-
-_THETA_LABELS = tuple(f"t_{i}_{j}" for i in (1, 2) for j in range(1, 7)) + ("r",)
-
-
-def _theta_edges(ids: dict[str, int]) -> list[tuple[int, int]]:
-    edges = []
-    for i in (1, 2):
-        for j in range(1, 7):
-            edges.append((ids[f"t_{i}_{j}"], ids[f"t_{i}_{j % 6 + 1}"]))
-    for j in range(1, 7):
-        edges.append((ids[f"t_1_{j}"], ids[f"t_2_{j}"]))
-    edges.append((ids["t_2_3"], ids["t_2_6"]))
-    edges.append((ids["r"], ids["t_1_1"]))
-    edges.append((ids["r"], ids["t_1_5"]))
-    return edges
+    b = _Build(g)
+    gmap = _upsilon(b, w)
+    return b.graph(), gmap
 
 
 def attach_theta(g: ThresholdGraph, v: int) -> tuple[ThresholdGraph, GadgetMap]:
@@ -145,42 +207,12 @@ def attach_theta(g: ThresholdGraph, v: int) -> tuple[ThresholdGraph, GadgetMap]:
     returned map carries the gadget's frozen minimum M = {r, t_{1,2}, t_{2,3}}.
     """
     g.check_vertex(v)
-    ids = {lbl: g.n + i + 1 for i, lbl in enumerate(_THETA_LABELS)}
-    edges = _theta_edges(ids) + [(ids["r"], v)]
-    out = _extend(g, [2] * 13, edges, tau_overrides={v: g.tau[v] + 1})
-    gmap = GadgetMap(
-        kind=THETA,
-        anchors={"v": v},
-        named_internals=ids,
-        m_set=frozenset({ids["r"], ids["t_1_2"], ids["t_2_3"]}),
-    )
-    return out, gmap
+    return _grafted(g, _THETA, {"v": v}, [(v, "r")], [v])
 
 
 def theta_gadget(r_tau: int = 2) -> tuple[ThresholdGraph, GadgetMap]:
     """Standalone theta gadget; ``r_tau=1`` gives the reduced-apex variant."""
-    ids = {lbl: i + 1 for i, lbl in enumerate(_THETA_LABELS)}
-    tau = [2] * 12 + [r_tau]
-    g = ThresholdGraph.build(13, _theta_edges(ids), tau)
-    gmap = GadgetMap(
-        kind=THETA,
-        anchors={},
-        named_internals=ids,
-        m_set=frozenset({ids["r"], ids["t_1_2"], ids["t_2_3"]}),
-    )
-    return g, gmap
-
-
-_XI_LABELS = ("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2")
-
-
-def _xi_edges(ids: dict[str, int]) -> list[tuple[int, int]]:
-    e = []
-    for s in ("1", "2"):
-        a, b, c, d = ids["a" + s], ids["b" + s], ids["c" + s], ids["d" + s]
-        e += [(a, b), (b, c), (c, d), (d, a)]
-    e += [(ids["b1"], ids["b2"]), (ids["c1"], ids["c2"]), (ids["d1"], ids["d2"])]
-    return e
+    return _grafted(None, dataclasses.replace(_THETA, tau=_THETA.tau | {"r": r_tau}), {})
 
 
 def connect_xi(g: ThresholdGraph, v1: int, v2: int) -> tuple[ThresholdGraph, GadgetMap]:
@@ -194,35 +226,12 @@ def connect_xi(g: ThresholdGraph, v1: int, v2: int) -> tuple[ThresholdGraph, Gad
     g.check_vertex(v2)
     if v1 == v2:
         raise SameVertex(f"xi gadget needs two distinct vertices, got {v1}")
-    ids = {lbl: g.n + i + 1 for i, lbl in enumerate(_XI_LABELS)}
-    edges = _xi_edges(ids) + [(v1, ids["a1"]), (v2, ids["a2"])]
-    out = _extend(
-        g,
-        [2, 1, 1, 1, 2, 1, 1, 1],
-        edges,
-        tau_overrides={v1: g.tau[v1] + 1, v2: g.tau[v2] + 1},
-    )
-    gmap = GadgetMap(
-        kind=XI,
-        anchors={"v1": v1, "v2": v2},
-        named_internals=ids,
-    )
-    return out, gmap
+    return _grafted(g, _XI, {"v1": v1, "v2": v2}, [(v1, "a1"), (v2, "a2")], [v1, v2])
 
 
 def xi_gadget() -> tuple[ThresholdGraph, GadgetMap]:
     """Standalone xi gadget on ids a1..d1 = 1..4, a2..d2 = 5..8."""
-    ids = {lbl: i + 1 for i, lbl in enumerate(_XI_LABELS)}
-    g = ThresholdGraph.build(8, _xi_edges(ids), [2, 1, 1, 1, 2, 1, 1, 1])
-    return g, GadgetMap(kind=XI, anchors={}, named_internals=ids)
-
-
-_SIGMA_LABELS = ("r", "t1", "t2", "t3", "t4")
-
-
-def _sigma_edges(ids: dict[str, int]) -> list[tuple[int, int]]:
-    r, t1, t2, t3, t4 = (ids[l] for l in _SIGMA_LABELS)
-    return [(r, t1), (r, t3), (t1, t2), (t1, t4), (t2, t3), (t2, t4), (t3, t4)]
+    return _grafted(None, _XI, {})
 
 
 def attach_sigma(g: PlainGraph, v: int) -> tuple[PlainGraph, GadgetMap]:
@@ -233,29 +242,12 @@ def attach_sigma(g: PlainGraph, v: int) -> tuple[PlainGraph, GadgetMap]:
     """
     if not 1 <= v <= g.n:
         raise UnknownVertex(f"vertex {v} not in 1..{g.n}")
-    ids = {lbl: g.n + i + 1 for i, lbl in enumerate(_SIGMA_LABELS)}
-    edges = list(g.edges) + _sigma_edges(ids) + [(ids["r"], v)]
-    out = PlainGraph.build(g.n + 5, edges)
-    gmap = GadgetMap(
-        kind=SIGMA,
-        anchors={"v": v},
-        named_internals=ids,
-        m_set=frozenset({ids["r"], ids["t2"], ids["t4"]}),
-    )
-    return out, gmap
+    return _grafted(g, _SIGMA, {"v": v}, [(v, "r")])
 
 
 def sigma_gadget() -> tuple[PlainGraph, GadgetMap]:
     """Standalone sigma gadget on ids r=1, t1..t4 = 2..5."""
-    ids = {lbl: i + 1 for i, lbl in enumerate(_SIGMA_LABELS)}
-    g = PlainGraph.build(5, _sigma_edges(ids))
-    gmap = GadgetMap(
-        kind=SIGMA,
-        anchors={},
-        named_internals=ids,
-        m_set=frozenset({ids["r"], ids["t2"], ids["t4"]}),
-    )
-    return g, gmap
+    return _grafted(None, _SIGMA, {})
 
 
 def subdivision_map(u: int, v: int, w: int) -> GadgetMap:

@@ -13,13 +13,13 @@ matrix: ``enumerate_target_sets`` feeds it the C(n, k) combinations, and
 test only jumps and removals, each state at most once.  When 2^n is within
 the guard and at most ``_ROWS_PER_TEST`` (16, the measured cost of a
 removal test in table rows) times the states the search could test, the
-test reads the exact table, built at the first test.  Otherwise it is the
-local removal test ``activation.still_target``, memoized per component:
-activation never crosses one, so the answer is exact under the set's
-restriction to the removed vertex's component (connected graphs bypass the
-memo).  Everything here is desk-scale: enumeration checks its cap and guard
-before it allocates anything, and state exploration aborts once it exceeds
-a configurable guard.
+test reads the exact table, built at the first test and kept on the graph
+object.  Otherwise it is the local removal test ``activation.still_target``,
+memoized per component: activation never crosses one, so the answer is exact
+under the set's restriction to the removed vertex's component (connected
+graphs bypass the memo).  Everything here is desk-scale: enumeration checks
+its cap and guard before it allocates anything, and state exploration aborts
+once it exceeds a configurable guard.
 
 numpy, the package's one dependency, is imported here alone, and only
 inside the functions that run the batch closure or read its table, so
@@ -143,12 +143,16 @@ def _full_rows(g: ThresholdGraph, blocks: Iterable[np.ndarray]) -> Iterator[np.n
 
 def _table(g: ThresholdGraph) -> bytearray:
     """2^n bytes: byte i is 1 when the set with dense mask i (bit j is vertex
-    j + 1) is a target set, else 0.
+    j + 1) is a target set, else 0.  Built once per graph object and kept in
+    its ``__dict__``, as the solver plans are, so a ``dataclasses.replace``
+    copy starts without one.
 
     Seed row i is the binary expansion of i, unpacked from its little-endian
     bytes one ``_BLOCK`` at a time, so beside the table only one block of
     seed rows exists.
     """
+    if "_table" in g.__dict__:
+        return g.__dict__["_table"]
     import numpy as np
 
     size = 1 << g.n
@@ -162,7 +166,7 @@ def _table(g: ThresholdGraph) -> bytearray:
     view = np.frombuffer(table, dtype=bool)
     for lo, full in zip(starts, _full_rows(g, blocks)):
         view[lo : lo + _BLOCK] = full
-    return table
+    return g.__dict__.setdefault("_table", table)
 
 
 def _dense_target_sets(g: ThresholdGraph, guard: int) -> np.ndarray:
@@ -209,14 +213,14 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
     most once); on a disconnected graph the memo below also caps the tests at
     |C| 2^|C| per component C.  When 2^n is at most ``guard`` and at most
     ``_ROWS_PER_TEST`` times that cap, ``ok(nxt, out)`` reads ``_table(g)``,
-    built at the first test.  That is exact: ``nxt`` plus ``out`` contains
-    the target set it was reached from, so the closure of ``nxt`` reaches
-    ``out`` exactly when ``nxt`` is a target set.  Otherwise ``ok(nxt, out)`` is
-    ``still_target(g, nxt, out)`` memoized under ``(nxt & comp[out], out)``,
-    ``comp[out]`` being the mask of out's component: the closure inside it
-    depends only on that restriction.  On a connected graph the key would be
-    ``nxt``, which ``bfs`` never tests twice, so the memo is bypassed and
-    stores nothing.
+    built (once per graph object) at the first test.  That is exact: ``nxt``
+    plus ``out`` contains the target set it was reached from, so the closure
+    of ``nxt`` reaches ``out`` exactly when ``nxt`` is a target set.
+    Otherwise ``ok(nxt, out)`` is ``still_target(g, nxt, out)`` memoized under
+    ``(nxt & comp[out], out)``, ``comp[out]`` being the mask of out's
+    component: the closure inside it depends only on that restriction.  On a
+    connected graph the key would be ``nxt``, which ``bfs`` never tests twice,
+    so the memo is bypassed and stores nothing.
     """
     xs, ys = frozenset(x), frozenset(y)
     start, goal = seed_mask(g, xs), seed_mask(g, ys)

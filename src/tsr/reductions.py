@@ -4,8 +4,9 @@ Implements the degree-2/3 vertex-cover to cubic reduction (sigma gadgets),
 the (3,3)-graph to bipartite planar ({3,4},2) reduction (upsilon, subdivision,
 theta), the (3,3)-graph to bipartite 3-regular {1,2}-threshold reduction
 (upsilon, subdivision, duplication, xi), and the hitting-set to split-graph
-reduction.  Every output carries forward/backward seed maps and per-vertex
-provenance tags.
+reduction.  A gadget reduction grafts each gadget spec onto one builder and
+validates its output once, with a single ``ThresholdGraph.build``.  Every
+output carries forward/backward seed maps and per-vertex provenance tags.
 """
 
 from __future__ import annotations
@@ -23,17 +24,9 @@ from .errors import (
     PreconditionViolated,
     SizeMismatch,
 )
-from .gadgets import (
-    GadgetMap,
-    attach_sigma,
-    attach_theta,
-    connect_xi,
-    phi_sd,
-    phi_upsilon,
-    replace_upsilon,
-    subdivision_map,
-)
-from .graph import PlainGraph, ThresholdGraph, disjoint_union, records, subdivide_edge, vc_to_tss
+from .gadgets import _SIGMA, _SUBDIVISION, _THETA, _XI, SUBDIVISION, GadgetMap, _Build, _upsilon
+from .gadgets import phi_sd, phi_upsilon
+from .graph import PlainGraph, ThresholdGraph, records
 from .oracle import DEFAULT_GUARD, bfs, tj_decide, tj_moves
 
 SeedMap = Callable[[frozenset[int]], frozenset[int]]
@@ -54,8 +47,13 @@ class ReductionOutput:
         return "\n".join(lines) + "\n"
 
 
-def _orig_tags(n: int) -> dict[int, str]:
-    return {v: f"orig:{v}" for v in range(1, n + 1)}
+def _tags(prov: dict[int, str], maps) -> dict[int, str]:
+    """Tag each gadget's internals ``kind:anchor:label`` after its first anchor."""
+    for gm in maps:
+        anchor = next(iter(gm.anchors.values()))
+        for lbl, nid in gm.named_internals.items():
+            prov[nid] = f"{gm.kind}:{anchor}:{lbl}"
+    return prov
 
 
 # -- sigma: degree-{2,3} vertex cover to cubic -------------------------------
@@ -71,15 +69,10 @@ def reduce_vc23_to_cubic(g: PlainGraph) -> ReductionOutput:
     for v in range(1, g.n + 1):
         if degs[v] not in (2, 3):
             raise BadDegree(f"vertex {v} has degree {degs[v]}, needs 2 or 3")
-    cur = g
-    maps: list[GadgetMap] = []
-    prov = _orig_tags(g.n)
-    for v in range(1, g.n + 1):
-        if degs[v] == 2:
-            cur, gm = attach_sigma(cur, v)
-            maps.append(gm)
-            for lbl, nid in gm.named_internals.items():
-                prov[nid] = f"sigma:{v}:{lbl}"
+    b = _Build(g)
+    maps = [b.graft(_SIGMA, {"v": v}, [(v, "r")]) for v in range(1, g.n + 1) if degs[v] == 2]
+    b.tau = [len(nbrs) for nbrs in b.adj]  # tau = d: target sets are vertex covers
+    prov = _tags({v: f"orig:{v}" for v in range(1, g.n + 1)}, maps)
     m_union = frozenset().union(*(gm.m_set for gm in maps))
     orig = frozenset(range(1, g.n + 1))
 
@@ -90,7 +83,7 @@ def reduce_vc23_to_cubic(g: PlainGraph) -> ReductionOutput:
         return frozenset(s) & orig
 
     return ReductionOutput(
-        graph=vc_to_tss(cur),
+        graph=b.graph(),
         forward=forward,
         backward=backward,
         provenance=prov,
@@ -101,40 +94,27 @@ def reduce_vc23_to_cubic(g: PlainGraph) -> ReductionOutput:
 # -- upsilon + subdivision steps shared by the two (3,3) reductions ----------
 
 
-def _check_33(g: ThresholdGraph) -> None:
+def _split_33(g: ThresholdGraph):
+    """Check that g is a (3,3)-graph, then, on one builder, replace every vertex
+    by an upsilon gadget and subdivide every edge: (builder, provenance, maps)."""
     for v in g.vertices:
         if len(g.adj[v]) != 3 or g.tau[v] != 3:
             raise NotA33Graph(
                 f"vertex {v} is a ({len(g.adj[v])},{g.tau[v]})-vertex, needs (3,3)"
             )
+    b = _Build(g)
+    maps = [_upsilon(b, w) for w in g.vertices]
+    prov = _tags({v: f"orig:{v}" for v in g.vertices}, maps)
+    for u, v in b.edges():
+        b.unlink(u, v)
+        maps.append(b.graft(_SUBDIVISION, {"u": u, "v": v}, [(u, "w"), (v, "w")]))
+        prov[b.n] = f"sd:{u}-{v}"
+    return b, prov, maps
 
 
-def _upsilon_all(g: ThresholdGraph, prov: dict[int, str]):
-    cur = g
-    maps = []
-    for w in range(1, g.n + 1):
-        cur, gm = replace_upsilon(cur, w)
-        maps.append(gm)
-        for lbl, nid in gm.named_internals.items():
-            prov[nid] = f"upsilon:{w}:{lbl}"
-    return cur, maps
-
-
-def _subdivide_all(g: ThresholdGraph, prov: dict[int, str]):
-    cur = g
-    maps = []
-    for u, v in g.edges:
-        cur, w = subdivide_edge(cur, (u, v))
-        maps.append(subdivision_map(u, v, w))
-        prov[w] = f"sd:{u}-{v}"
-    return cur, maps
-
-
-def _project_back(s: frozenset[int], sd_maps, ups_maps) -> frozenset[int]:
-    for gm in reversed(sd_maps):
-        s = phi_sd(s, gm)
-    for gm in reversed(ups_maps):
-        s = phi_upsilon(s, gm)
+def _project_back(s: frozenset[int], maps) -> frozenset[int]:
+    for gm in reversed(maps):
+        s = phi_sd(s, gm) if gm.kind == SUBDIVISION else phi_upsilon(s, gm)
     return s
 
 
@@ -145,22 +125,10 @@ def reduce_33_to_pb342(g: ThresholdGraph) -> ReductionOutput:
     hangs off each (2,1)- and (3,1)-vertex, raising its threshold to 2.  A
     minimum seed X maps forward to X plus the union of the theta minima.
     """
-    _check_33(g)
-    prov = _orig_tags(g.n)
-    h, ups_maps = _upsilon_all(g, prov)
-    i_graph, sd_maps = _subdivide_all(h, prov)
-    candidates = [
-        v
-        for v in i_graph.vertices
-        if (len(i_graph.adj[v]), i_graph.tau[v]) in ((2, 1), (3, 1))
-    ]
-    cur = i_graph
-    theta_maps = []
-    for v in candidates:
-        cur, gm = attach_theta(cur, v)
-        theta_maps.append(gm)
-        for lbl, nid in gm.named_internals.items():
-            prov[nid] = f"theta:{v}:{lbl}"
+    b, prov, maps = _split_33(g)
+    candidates = [v for v in range(1, b.n + 1) if (len(b.adj[v]), b.tau[v]) in ((2, 1), (3, 1))]
+    theta_maps = [b.graft(_THETA, {"v": v}, [(v, "r")], [v]) for v in candidates]
+    _tags(prov, theta_maps)
     m_union = frozenset().union(*(gm.m_set for gm in theta_maps))
     theta_internals = frozenset().union(*(gm.internal_vertices for gm in theta_maps))
 
@@ -168,14 +136,14 @@ def reduce_33_to_pb342(g: ThresholdGraph) -> ReductionOutput:
         return frozenset(s) | m_union
 
     def backward(s: frozenset[int]) -> frozenset[int]:
-        return _project_back(frozenset(s) - theta_internals, sd_maps, ups_maps)
+        return _project_back(frozenset(s) - theta_internals, maps)
 
     return ReductionOutput(
-        graph=cur,
+        graph=b.graph(),
         forward=forward,
         backward=backward,
         provenance=prov,
-        gadgets=tuple(ups_maps) + tuple(sd_maps) + tuple(theta_maps),
+        gadgets=tuple(maps) + tuple(theta_maps),
     )
 
 
@@ -186,29 +154,19 @@ def reduce_33_to_b312(g: ThresholdGraph) -> ReductionOutput:
     subdivision vertex's two copies are tied together by a xi gadget.  A seed
     X maps forward to both copies of X plus one a1 token per gadget.
     """
-    _check_33(g)
-    prov = _orig_tags(g.n)
-    h, ups_maps = _upsilon_all(g, prov)
-    i_graph, sd_maps = _subdivide_all(h, prov)
-    n_i = i_graph.n
-    doubled, shift = disjoint_union(i_graph, i_graph)
-    for v in range(1, n_i + 1):
-        prov[shift[v]] = prov[v] + ":copy2"
-    two_one = [
-        v
-        for v in i_graph.vertices
-        if (len(i_graph.adj[v]), i_graph.tau[v]) == (2, 1)
+    b, prov, maps = _split_33(g)
+    n_i = b.n
+    two_one = [v for v in range(1, n_i + 1) if (len(b.adj[v]), b.tau[v]) == (2, 1)]
+    shift = {v: b.vertex(b.tau[v]) for v in range(1, n_i + 1)}  # the second copy
+    for u, v in b.edges():
+        b.link(shift[u], shift[v])
+    prov.update((shift[v], prov[v] + ":copy2") for v in shift)
+    xi_maps = [
+        b.graft(_XI, {"v1": v, "v2": shift[v]}, [(v, "a1"), (shift[v], "a2")], [v, shift[v]])
+        for v in two_one
     ]
-    cur = doubled
-    xi_maps = []
-    a1_tokens = []
-    for v in two_one:
-        cur, gm = connect_xi(cur, v, shift[v])
-        xi_maps.append(gm)
-        a1_tokens.append(gm.named_internals["a1"])
-        for lbl, nid in gm.named_internals.items():
-            prov[nid] = f"xi:{v}:{lbl}"
-    a1_set = frozenset(a1_tokens)
+    _tags(prov, xi_maps)
+    a1_set = frozenset(gm.named_internals["a1"] for gm in xi_maps)
     copy1 = frozenset(range(1, n_i + 1))
 
     def forward(s: frozenset[int]) -> frozenset[int]:
@@ -216,14 +174,14 @@ def reduce_33_to_b312(g: ThresholdGraph) -> ReductionOutput:
         return s | frozenset(shift[v] for v in s) | a1_set
 
     def backward(s: frozenset[int]) -> frozenset[int]:
-        return _project_back(frozenset(s) & copy1, sd_maps, ups_maps)
+        return _project_back(frozenset(s) & copy1, maps)
 
     return ReductionOutput(
-        graph=cur,
+        graph=b.graph(),
         forward=forward,
         backward=backward,
         provenance=prov,
-        gadgets=tuple(ups_maps) + tuple(sd_maps) + tuple(xi_maps),
+        gadgets=tuple(maps) + tuple(xi_maps),
     )
 
 

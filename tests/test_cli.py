@@ -391,3 +391,38 @@ print("numpy" in sys.modules)
     assert (before, after) == ("False", "True")
     code, out, _ = run(capsys, "oracle", TREE, "--size", "5")
     assert code == 0 and report == out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        "--from X --to Y --k 3",
+        "--from X --to Y --model tj --k 3",
+        "--from X",
+        "--to Y --model tar",
+        "--size 2 --model tar --k 3 --emit-sequence SEQ",
+        "--size 2 --model tj",
+        "--size 2 --k 3",
+        "--size 2 --emit-sequence SEQ",
+        "--size 2 --from X --to Y",
+        "--json",
+    ],
+)
+def test_oracle_rejects_options_it_would_ignore(capsys, tmp_path, options):
+    """``tsr oracle`` options that the query would not use are input errors:
+    exit 2, nothing on stdout, no sequence file.  On a threshold-2 C4, {1, 3}
+    reaches {2, 4} within TAR budget 3 but not within 2."""
+    g = tmp_path / "c4.tsr"
+    g.write_text(serialize_graph(cycle_with_spacing(4, [0, 0, 0, 0])))
+    x, y, seqfile = tmp_path / "x.seed", tmp_path / "y.seed", tmp_path / "route.seq"
+    x.write_text("s 1 3\n")
+    y.write_text("s 2 4\n")
+    files = {"X": str(x), "Y": str(y), "SEQ": str(seqfile)}
+    argv = [files.get(a, a) for a in options.split()]
+    code, out, err = run(capsys, "oracle", str(g), *argv)
+    assert (code, out) == (2, "") and err.startswith("error: "), (code, out, err)
+    assert not seqfile.exists()
+    pair = ["oracle", str(g), "--from", str(x), "--to", str(y), "--model", "tar"]
+    assert run(capsys, *pair, "--k", "2")[:2] == (0, "NO\n")
+    assert run(capsys, *pair, "--k", "3", "--emit-sequence", str(seqfile))[:2] == (0, "YES\nshortest length 4\n")
+    assert seqfile.exists()

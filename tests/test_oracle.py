@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -241,3 +242,23 @@ def test_guards_precede_allocation():
         exc, peak = _traced_peak(fn)
         assert isinstance(exc, errors.InstanceTooLarge) and str(exc) == message, exc
         assert peak < 1 << 20, (message, peak)
+
+
+def test_table_is_built_once_per_graph(monkeypatch):
+    """Pair queries and the size table on one graph object share one exact
+    table; a ``dataclasses.replace`` copy starts without it."""
+    from tsr import oracle
+
+    builds = []
+    real = oracle._full_rows
+    monkeypatch.setattr(oracle, "_full_rows", lambda g, blocks: builds.append(g.n) or real(g, blocks))
+    g = cycle_with_spacing(0, [13])
+    x, y = set(range(1, 5)), set(range(7, 11))
+    assert tj_decide(g, x, y).reconfigurable
+    assert ktar_decide(g, x, y, 4).reconfigurable
+    assert target_sets_by_size(g)[4]
+    assert builds == [13]
+    copy = dataclasses.replace(g)
+    assert "_table" not in copy.__dict__
+    assert target_sets_by_size(copy) == target_sets_by_size(g)
+    assert builds == [13, 13]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,7 +7,19 @@ import pytest
 from tsr import errors
 from tsr.activation import is_target_set
 from tsr.generators import random_hitting_system
-from tsr.graph import PlainGraph, classify, vc_to_tss
+from tsr.gadgets import (
+    attach_oneway,
+    attach_sigma,
+    attach_theta,
+    connect_xi,
+    oneway_gadget,
+    replace_upsilon,
+    sigma_gadget,
+    subdivision_map,
+    theta_gadget,
+    xi_gadget,
+)
+from tsr.graph import PlainGraph, ThresholdGraph, classify, serialize_graph, vc_to_tss
 from tsr.oracle import enumerate_target_sets, tj_decide
 from tsr.reductions import (
     HittingSystem,
@@ -238,3 +251,69 @@ def test_verify_reduction_rejects_empty_seed():
     out = reduce_vc23_to_cubic(C4)
     with pytest.raises(errors.NotATargetSet):
         verify_reduction(False, out, frozenset(), frozenset())
+
+
+def test_each_reduction_builds_one_graph(monkeypatch, k4):
+    """Every gadget of a reduction is grafted onto one builder, so the output
+    is validated by exactly one ``ThresholdGraph.build`` or ``PlainGraph.build``."""
+    builds = []
+    for cls in (ThresholdGraph, PlainGraph):
+        real = cls.build
+        monkeypatch.setattr(cls, "build", staticmethod(lambda *a, real=real: builds.append(a[0]) or real(*a)))
+    for reduce, source in ((reduce_33_to_pb342, k4), (reduce_33_to_b312, k4), (reduce_vc23_to_cubic, C4)):
+        builds.clear()
+        out = reduce(source)
+        assert builds == [out.graph.n], reduce.__name__
+
+
+def _prism(p):
+    """The (3,3) prism over a p-cycle: rings 1..p and p+1..2p, rungs i, i+p."""
+    ring = [(i, i % p + 1) for i in range(1, p + 1)]
+    edges = ring + [(u + p, v + p) for u, v in ring] + [(i, i + p) for i in range(1, p + 1)]
+    return ThresholdGraph.build(2 * p, edges, [3] * (2 * p))
+
+
+def _cycle(n):
+    return PlainGraph.build(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def _gmap_text(gm):
+    m_set = None if gm.m_set is None else sorted(gm.m_set)
+    return f"{gm.kind} {list(gm.anchors.items())} {list(gm.named_internals.items())} {m_set}\n"
+
+
+# sha256 over the outputs below, as computed before gadgets were grafted onto
+# one builder (each graft then rebuilt the whole graph)
+GOLDEN_DIGEST = "83454a2274e0dddf967b6d93378feb9be2955de16ce9cf01f8deca429599af32"
+
+
+def test_reductions_and_gadgets_match_golden(k4):
+    """Graphs, provenance, gadget maps (in order, with their dict orders) and
+    the seed maps on seeded sets of every gadget reduction and constructor."""
+    h = hashlib.sha256()
+    rng = random.Random(7)
+    cases = [(f, g) for f in (reduce_33_to_pb342, reduce_33_to_b312) for g in (k4, _prism(3), _prism(4))]
+    cases += [(reduce_vc23_to_cubic, _cycle(n)) for n in (4, 6, 9)]
+    for reduce, g in cases:
+        out = reduce(g)
+        h.update(serialize_graph(out.graph).encode())
+        h.update(out.format_provenance().encode())
+        for gm in out.gadgets:
+            h.update(_gmap_text(gm).encode())
+        for _ in range(5):
+            s = frozenset(v for v in range(1, g.n + 1) if rng.random() < 0.5)
+            fs = out.forward(s)
+            t = frozenset(v for v in out.graph.vertices if rng.random() < 0.3)
+            h.update(f"{sorted(fs)} {sorted(out.backward(fs))} {sorted(out.backward(t))}\n".encode())
+    host = ThresholdGraph.build(3, [(1, 2), (2, 3)], [1, 2, 1])
+    built = [
+        attach_oneway(host, 1, 3), oneway_gadget(), replace_upsilon(k4, 2),
+        attach_theta(host, 2), theta_gadget(), theta_gadget(r_tau=1),
+        connect_xi(host, 1, 3), xi_gadget(), attach_sigma(_cycle(4), 3), sigma_gadget(),
+    ]
+    for g, gm in built:
+        text = serialize_graph(g) if isinstance(g, ThresholdGraph) else f"plain {g.n} {list(g.edges)}\n"
+        h.update(text.encode())
+        h.update(_gmap_text(gm).encode())
+    h.update(_gmap_text(subdivision_map(5, 2, 9)).encode())
+    assert h.hexdigest() == GOLDEN_DIGEST
