@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import generators
 from .activation import activate, is_target_set
-from .errors import InstanceTooLarge, TsrError, UnknownVertex
+from .errors import InstanceTooLarge, TsrError
 from .gadgets import oneway_gadget, sigma_gadget, theta_gadget, xi_gadget
 from .graph import (
     PlainGraph,
@@ -202,27 +202,24 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.kind == "split":
-        hs = parse_hitting_system(_read(args.input))
-        n, out = hs.n, reduce_hitting_to_split(hs)
+        out = reduce_hitting_to_split(parse_hitting_system(_read(args.input)))
     else:
         g = _load_graph(args.input)
-        n, out = g.n, (
+        out = (
             reduce_vc23_to_cubic(PlainGraph.build(g.n, g.edges)) if args.kind == "vc-cubic"
             else reduce_33_to_pb342(g) if args.kind == "pb342" else reduce_33_to_b312(g)
         )
-    # seed ids name input vertices (hitting-system elements): check them before any output
+    # seed ids name input vertices (hitting-system elements); the forward map
+    # rejects any other id, so map both seeds before any output
     paths = ((args.src, ".from.seed"), (args.dst, ".to.seed"))
-    seeds = {suffix: parse_seed_set(_read(path)) for path, suffix in paths if path}
-    for v in sorted(set().union(*seeds.values())):
-        if not 1 <= v <= n:
-            raise UnknownVertex(f"seed vertex {v} not in 1..{n}")
+    seeds = {suffix: out.forward(parse_seed_set(_read(path))) for path, suffix in paths if path}
     text = serialize_graph(out.graph)
     if args.output:
         prefix = Path(args.output)
         prefix.with_suffix(".tsr").write_text(text, encoding="utf-8")
         prefix.with_suffix(".origin").write_text(out.format_provenance(), encoding="utf-8")
         for suffix, s in seeds.items():
-            prefix.with_suffix(suffix).write_text(serialize_seed_set(out.forward(s)), encoding="utf-8")
+            prefix.with_suffix(suffix).write_text(serialize_seed_set(s), encoding="utf-8")
         print(f"wrote {prefix.with_suffix('.tsr')}")
     else:
         sys.stdout.write(text)

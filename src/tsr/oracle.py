@@ -1,33 +1,19 @@
 """Exhaustive ground truth for small instances.
 
-Two cores.  ``_full_rows`` is the one batch closure, in float32 matmul
-rounds that run in BLAS and are exact (every count is a small integer).  It
-takes seed rows one ``_BLOCK`` at a time, so no caller holds a whole seed
-matrix: ``enumerate_target_sets`` feeds it the C(n, k) combinations, and
-``_table`` all 2^n sets into one byte per set, which
-``all_target_set_masks`` and ``target_sets_by_size`` read.
+Two cores.  ``_full_rows`` is the one batch closure, bit-sliced over Python
+ints (a bit per seed row, so one bitwise operation advances every row) and
+exact.  ``enumerate_target_sets`` seeds it with the C(n, k) combinations,
+and ``_table`` with all 2^n sets, packed one bit per set for
+``all_target_set_masks``, ``target_sets_by_size`` and the pair queries.
 ``tj_components`` unions the size-k target sets that share a (k-1)-subset.
 ``bfs`` is the one breadth-first search over int masks: TJ moves
 (``tj_decide`` and ``reductions.hs_tj_decide``) or k-TAR moves
 (``ktar_decide``), from which shortest sequences are rebuilt.  Pair queries
-test only jumps and removals, each state at most once.  When 2^n is within
-the guard and at most ``_ROWS_PER_TEST`` (16, the measured cost of a
-removal test in table rows) times the states the search could test, the
-test reads the exact table, built at the first test and kept on the graph
-object.  Otherwise it is the local removal test ``activation.still_target``,
-memoized per component: activation never crosses one, so the answer is exact
-under the set's restriction to the removed vertex's component (connected
-graphs bypass the memo).  Everything here is desk-scale: enumeration checks
-its cap and guard before it allocates anything, and state exploration aborts
-once it exceeds a configurable guard.
-
-numpy, the package's one dependency, is imported here alone, and only
-inside the functions that run the batch closure or read its table, so
-``import tsr``, the solvers, ``activate`` and the pair queries that never
-build the table run without it.  Its import costs about 80 ms and 13 MB
-(numpy 2.4, Python 3.11, 2-core VM), which a cold ``tsr solve-min`` would
-otherwise spend mostly on loading a module it never calls.  The first
-exhaustive call in a process pays it.
+test only jumps and removals, each state at most once: by the table when it
+is cheap next to the search (see ``_check_pair``), else by the local removal
+test ``activation.still_target``, memoized per component.  Everything here
+is desk-scale: enumeration checks its cap and guard before it allocates
+anything, and state exploration aborts once it exceeds a configurable guard.
 """
 
 from __future__ import annotations
@@ -36,21 +22,17 @@ import dataclasses
 import itertools
 from collections import deque
 from math import comb
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .activation import closure_mask, seed_mask, still_target
 from .errors import InstanceTooLarge, InvariantViolated, NotATargetSet, SizeMismatch
 from .graph import ThresholdGraph
 from .reconfig import TAR, TJ, ReconfigSequence, Step
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_GUARD = 5_000_000
 DEFAULT_CAP = 20
-_BLOCK = 4096  # seed rows per batch-closure block: 16 KB of float32 per vertex
 
-Moves = Callable[[int], Iterable[tuple[int, int, int]]]
+Moves = Callable[[int, set[int]], Iterable[tuple[int, int, int]]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,8 +60,10 @@ def enumerate_target_sets(
 ) -> list[frozenset[int]]:
     """All size-k target sets in lexicographic order of their sorted id lists.
 
-    The combinations reach ``_full_rows`` one ``_BLOCK`` at a time, so beside
-    the result only one block of seed rows exists.
+    Seed row r is the r-th combination.  Those of vertices i.. are the ones
+    with i (i plus m - 1 of i+1..), then the ones without (m of i+1..), so
+    ``cols[m]``, the columns of vertices i.. over their m-combinations, grows
+    from the last vertex to the first by one shift and or per column.
     """
     if not 0 <= k <= g.n:
         raise SizeMismatch(f"k={k} not in 0..{g.n}")
@@ -88,20 +72,16 @@ def enumerate_target_sets(
     rows = comb(g.n, k)
     if rows > guard:
         raise InstanceTooLarge(f"C({g.n},{k}) exceeds the enumeration guard")
-    import numpy as np
-
-    flat = itertools.chain.from_iterable(itertools.combinations(g.vertices, k))
-
-    def blocks():
-        for lo in range(0, rows, _BLOCK):
-            r = min(_BLOCK, rows - lo)
-            combos = np.fromiter(flat, dtype=np.intp, count=r * k).reshape(r, k)
-            seeds = np.zeros((r, g.n), dtype=bool)
-            np.put_along_axis(seeds, combos - 1, True, axis=1)
-            yield seeds
-
-    full = itertools.chain.from_iterable(map(np.ndarray.tolist, _full_rows(g, blocks())))
-    return list(map(frozenset, itertools.compress(itertools.combinations(g.vertices, k), full)))
+    cols: list[list[int]] = [[] for _ in range(k + 1)]
+    for i in range(g.n - 1, -1, -1):
+        with_i = [comb(g.n - i - 1, m - 1) for m in range(1, k + 1)]
+        cols = [[0] * (g.n - i)] + [
+            [(1 << lo) - 1] + [a | b << lo for a, b in zip(cols[m], cols[m + 1])]
+            for m, lo in enumerate(with_i)
+        ]
+    full = _full_rows(g, [(1 << rows) - 1] + cols[k])
+    keep = _bits(full.to_bytes((rows + 7) // 8, "little"))
+    return list(map(frozenset, itertools.compress(itertools.combinations(g.vertices, k), keep)))
 
 
 def min_target_set_size(
@@ -116,72 +96,75 @@ def min_target_set_size(
     raise InvariantViolated("V itself is always a target set")
 
 
-def _full_rows(g: ThresholdGraph, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """For each (rows x n) bool seed block, which of its rows activate every vertex.
+def _full_rows(g: ThresholdGraph, cols: list[int]) -> int:
+    """Bit r is set when seed row r activates every vertex.
 
-    The one batch closure; column j is vertex j + 1.  Each round counts the
-    active neighbours of every row with one float32 matmul against the dense
-    adjacency, in BLAS.  The counts are integers of at most the maximum
-    degree, far below 2^24, so float32 holds them exactly.  Callers pass
-    blocks of at most ``_BLOCK`` rows, which bounds the working copy.
+    Bit-sliced: ``cols[v]`` has bit r set when row r seeds v, and ``cols[0]``
+    is every row.  Each sweep recounts the vertices with a changed neighbour:
+    after j of v's neighbours, ``c[j]`` holds the rows with at least j of them
+    active, and ``c[tau(v)]`` joins v's column.  Activation is monotone, so
+    sweeping in place until nothing changes reaches ``closure_mask``'s
+    fixpoint, exactly.
     """
-    import numpy as np
+    cols = list(cols)
+    every = cols[0]
+    dirty = [False] + [True] * g.n
+    while any(dirty):
+        for v in g.vertices:
+            if not dirty[v]:
+                continue
+            dirty[v] = False
+            t = g.tau[v]
+            c = [every] + [0] * t
+            for i, u in enumerate(g.adj[v], 1):
+                a = cols[u]
+                for j in range(min(i, t), 0, -1):
+                    c[j] |= c[j - 1] & a
+            new = cols[v] | c[t]
+            if new != cols[v]:
+                cols[v] = new
+                for u in g.adj[v]:
+                    dirty[u] = True
+    for a in cols:
+        every &= a
+    return every
 
-    adj = np.zeros((g.n, g.n), dtype=np.float32)
-    for u, v in g.edges:
-        adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1
-    tau = np.array(g.tau[1:], dtype=np.float32)
-    for seeds in blocks:
-        active = seeds.astype(np.float32)
-        while True:
-            new = (active @ adj >= tau) & (active == 0)
-            if not new.any():
-                break
-            active[new] = 1
-        yield active.all(axis=1)
 
-
-def _table(g: ThresholdGraph) -> bytearray:
-    """2^n bytes: byte i is 1 when the set with dense mask i (bit j is vertex
-    j + 1) is a target set, else 0.  Built once per graph object and kept in
-    its ``__dict__``, as the solver plans are, so a ``dataclasses.replace``
-    copy starts without one.
-
-    Seed row i is the binary expansion of i, unpacked from its little-endian
-    bytes one ``_BLOCK`` at a time, so beside the table only one block of
-    seed rows exists.
+def _table(g: ThresholdGraph) -> bytes:
+    """2^n bits, little-endian: bit i is set when the set with dense mask i
+    (bit j is vertex j + 1) is a target set.  Built once per graph object and
+    kept in its ``__dict__``, so a ``dataclasses.replace`` copy starts without
+    one.  Seed row i is i in binary: vertex j + 1's column repeats 2^j zeros
+    then 2^j ones, built by doubling.
     """
     if "_table" in g.__dict__:
         return g.__dict__["_table"]
-    import numpy as np
-
     size = 1 << g.n
-    starts = range(0, size, _BLOCK)
-    rows = (np.arange(lo, min(lo + _BLOCK, size), dtype="<u8") for lo in starts)
-    blocks = (
-        np.unpackbits(r.view(np.uint8).reshape(-1, 8), axis=1, count=g.n, bitorder="little").view(bool)
-        for r in rows
-    )
-    table = bytearray(size)
-    view = np.frombuffer(table, dtype=bool)
-    for lo, full in zip(starts, _full_rows(g, blocks)):
-        view[lo : lo + _BLOCK] = full
+    cols = [(1 << size) - 1]
+    for j in range(g.n):
+        col, period = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while period < size:
+            col |= col << period
+            period <<= 1
+        cols.append(col)
+    table = _full_rows(g, cols).to_bytes((size + 7) // 8, "little")
     return g.__dict__.setdefault("_table", table)
 
 
-def _dense_target_sets(g: ThresholdGraph, guard: int) -> np.ndarray:
-    """Dense masks (bit j is vertex j + 1) of every target set, ascending."""
-    if (1 << g.n) > guard:
-        raise InstanceTooLarge(f"2^{g.n} exceeds the enumeration guard")
-    import numpy as np
+_BYTE_BITS = tuple(tuple(b >> p & 1 for p in range(8)) for b in range(256))
 
-    return np.flatnonzero(_table(g))
+
+def _bits(data: bytes) -> Iterator[int]:
+    """The bits of ``data``, little-endian: one per seed row."""
+    return itertools.chain.from_iterable(map(_BYTE_BITS.__getitem__, data))
 
 
 def all_target_set_masks(g: ThresholdGraph, *, guard: int = DEFAULT_GUARD) -> list[int]:
-    """Bitmasks of every target set of g, ascending: the nonzero bytes of ``_table``."""
-    # package masks use bit v for vertex v, so shift the dense mask up by one
-    return (_dense_target_sets(g, guard) << 1).tolist()
+    """Bitmasks of every target set of g, ascending: the set bits of ``_table``."""
+    if (1 << g.n) > guard:
+        raise InstanceTooLarge(f"2^{g.n} exceeds the enumeration guard")
+    # package masks use bit v for vertex v, so dense mask i is i << 1
+    return list(itertools.compress(range(0, 2 << g.n, 2), _bits(_table(g))))
 
 
 def target_sets_by_size(
@@ -191,19 +174,18 @@ def target_sets_by_size(
 
     Sizes come in the order of their least mask.
     """
-    import numpy as np
+    by_size: dict[int, list[int]] = {}
+    for m in all_target_set_masks(g, guard=guard):
+        by_size.setdefault(m.bit_count(), []).append(m)
+    return by_size
 
-    dense = _dense_target_sets(g, guard)
-    sizes = np.bitwise_count(dense)
-    return {k: (dense[sizes == k] << 1).tolist() for k in dict.fromkeys(sizes.tolist())}
 
-
-# A removal test costs at least sixteen table rows.  On the oracle-search
-# benchmark's pair queries (seed 555, n = 12-13, k = 4-6; 2-core VM, Python
-# 3.11, numpy 2.4) ``still_target`` took 3.9-12.2 us a call and ``_table``
-# 0.26-0.47 us a row, ratios of 14 to 38.  So building the table costs at
+# A removal test costs at least 64 table rows: on the oracle-search
+# benchmark's pair queries (seeds 555 and 90210, n = 12-13, k = 3-6; 2-core
+# VM, Python 3.11) ``still_target`` took a median 3.4-13.3 us a call and
+# ``_table`` 0.011-0.12 us a row, ratios of 69 to 495.  So the table costs at
 # most about what the search's worst case would spend on tests.
-_ROWS_PER_TEST = 16
+_ROWS_PER_TEST = 64
 
 
 def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GUARD):
@@ -237,7 +219,8 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
             nonlocal table
             if table is None:
                 table = _table(g)
-            return table[nxt >> 1]
+            i = nxt >> 1
+            return table[i >> 3] >> (i & 7) & 1
 
         return xs, ys, start, goal, lookup
     comp: dict[int, int] = {}
@@ -257,16 +240,24 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
 
 
 def tj_moves(universe: Sequence[int]) -> Moves:
-    """Single jumps: ascending removed element, then ascending added element."""
+    """Single jumps: ascending removed element, then ascending added element.
+
+    A jump from ``cur`` goes through a hub, ``cur`` minus the removed
+    element, and reaches the sets above that hub, the same from every set
+    that contains it.  ``bfs`` passes ``hubs``, one set per search: a hub
+    joins it when expanded and is skipped after, when the search has tested
+    or stored every set it reaches.  Without ``hubs`` every hub is expanded.
+    """
     bits = [(v, 1 << v) for v in universe]
 
-    def moves(cur: int):
+    def moves(cur: int, hubs: set[int] | None = None):
+        hubs = set() if hubs is None else hubs
         absent = [(v, b) for v, b in bits if not cur & b]
         for out, b in bits:
-            if cur & b:
-                base = cur ^ b
+            if cur & b and (hub := cur ^ b) not in hubs:
+                hubs.add(hub)
                 for into, c in absent:
-                    yield base | c, out, into
+                    yield hub | c, out, into
 
     return moves
 
@@ -275,7 +266,7 @@ def ktar_moves(universe: Sequence[int], k: int) -> Moves:
     """Single additions (while the set has at most k elements), then removals."""
     bits = [(v, 1 << v) for v in universe]
 
-    def moves(cur: int):
+    def moves(cur: int, hubs: set[int] | None = None):
         if cur.bit_count() <= k:
             for into, b in bits:
                 if not cur & b:
@@ -296,8 +287,9 @@ def bfs(
 ) -> tuple[dict[int, tuple[int, int, int] | None], bool]:
     """Parent map of the states reached from ``start``, and whether ``goal`` was.
 
-    ``moves(cur)`` yields ``(next, out, into)``, 0 meaning none: a jump, an
-    addition ``(0, into)`` or a removal ``(out, 0)``.  Additions are never
+    ``moves(cur, hubs)`` yields ``(next, out, into)``, 0 meaning none: a
+    jump, an addition ``(0, into)`` or a removal ``(out, 0)``; ``hubs``
+    starts empty in each search, for ``tj_moves``.  Additions are never
     tested: a superset of a target set is one.  A jump or removal is tested
     by ``ok(next, out)``, which for target sets need only ask whether the
     closure of ``next`` reaches ``out``; a rejected state is not tested
@@ -310,6 +302,7 @@ def bfs(
     if start == goal:
         return parents, True
     rejected: set[int] = set()
+    hubs: set[int] = set()
     queue = deque([start])
     explored = 0
     while queue:
@@ -317,7 +310,7 @@ def bfs(
         explored += 1
         if explored > guard:
             raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
-        for nxt, out, into in moves(cur):
+        for nxt, out, into in moves(cur, hubs):
             if nxt in parents or nxt in rejected:
                 continue
             if out and not ok(nxt, out):

@@ -23,6 +23,7 @@ from .errors import (
     NotATargetSet,
     PreconditionViolated,
     SizeMismatch,
+    UnknownVertex,
 )
 from .gadgets import _SIGMA, _SUBDIVISION, _THETA, _XI, SUBDIVISION, GadgetMap, _Build, _upsilon
 from .gadgets import phi_sd, phi_upsilon
@@ -45,6 +46,14 @@ class ReductionOutput:
     def format_provenance(self) -> str:
         lines = [f"origin {v} {tag}" for v, tag in sorted(self.provenance.items())]
         return "\n".join(lines) + "\n"
+
+
+def _source_seed(s, n: int) -> frozenset[int]:
+    """``s`` as source ids 1..n: the one check of every forward map."""
+    s = frozenset(s)
+    if bad := sorted(v for v in s if not 1 <= v <= n):
+        raise UnknownVertex(f"seed vertex {bad[0]} not in 1..{n}")
+    return s
 
 
 def _tags(prov: dict[int, str], maps) -> dict[int, str]:
@@ -77,7 +86,7 @@ def reduce_vc23_to_cubic(g: PlainGraph) -> ReductionOutput:
     orig = frozenset(range(1, g.n + 1))
 
     def forward(s: frozenset[int]) -> frozenset[int]:
-        return frozenset(s) | m_union
+        return _source_seed(s, g.n) | m_union
 
     def backward(s: frozenset[int]) -> frozenset[int]:
         return frozenset(s) & orig
@@ -133,7 +142,7 @@ def reduce_33_to_pb342(g: ThresholdGraph) -> ReductionOutput:
     theta_internals = frozenset().union(*(gm.internal_vertices for gm in theta_maps))
 
     def forward(s: frozenset[int]) -> frozenset[int]:
-        return frozenset(s) | m_union
+        return _source_seed(s, g.n) | m_union
 
     def backward(s: frozenset[int]) -> frozenset[int]:
         return _project_back(frozenset(s) - theta_internals, maps)
@@ -170,7 +179,7 @@ def reduce_33_to_b312(g: ThresholdGraph) -> ReductionOutput:
     copy1 = frozenset(range(1, n_i + 1))
 
     def forward(s: frozenset[int]) -> frozenset[int]:
-        s = frozenset(s)
+        s = _source_seed(s, g.n)
         return s | frozenset(shift[v] for v in s) | a1_set
 
     def backward(s: frozenset[int]) -> frozenset[int]:
@@ -290,7 +299,7 @@ def reduce_hitting_to_split(hs: HittingSystem) -> ReductionOutput:
     universe = frozenset(range(1, n + 1))
 
     def forward(s: frozenset[int]) -> frozenset[int]:
-        return frozenset(s)  # v_u shares u's id
+        return _source_seed(s, n)  # v_u shares u's id
 
     def backward(s: frozenset[int]) -> frozenset[int]:
         return frozenset(s) & universe

@@ -115,17 +115,16 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports on lines {unused}"
 
 
-def test_numpy_only_in_oracle():
-    """numpy, the package's one dependency, is imported only by ``oracle.py``,
-    whose batch closure core is its one user."""
-    users = []
+def test_sources_import_only_the_standard_library():
+    """The package has no runtime dependency: every absolute import in
+    ``src/tsr`` names a standard-library module."""
+    foreign = []
     for path in SOURCES:
         nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
         names = [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
-        names += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
-        if any(name.split(".")[0] == "numpy" for name in names):
-            users.append(path.name)
-    assert users == ["oracle.py"]
+        names += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level]
+        foreign += [f"{path.name}: {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign, foreign
 
 
 def test_tar_to_tj_only_in_the_join():

@@ -262,3 +262,24 @@ def test_table_is_built_once_per_graph(monkeypatch):
     assert "_table" not in copy.__dict__
     assert target_sets_by_size(copy) == target_sets_by_size(g)
     assert builds == [13, 13]
+
+
+def test_hub_state_belongs_to_one_search():
+    """One ``tj_moves`` object serves two searches alike: the hubs one search
+    expanded are not skipped by the next, nor by a call without ``hubs``."""
+    from tsr.oracle import DEFAULT_GUARD, _check_pair, bfs, tj_moves
+
+    g = cycle_with_spacing(0, [9])
+    x, y = {1, 2, 3}, {5, 6, 7}
+    _, _, start, goal, ok = _check_pair(g, x, y)
+    moves = tj_moves(g.vertices)
+    first = bfs(start, goal, moves, ok, DEFAULT_GUARD)
+    again = bfs(start, goal, moves, ok, DEFAULT_GUARD)
+    assert list(again[0].items()) == list(first[0].items()) and again[1] and first[1]
+    back = bfs(goal, start, moves, ok, DEFAULT_GUARD)
+    assert list(back[0].items()) == list(bfs(goal, start, tj_moves(g.vertices), ok, DEFAULT_GUARD)[0].items())
+    # within one search a hub is expanded once; without ``hubs`` every call expands all
+    hubs: set[int] = set()
+    assert len(list(moves(start, hubs))) == 3 * 6 and hubs
+    assert list(moves(start, hubs)) == []
+    assert list(moves(start)) == list(moves(start)) != []

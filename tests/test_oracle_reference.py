@@ -12,10 +12,15 @@ shortest sequences and guard trips must not change.
 flood per TJ class) and ``reference_table`` (int16 matmul rounds over all
 2^n seeds) keep the closure engines the exhaustive paths ran before the one
 batch core ``oracle._full_rows``, and the flood that ``tj_components`` ran
-before its union-find over shared (k-1)-subsets.
+before its union-find over shared (k-1)-subsets.  ``reference_full_rows``
+and ``reference_byte_table`` keep that core as it was, in float32 numpy
+matmul rounds, before it was bit-sliced over Python ints, and
+``reference_tj_moves`` the jump generator from before each search expanded
+a hub once.  numpy is a test dependency only.
 """
 
 import functools
+import hashlib
 import inspect
 import itertools
 import math
@@ -50,7 +55,7 @@ from tsr.oracle import (
     tj_decide,
     tj_moves,
 )
-from tsr.graph import ThresholdGraph, disjoint_union
+from tsr.graph import PlainGraph, ThresholdGraph, disjoint_union, vc_to_tss
 from tsr.reconfig import TAR, TJ, ReconfigSequence, Step
 from tsr.reductions import hs_tj_decide
 
@@ -77,6 +82,21 @@ def reference_bfs(start, goal, moves, ok, guard):
                 return parents, True
             queue.append(nxt)
     return parents, False
+
+
+def reference_tj_moves(universe):
+    """The jump generator before each hub was expanded once per search."""
+    bits = [(v, 1 << v) for v in universe]
+
+    def moves(cur: int):
+        absent = [(v, b) for v, b in bits if not cur & b]
+        for out, b in bits:
+            if cur & b:
+                base = cur ^ b
+                for into, c in absent:
+                    yield base | c, out, into
+
+    return moves
 
 
 def reference_steps(parents, goal):
@@ -427,3 +447,207 @@ def test_enumeration_matches_reference():
             sets = sorted(itertools.chain.from_iterable(comps), key=sorted)
             assert enumerate_target_sets(g, k) == sets, (g, k)
             assert len(sets) == len(by_size.get(k, [])), (g, k)
+
+
+# -- the numpy batch closure that the bit-sliced ``_full_rows`` replaced ------
+#
+# ``reference_full_rows`` and ``reference_byte_table`` are the float32 matmul
+# core and its 2^n-byte table as the package ran them, unchanged but for the
+# table's cache on the graph object, which would shadow the library's.
+# ``reference_enumerate`` is the block-wise enumeration that fed the core.
+
+_BLOCK = 4096  # seed rows per batch-closure block: 16 KB of float32 per vertex
+
+
+def reference_full_rows(g, blocks):
+    """For each (rows x n) bool seed block, which of its rows activate every vertex.
+
+    The one batch closure; column j is vertex j + 1.  Each round counts the
+    active neighbours of every row with one float32 matmul against the dense
+    adjacency, in BLAS.  The counts are integers of at most the maximum
+    degree, far below 2^24, so float32 holds them exactly.  Callers pass
+    blocks of at most ``_BLOCK`` rows, which bounds the working copy.
+    """
+    adj = np.zeros((g.n, g.n), dtype=np.float32)
+    for u, v in g.edges:
+        adj[u - 1, v - 1] = adj[v - 1, u - 1] = 1
+    tau = np.array(g.tau[1:], dtype=np.float32)
+    for seeds in blocks:
+        active = seeds.astype(np.float32)
+        while True:
+            new = (active @ adj >= tau) & (active == 0)
+            if not new.any():
+                break
+            active[new] = 1
+        yield active.all(axis=1)
+
+
+def reference_byte_table(g):
+    """2^n bytes: byte i is 1 when the set with dense mask i (bit j is vertex
+    j + 1) is a target set, else 0.
+
+    Seed row i is the binary expansion of i, unpacked from its little-endian
+    bytes one ``_BLOCK`` at a time, so beside the table only one block of
+    seed rows exists.
+    """
+    size = 1 << g.n
+    starts = range(0, size, _BLOCK)
+    rows = (np.arange(lo, min(lo + _BLOCK, size), dtype="<u8") for lo in starts)
+    blocks = (
+        np.unpackbits(r.view(np.uint8).reshape(-1, 8), axis=1, count=g.n, bitorder="little").view(bool)
+        for r in rows
+    )
+    table = bytearray(size)
+    view = np.frombuffer(table, dtype=bool)
+    for lo, full in zip(starts, reference_full_rows(g, blocks)):
+        view[lo : lo + _BLOCK] = full
+    return table
+
+
+def reference_enumerate(g, k):
+    """``enumerate_target_sets`` as it fed ``reference_full_rows``, one block of
+    combinations at a time."""
+    rows = math.comb(g.n, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(g.vertices, k))
+
+    def blocks():
+        for lo in range(0, rows, _BLOCK):
+            r = min(_BLOCK, rows - lo)
+            combos = np.fromiter(flat, dtype=np.intp, count=r * k).reshape(r, k)
+            seeds = np.zeros((r, g.n), dtype=bool)
+            np.put_along_axis(seeds, combos - 1, True, axis=1)
+            yield seeds
+
+    full = itertools.chain.from_iterable(map(np.ndarray.tolist, reference_full_rows(g, blocks())))
+    return list(map(frozenset, itertools.compress(itertools.combinations(g.vertices, k), full)))
+
+
+def _exact_graphs():
+    """The enumeration graphs, vertex-cover graphs (tau = degree, so every
+    vertex needs all its neighbours) on 2..12 vertices, and the empty graph."""
+    rng = random.Random(3141)
+    out = _enumeration_graphs()
+    for n in range(2, 13):
+        g = random_connected(rng, n, rng.choice([0.2, 0.5]))
+        out.append(vc_to_tss(PlainGraph.build(g.n, g.edges)))
+    return out + [ThresholdGraph.build(0, [], [])]
+
+
+def _flood_components(sets):
+    """TJ classes of ``sets`` by BFS floods under the jump generator the oracle
+    ran before it expanded each hub once, in ``tj_components``' order."""
+    index = {sum(1 << v for v in s): s for s in sets}
+    universe = sorted(set().union(*sets)) if sets else []
+    groups = []
+    while index:
+        parents, _ = reference_bfs(next(iter(index)), None, reference_tj_moves(universe), index.__contains__, 10**9)
+        groups.append([index.pop(m) for m in parents])
+    return tuple(
+        tuple(sorted(grp, key=sorted))
+        for grp in sorted(groups, key=lambda grp: sorted(min(grp, key=sorted)))
+    )
+
+
+def test_bit_sliced_closure_matches_numpy_reference():
+    """The bit-sliced table, enumeration (values and order), size table and TJ
+    components against the numpy core, at every k, and on a threshold-1 C60
+    at k = 2 and 3 under cap 60."""
+    for g in _exact_graphs():
+        table = [i << 1 for i, b in enumerate(reference_byte_table(g)) if b]
+        assert all_target_set_masks(g) == table, g
+        by_size: dict[int, list[int]] = {}
+        for m in table:
+            by_size.setdefault(m.bit_count(), []).append(m)
+        assert list(target_sets_by_size(g).items()) == list(by_size.items()), g
+        for k in range(g.n + 1):
+            sets = reference_enumerate(g, k)
+            assert enumerate_target_sets(g, k) == sets, (g, k)
+            report = tj_components(g, k)
+            assert (report.num_target_sets, report.components) == (len(sets), _flood_components(sets)), (g, k)
+    c60 = cycle_with_spacing(0, [60])
+    for k in (2, 3):
+        sets = reference_enumerate(c60, k)
+        assert len(sets) == math.comb(60, k)
+        assert enumerate_target_sets(c60, k, cap=60) == sets
+        assert tj_components(c60, k, cap=60).components == (tuple(sets),)
+
+
+def _pinned_lines():
+    """The outputs the digest below pins: every table, enumeration, size table
+    and component partition of ``_exact_graphs`` and of the C60, then TJ and
+    k-TAR reports (verdict, explored, shortest) on seeded pairs, at a guard of
+    40 and the default, with guard trips as "guard"."""
+    rng = random.Random(1009)
+    c60 = cycle_with_spacing(0, [60])
+    for g in _exact_graphs():
+        yield repr(all_target_set_masks(g))
+        yield repr(sorted(target_sets_by_size(g).items()))
+        for k in range(g.n + 1):
+            yield repr([sorted(s) for s in enumerate_target_sets(g, k)])
+            yield repr([[sorted(s) for s in c] for c in tj_components(g, k).components])
+        by_size = target_sets_by_size(g)
+        for k, masks in by_size.items():
+            if len(masks) < 2:
+                continue
+            xm, ym = rng.sample(masks, 2)
+            x, y = (frozenset(v for v in g.vertices if m >> v & 1) for m in (xm, ym))
+            for guard in (40, DEFAULT_GUARD):
+                for decide in (
+                    lambda: tj_decide(g, x, y, guard=guard),
+                    lambda: ktar_decide(g, x, y, k, guard=guard),
+                    lambda: ktar_decide(g, x, y, k + 1, guard=guard),
+                ):
+                    yield repr(_summary(outcome(decide)))
+    for k in (2, 3):
+        yield repr([sorted(s) for s in enumerate_target_sets(c60, k, cap=60)])
+        yield repr([[sorted(s) for s in c] for c in tj_components(c60, k, cap=60).components])
+
+
+# sha256 of ``_pinned_lines``, computed with the numpy core and the jump
+# generator that expanded every hub
+EXACT_DIGEST = "2d0a559b3d2c71797da4f1da567e9d915f9cc2de9482dbe19b404e4e67c34ec8"
+
+
+def test_exact_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    for line in _pinned_lines():
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == EXACT_DIGEST
+
+
+def _searches(seed, count):
+    """Seeded TJ searches: (graph, start, goal) on random connected, max-degree-2
+    and tree graphs and on disjoint unions, between two target sets of one size."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 4 == 3:
+            g, x, y = _union_pair(rng)
+        else:
+            n = rng.randint(4, 10)
+            g = (random_connected(rng, n, rng.choice([0.2, 0.5])), random_maxdeg2(rng, n), random_tree(rng, n))[i % 4]
+            by_size = target_sets_by_size(g)
+            masks = by_size[rng.choice(list(by_size))]
+            x, y = (frozenset(v for v in g.vertices if m >> v & 1) for m in (rng.choice(masks), rng.choice(masks)))
+        out.append((g, x, y))
+    return out
+
+
+def test_hub_expansion_keeps_parents_and_order():
+    """``bfs`` with ``tj_moves``, which expands each hub once per search, against
+    the generator that expanded every hub: the same parent map in the same
+    insertion order, verdict and guard trips, under the table and under the
+    removal test, at guards 3, 40 and 10^9."""
+    trips = 0
+    for g, x, y in _searches(4096, 240):
+        for tests in (0, DEFAULT_GUARD):  # removal test, then the table where it fits
+            _, _, start, goal, ok = _check_pair(g, x, y, tests)
+            for guard in (3, 40, 10**9):
+                want = outcome(lambda: bfs(start, goal, lambda cur, _: reference_tj_moves(g.vertices)(cur), ok, guard))
+                got = outcome(lambda: bfs(start, goal, tj_moves(g.vertices), ok, guard))
+                if want == "guard":
+                    trips += 1
+                    assert got == "guard", (g, x, y, guard)
+                else:
+                    assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (g, x, y, guard)
+    assert trips >= 100

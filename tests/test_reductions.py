@@ -317,3 +317,20 @@ def test_reductions_and_gadgets_match_golden(k4):
         h.update(_gmap_text(gm).encode())
     h.update(_gmap_text(subdivision_map(5, 2, 9)).encode())
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def test_forward_maps_reject_unknown_ids(k4):
+    """Every reduction's forward map takes source ids only: 0, n + 1 and 999
+    raise UnknownVertex, while the ids 1..n map."""
+    hs = HittingSystem.build(4, [{1, 2}, {3, 4}], 2)
+    cases = [
+        (reduce_33_to_pb342(k4), 4),
+        (reduce_33_to_b312(k4), 4),
+        (reduce_vc23_to_cubic(_cycle(5)), 5),
+        (reduce_hitting_to_split(hs), 4),
+    ]
+    for out, n in cases:
+        assert out.forward(frozenset(range(1, n + 1))) >= set(range(1, n + 1))
+        for bad in (0, n + 1, 999):
+            with pytest.raises(errors.UnknownVertex, match=f"seed vertex {bad} not in 1..{n}"):
+                out.forward(frozenset({1, bad}))
