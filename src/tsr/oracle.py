@@ -6,14 +6,17 @@ exact.  ``enumerate_target_sets`` seeds it with the C(n, k) combinations,
 and ``_table`` with all 2^n sets, packed one bit per set for
 ``all_target_set_masks``, ``target_sets_by_size`` and the pair queries.
 ``tj_components`` unions the size-k target sets that share a (k-1)-subset.
-``bfs`` is the one breadth-first search over int masks: TJ moves
-(``tj_decide`` and ``reductions.hs_tj_decide``) or k-TAR moves
-(``ktar_decide``), from which shortest sequences are rebuilt.  Pair queries
-test only jumps and removals, each state at most once: by the table when it
-is cheap next to the search (see ``_check_pair``), else by the local removal
-test ``activation.still_target``, memoized per component.  Everything here
-is desk-scale: enumeration checks its cap and guard before it allocates
-anything, and state exploration aborts once it exceeds a configurable guard.
+``bfs`` is the one breadth-first search over int masks under single jumps,
+from a set of starts to the first state that contains the goal: it serves
+``tj_decide``, ``reductions.hs_tj_decide`` and ``ktar_decide``, which pads
+the endpoints up to each size j it searches, since target sets are closed
+under supersets; shortest sequences are rebuilt from its parent map.  The
+searches test each state at most once: by the table when it is cheap next
+to them (see ``_check_pair``), else by the local removal test
+``activation.still_target``, memoized per component.  Everything here is
+desk-scale: enumeration checks its cap and guard before it allocates
+anything, and a pair query aborts once its pops, summed over sizes j for
+k-TAR, exceed a configurable guard.
 """
 
 from __future__ import annotations
@@ -40,7 +43,10 @@ class OracleReport:
     """Result of an exhaustive query.
 
     ``num_target_sets`` and ``components`` are filled only by full-enumeration
-    queries; pair queries explore lazily and leave them None.
+    queries; pair queries explore lazily and leave them None.  ``explored``
+    counts the target sets enumerated, or the states a pair query's
+    searches stored, summed over sizes j for k-TAR; the guard counts pops
+    summed over sizes j instead, which are never more.
     """
 
     k: int
@@ -191,13 +197,14 @@ _ROWS_PER_TEST = 64
 def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GUARD):
     """Validated endpoints as sets and masks, plus the removal test for ``bfs``.
 
-    ``tests`` is the most states the search can test (``bfs`` tests each at
-    most once); on a disconnected graph the memo below also caps the tests at
-    |C| 2^|C| per component C.  When 2^n is at most ``guard`` and at most
-    ``_ROWS_PER_TEST`` times that cap, ``ok(nxt, out)`` reads ``_table(g)``,
-    built (once per graph object) at the first test.  That is exact: ``nxt``
-    plus ``out`` contains the target set it was reached from, so the closure
-    of ``nxt`` reaches ``out`` exactly when ``nxt`` is a target set.
+    ``tests`` is the most states the searches can test (``bfs`` tests each at
+    most once, at one size a search); on a disconnected graph the memo below
+    also caps the tests at |C| 2^|C| per component C.  When 2^n is at most
+    ``guard`` and at most ``_ROWS_PER_TEST`` times that cap, ``ok(nxt, out)``
+    reads ``_table(g)``, built (once per graph object) at the first test.
+    That is exact: ``nxt`` plus ``out`` contains the target set it was
+    reached from, so the closure of ``nxt`` reaches ``out`` exactly when
+    ``nxt`` is a target set.
     Otherwise ``ok(nxt, out)`` is ``still_target(g, nxt, out)`` memoized under
     ``(nxt & comp[out], out)``, ``comp[out]`` being the mask of out's
     component: the closure inside it depends only on that restriction.  On a
@@ -262,88 +269,58 @@ def tj_moves(universe: Sequence[int]) -> Moves:
     return moves
 
 
-def ktar_moves(universe: Sequence[int], k: int) -> Moves:
-    """Single additions (while the set has at most k elements), then removals."""
-    bits = [(v, 1 << v) for v in universe]
+def bfs(starts: Iterable[int], goal: int, moves: Moves, ok: Callable[[int, int], bool], guard: int, popped: int = 0):
+    """Parent map of the states reached from ``starts``, whether one contains
+    ``goal`` (the search ends there; at the goal's size it is the goal), and
+    the pops so far.
 
-    def moves(cur: int, hubs: set[int] | None = None):
-        if cur.bit_count() <= k:
-            for into, b in bits:
-                if not cur & b:
-                    yield cur | b, 0, into
-        for out, b in bits:
-            if cur & b:
-                yield cur ^ b, out, 0
-
-    return moves
-
-
-def bfs(
-    start: int,
-    goal: int,
-    moves: Moves,
-    ok: Callable[[int, int], bool],
-    guard: int,
-) -> tuple[dict[int, tuple[int, int, int] | None], bool]:
-    """Parent map of the states reached from ``start``, and whether ``goal`` was.
-
-    ``moves(cur, hubs)`` yields ``(next, out, into)``, 0 meaning none: a
-    jump, an addition ``(0, into)`` or a removal ``(out, 0)``; ``hubs``
-    starts empty in each search, for ``tj_moves``.  Additions are never
-    tested: a superset of a target set is one.  A jump or removal is tested
-    by ``ok(next, out)``, which for target sets need only ask whether the
-    closure of ``next`` reaches ``out``; a rejected state is not tested
-    again, so every state is tested at most once.  Pair queries answer from
-    the exact target-set table when it is cheap next to the search, else by
-    ``activation.still_target`` memoized per component of ``out`` (see
-    ``_check_pair``).  Raises InstanceTooLarge after ``guard`` popped states.
+    ``moves(cur, hubs)`` yields jumps ``(next, out, into)``; ``hubs`` starts
+    empty in each search, for ``tj_moves``.  A jump is tested by ``ok(next,
+    out)``, which for target sets need only ask whether the closure of
+    ``next`` reaches ``out``; a rejected state is not tested again, so every
+    state is tested at most once (see ``_check_pair``).  Raises
+    InstanceTooLarge once ``popped``, the pops of earlier searches, plus this
+    search's pops exceed ``guard``.
     """
-    parents: dict[int, tuple[int, int, int] | None] = {start: None}
-    if start == goal:
-        return parents, True
+    parents: dict[int, tuple[int, int, int] | None] = {}
+    for s in starts:
+        parents[s] = None
+        if s & goal == goal:
+            return parents, True, popped
     rejected: set[int] = set()
     hubs: set[int] = set()
-    queue = deque([start])
-    explored = 0
+    queue = deque(parents)
     while queue:
         cur = queue.popleft()
-        explored += 1
-        if explored > guard:
+        popped += 1
+        if popped > guard:
             raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
         for nxt, out, into in moves(cur, hubs):
             if nxt in parents or nxt in rejected:
                 continue
-            if out and not ok(nxt, out):
+            if not ok(nxt, out):
                 rejected.add(nxt)
                 continue
             parents[nxt] = (cur, out, into)
-            if nxt == goal:
-                return parents, True
+            if nxt & goal == goal:
+                return parents, True, popped
             queue.append(nxt)
-    return parents, False
+    return parents, False, popped
 
 
-def _steps_to(parents: dict[int, tuple[int, int, int] | None], goal: int) -> tuple[Step, ...]:
+def _steps_to(parents: dict[int, tuple[int, int, int] | None], node: int) -> tuple[int, tuple[Step, ...]]:
+    """The start ``node`` was reached from, and the jumps from there."""
     steps = []
-    node = goal
     while parents[node] is not None:
         node, out, into = parents[node]
-        steps.append(
-            Step.jump(out, into) if out and into else Step.add(into) if into else Step.remove(out)
-        )
-    return tuple(reversed(steps))
+        steps.append(Step.jump(out, into))
+    return node, tuple(reversed(steps))
 
 
-def tj_decide(
-    g: ThresholdGraph,
-    x,
-    y,
-    *,
-    guard: int = DEFAULT_GUARD,
-) -> OracleReport:
+def tj_decide(g: ThresholdGraph, x, y, *, guard: int = DEFAULT_GUARD) -> OracleReport:
     """BFS over size-k target sets under single jumps; shortest sequence if connected.
 
-    Explores only the component of x, so the guard bounds visited states, not
+    Explores only the component of x, so the guard bounds popped states, not
     the full C(n,k) space.  Neighbor order is lexicographic (ascending removed
     vertex, then ascending added vertex) for reproducible shortest sequences.
     """
@@ -351,27 +328,46 @@ def tj_decide(
     xs, ys, start, goal, ok = _check_pair(g, xs, y, comb(g.n, len(xs)), guard)
     if len(xs) != len(ys):
         raise SizeMismatch(f"|x|={len(xs)} != |y|={len(ys)}")
-    parents, found = bfs(start, goal, tj_moves(g.vertices), ok, guard)
-    seq = ReconfigSequence(xs, _steps_to(parents, goal), TJ) if found else None
+    parents, found, _ = bfs((start,), goal, tj_moves(g.vertices), ok, guard)
+    seq = ReconfigSequence(xs, _steps_to(parents, goal)[1], TJ) if found else None
     return OracleReport(k=len(xs), reconfigurable=found, shortest=seq, explored=len(parents))
 
 
-def ktar_decide(
-    g: ThresholdGraph,
-    x,
-    y,
-    k: int,
-    *,
-    guard: int = DEFAULT_GUARD,
-) -> OracleReport:
-    """BFS over target sets of size at most k+1 under single additions/removals."""
-    tests = sum(comb(g.n, i) for i in range(min(k, g.n) + 1))  # removals leave at most k
-    xs, ys, start, goal, ok = _check_pair(g, x, y, tests, guard)
+def ktar_decide(g: ThresholdGraph, x, y, k: int, *, guard: int = DEFAULT_GUARD) -> OracleReport:
+    """Shortest route through target sets of size at most k+1 under single
+    additions/removals, found by TJ searches.
+
+    Target sets are closed under supersets, so a route can add pads to x up
+    to a size j <= k, jump at size j (an addition, then a removal) to a
+    superset of y and remove down to y: 2j - |x| - |y| steps plus two a
+    jump.  For each j from max(|x|, |y|) while that base is below the best
+    length so far, one ``bfs`` starts from every size-j superset of x (pads
+    in lexicographic order) and ends at the first state containing y.  The
+    guard counts pops summed over sizes j and ``explored`` the states
+    stored; at |x| = |y| = k this is ``tj_decide``'s one search.
+    """
+    xs, ys = frozenset(x), frozenset(y)
+    sizes = range(max(len(xs), len(ys)), min(k, g.n) + 1)
+    xs, ys, start, goal, ok = _check_pair(g, xs, ys, sum(comb(g.n, j) for j in sizes), guard)
     if len(xs) > k or len(ys) > k:
         raise SizeMismatch(f"endpoint sizes {len(xs)}, {len(ys)} exceed k={k}")
-    parents, found = bfs(start, goal, ktar_moves(g.vertices, k), ok, guard)
-    seq = ReconfigSequence(xs, _steps_to(parents, goal), TAR, k=k) if found else None
-    return OracleReport(k=k, reconfigurable=found, shortest=seq, explored=len(parents))
+    moves, free = tj_moves(g.vertices), [1 << v for v in g.vertices if v not in xs]
+    best, explored, popped = None, 0, 0
+    for j in sizes:
+        base = 2 * j - len(xs) - len(ys)
+        if best is not None and base >= len(best):
+            break
+        starts = (start + sum(pad) for pad in itertools.combinations(free, j - len(xs)))
+        parents, found, popped = bfs(starts, goal, moves, ok, guard, popped)
+        explored += len(parents)
+        if found:
+            first, jumps = _steps_to(parents, end := next(reversed(parents)))
+            if best is None or base + 2 * len(jumps) < len(best):
+                best = [Step.add(v) for v in g.vertices if (first ^ start) >> v & 1]
+                best += [st for jump in jumps for st in (Step.add(jump.into), Step.remove(jump.out))]
+                best += [Step.remove(v) for v in g.vertices if (end ^ goal) >> v & 1]
+    seq = None if best is None else ReconfigSequence(xs, tuple(best), TAR, k=k)
+    return OracleReport(k=k, reconfigurable=seq is not None, shortest=seq, explored=explored)
 
 
 def tj_components(

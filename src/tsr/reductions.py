@@ -324,7 +324,7 @@ def hs_tj_decide(hs: HittingSystem, x, y, *, guard: int = DEFAULT_GUARD) -> bool
     family = [sum(1 << u for u in f) for f in hs.family]
     start, goal = (sum(1 << u for u in s) for s in (xs, ys))
     moves = tj_moves(range(1, hs.n + 1))
-    return bfs(start, goal, moves, lambda m, _: all(m & f for f in family), guard)[1]
+    return bfs((start,), goal, moves, lambda m, _: all(m & f for f in family), guard)[1]
 
 
 # -- instance-level equivalence checking --------------------------------------

@@ -411,7 +411,8 @@ print("numpy" in sys.modules)
 def test_oracle_rejects_options_it_would_ignore(capsys, tmp_path, options):
     """``tsr oracle`` options that the query would not use are input errors:
     exit 2, nothing on stdout, no sequence file.  On a threshold-2 C4, {1, 3}
-    reaches {2, 4} within TAR budget 3 but not within 2."""
+    reaches {2, 4} within TAR budget 3 but not within 2, and the emitted
+    route checks."""
     g = tmp_path / "c4.tsr"
     g.write_text(serialize_graph(cycle_with_spacing(4, [0, 0, 0, 0])))
     x, y, seqfile = tmp_path / "x.seed", tmp_path / "y.seed", tmp_path / "route.seq"
@@ -425,4 +426,5 @@ def test_oracle_rejects_options_it_would_ignore(capsys, tmp_path, options):
     pair = ["oracle", str(g), "--from", str(x), "--to", str(y), "--model", "tar"]
     assert run(capsys, *pair, "--k", "2")[:2] == (0, "NO\n")
     assert run(capsys, *pair, "--k", "3", "--emit-sequence", str(seqfile))[:2] == (0, "YES\nshortest length 4\n")
-    assert seqfile.exists()
+    code, out, _ = run(capsys, "check", str(g), "--sequence", str(seqfile))
+    assert (code, out.splitlines()[-1]) == (0, "sequence OK: model=tar length=4")

@@ -1,12 +1,17 @@
 """The oracle's BFS with its removal-only test against the full-closure reference.
 
 ``reference_bfs`` is the search the oracle used to run: every candidate
-state, additions included, goes through a memoized full closure.  The
-library ``bfs`` skips additions and asks ``activation.still_target`` only
-whether the closure of a state reached by a jump or removal of v still
-reaches v, memoized per component of v on disconnected graphs, or reads
-the exact target-set table when that is cheap.  Verdicts, explored counts,
-shortest sequences and guard trips must not change.
+state goes through a memoized full closure.  The library ``bfs`` asks
+``activation.still_target`` only whether the closure of a state reached by
+a jump of v still reaches v, memoized per component of v on disconnected
+graphs, or reads the exact target-set table when that is cheap.  Verdicts,
+explored counts, shortest sequences and guard trips must not change.
+
+``ktar_decide`` runs TJ searches between padded endpoints.  ``reference_ktar``
+is that definition, naively, and must match it exactly; the BFS over
+additions and removals that it replaced, ``reference_pair`` with
+``reference_ktar_moves``, stays the reference for its verdicts and shortest
+lengths.
 
 ``reference_components`` (a ``closure_mask`` per combination, then a BFS
 flood per TJ class) and ``reference_table`` (int16 matmul rounds over all
@@ -48,7 +53,6 @@ from tsr.oracle import (
     bfs,
     enumerate_target_sets,
     ktar_decide,
-    ktar_moves,
     min_target_set_size,
     target_sets_by_size,
     tj_components,
@@ -56,32 +60,39 @@ from tsr.oracle import (
     tj_moves,
 )
 from tsr.graph import PlainGraph, ThresholdGraph, disjoint_union, vc_to_tss
-from tsr.reconfig import TAR, TJ, ReconfigSequence, Step
+from tsr.reconfig import TAR, TJ, ReconfigSequence, Step, tj_to_tar, validate_sequence
 from tsr.reductions import hs_tj_decide
 
 GUARDS = (5, 5_000_000)
 
 
-def reference_bfs(start, goal, moves, ok, guard):
-    """BFS testing every new state with the one-argument ``ok``."""
-    parents = {start: None}
-    if start == goal:
-        return parents, True
-    queue = deque([start])
-    explored = 0
+def reference_bfs(starts, done, moves, ok, guard, popped=0):
+    """BFS from ``starts`` until a state is ``done``, testing every new state
+    with the one-argument ``ok``: the parent map, whether a state was done,
+    and the pops so far (``popped`` of them in earlier searches)."""
+    parents = {}
+    for s in starts:
+        parents[s] = None
+        if done(s):
+            return parents, True, popped
+    queue = deque(parents)
     while queue:
         cur = queue.popleft()
-        explored += 1
-        if explored > guard:
+        popped += 1
+        if popped > guard:
             raise errors.InstanceTooLarge(f"BFS exceeded guard of {guard} states")
         for nxt, out, into in moves(cur):
             if nxt in parents or not ok(nxt):
                 continue
             parents[nxt] = (cur, out, into)
-            if nxt == goal:
-                return parents, True
+            if done(nxt):
+                return parents, True, popped
             queue.append(nxt)
-    return parents, False
+    return parents, False, popped
+
+
+def never(_):
+    return False
 
 
 def reference_tj_moves(universe):
@@ -95,6 +106,24 @@ def reference_tj_moves(universe):
                 base = cur ^ b
                 for into, c in absent:
                     yield base | c, out, into
+
+    return moves
+
+
+def reference_ktar_moves(universe, k):
+    """The k-TAR generator the oracle searched before ``ktar_decide`` ran TJ
+    searches: single additions (while the set has at most k elements), then
+    removals."""
+    bits = [(v, 1 << v) for v in universe]
+
+    def moves(cur: int):
+        if cur.bit_count() <= k:
+            for into, b in bits:
+                if not cur & b:
+                    yield cur | b, 0, into
+        for out, b in bits:
+            if cur & b:
+                yield cur ^ b, out, 0
 
     return moves
 
@@ -114,9 +143,61 @@ def reference_pair(g, x, y, moves, model, k, guard):
     """(verdict, explored, shortest.format()) under the memoized closure test."""
     is_ts = functools.cache(lambda m: closure_mask(g, m) == g.full_mask)
     start, goal = seed_mask(g, x), seed_mask(g, y)
-    parents, found = reference_bfs(start, goal, moves, is_ts, guard)
+    parents, found, _ = reference_bfs([start], goal.__eq__, moves, is_ts, guard)
     seq = ReconfigSequence(frozenset(x), reference_steps(parents, goal), model, k=k) if found else None
     return found, len(parents), seq.format() if seq else None
+
+
+def reference_ktar(g, x, y, k, guard):
+    """``ktar_decide``'s summary by its definition, naively: for each size j
+    from max(|x|, |y|) while 2j - |x| - |y| is below the best length, a BFS
+    under the jump generator that expands every hub and the memoized full
+    closure, from the size-j supersets of x (pads in lexicographic order) to
+    the first superset of y; the route adds the pads, turns each jump into
+    an addition and a removal, and removes down to y.  Pops add up over the
+    searches for the guard, and so do the stored states."""
+    is_ts = functools.cache(lambda m: closure_mask(g, m) == g.full_mask)
+    goal = seed_mask(g, y)
+    best, explored, popped = None, 0, 0
+    for j in range(max(len(x), len(y)), min(k, g.n) + 1):
+        if best is not None and 2 * j - len(x) - len(y) >= len(best):
+            break
+        pads = itertools.combinations(sorted(set(g.vertices) - x), j - len(x))
+        starts = [seed_mask(g, x | set(pad)) for pad in pads]
+        parents, found, popped = reference_bfs(
+            starts, lambda m: m & goal == goal, reference_tj_moves(g.vertices), is_ts, guard, popped
+        )
+        explored += len(parents)
+        if not found:
+            continue
+        end = first = list(parents)[-1]
+        while parents[first] is not None:
+            first = parents[first][0]
+        route = [Step.add(v) for v in g.vertices if (first ^ seed_mask(g, x)) >> v & 1]
+        for st in reference_steps(parents, end):
+            route += [Step.add(st.into), Step.remove(st.out)]
+        route += [Step.remove(v) for v in g.vertices if (end ^ goal) >> v & 1]
+        if best is None or len(route) < len(best):
+            best = route
+    seq = ReconfigSequence(frozenset(x), tuple(best), TAR, k=k) if best is not None else None
+    return best is not None, explored, seq.format() if seq else None
+
+
+def _verdict_length(summary):
+    """(verdict, shortest length) of a summary: a sequence's text has two
+    header lines and one line a step."""
+    return summary[0], summary[2].count("\n") - 2 if summary[2] else None
+
+
+def check_ktar(g, x, y, k, guards):
+    """``ktar_decide`` at each guard against ``reference_ktar``, and its verdict
+    and shortest length against the BFS over ``reference_ktar_moves``."""
+    old = outcome(lambda: reference_pair(g, x, y, reference_ktar_moves(g.vertices, k), TAR, k, DEFAULT_GUARD))
+    for guard in guards:
+        got = _summary(outcome(lambda: ktar_decide(g, x, y, k, guard=guard)))
+        assert got == outcome(lambda: reference_ktar(g, x, y, k, guard)), (g, sorted(x), sorted(y), k, guard)
+        if got != "guard":
+            assert old != "guard" and _verdict_length(got) == _verdict_length(old), (g, sorted(x), sorted(y), k)
 
 
 def reference_table(g):
@@ -149,7 +230,7 @@ def reference_components(g, k):
     index = {seed_mask(g, s): s for s in sets}
     groups = []
     while index:
-        parents, _ = reference_bfs(next(iter(index)), None, tj_moves(g.vertices), index.__contains__, 10**9)
+        parents, _, _ = reference_bfs([next(iter(index))], never, tj_moves(g.vertices), index.__contains__, 10**9)
         groups.append([index.pop(m) for m in parents])
     comps = tuple(
         tuple(sorted(grp, key=sorted))
@@ -210,13 +291,9 @@ def test_pair_queries_match_reference():
                 got = outcome(lambda: tj_decide(g, x, y, guard=guard))
                 want = outcome(lambda: reference_pair(g, x, y, tj_moves(g.vertices), TJ, 0, guard))
                 assert _summary(got) == want, (g, sorted(x), sorted(y), guard)
-                for k in (len(x), len(x) + 1):
-                    got = outcome(lambda: ktar_decide(g, x, y, k, guard=guard))
-                    want = outcome(
-                        lambda: reference_pair(g, x, y, ktar_moves(g.vertices, k), TAR, k, guard)
-                    )
-                    assert _summary(got) == want, (g, sorted(x), sorted(y), k, guard)
-                queries += 3
+            for k in (len(x), len(x) + 1):
+                check_ktar(g, x, y, k, GUARDS)
+            queries += 3 * len(GUARDS)
     assert queries >= 1500
 
 
@@ -245,7 +322,7 @@ def test_hitting_set_queries_match_reference(guard):
         start, goal = (sum(1 << u for u in s) for s in (x, y))
         want = outcome(
             lambda: reference_bfs(
-                start, goal, tj_moves(range(1, n + 1)), lambda m: all(m & f for f in family), guard
+                [start], goal.__eq__, tj_moves(range(1, n + 1)), lambda m: all(m & f for f in family), guard
             )[1]
         )
         assert outcome(lambda: hs_tj_decide(hs, x, y, guard=guard)) == want, (hs, x, y)
@@ -300,11 +377,90 @@ def test_multi_component_pair_queries_match_reference():
             want = outcome(lambda: reference_pair(g, x, y, tj_moves(g.vertices), TJ, 0, guard))
             assert _summary(got) == want, (g, sorted(x), sorted(y), guard)
             no += guard == GUARDS[-1] and not want[0]
-            for k in (len(x), len(x) + 1):
-                got = outcome(lambda: ktar_decide(g, x, y, k, guard=guard))
-                want = outcome(lambda: reference_pair(g, x, y, ktar_moves(g.vertices, k), TAR, k, guard))
-                assert _summary(got) == want, (g, sorted(x), sorted(y), k, guard)
+        for k in (len(x), len(x) + 1):
+            check_ktar(g, x, y, k, GUARDS)
     assert no >= 8
+
+
+def _gate_pairs(seed, count):
+    """Seeded (graph, x, y): random connected graphs, trees, max-degree-2
+    graphs, terrible 4-cycles and disjoint unions of two small parts (n <= 10)
+    in turn.  Odd pairs draw x and y of independent sizes; even pairs one
+    size, the minimum on the terrible cycles and the unions, so those give
+    NO instances."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, kind = rng.randint(3, 8), i % 5
+        if kind == 0:
+            g = random_connected(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        elif kind == 1:
+            g = random_tree(rng, n)
+        elif kind == 2:
+            g = random_maxdeg2(rng, n)
+        elif kind == 3:
+            g = cycle_with_spacing(4, [rng.randint(0, 2) for _ in range(4)])
+        else:
+            parts = [_part(rng), _part(rng)]
+            while parts[0].n + parts[1].n > 10:
+                parts = [_part(rng), _part(rng)]
+            g = disjoint_union(*parts)[0]
+        by_size = target_sets_by_size(g)
+        if i % 2:
+            xm, ym = (rng.choice(by_size[rng.choice(list(by_size))]) for _ in range(2))
+        else:
+            xm, ym = rng.choices(by_size[min(by_size) if kind >= 3 else rng.choice(list(by_size))], k=2)
+        yield g, *(frozenset(v for v in g.vertices if m >> v & 1) for m in (xm, ym))
+
+
+def test_ktar_lengths_match_the_addition_removal_search():
+    """The length gate: on 900 seeded pairs, ``ktar_decide`` at every k from
+    max(|x|, |y|) to that plus 2 and at k = n gives the verdict and shortest
+    length of the BFS over additions and removals it replaced, and every YES
+    is a valid k-TAR route from x to y through sets of at most k + 1 (3,046
+    queries, 72 NO, 1,137 with |x| != |y|)."""
+    queries = no = uneven = 0
+    for g, x, y in _gate_pairs(65537, 900):
+        lo = max(len(x), len(y))
+        for k in sorted({lo, lo + 1, lo + 2, g.n}):
+            got = ktar_decide(g, x, y, k)
+            old = reference_pair(g, x, y, reference_ktar_moves(g.vertices, k), TAR, k, DEFAULT_GUARD)
+            assert _verdict_length(_summary(got)) == _verdict_length(old), (g, sorted(x), sorted(y), k)
+            seq = got.shortest
+            if got.reconfigurable:
+                assert (seq.model, seq.k, seq.start, seq.end) == (TAR, k, x, y), (g, sorted(x), sorted(y), k)
+                assert validate_sequence(g, seq).ok and max(map(len, seq.sets())) <= k + 1
+            queries += 1
+            no += not got.reconfigurable
+            uneven += len(x) != len(y)
+    assert queries >= 1500 and no >= 50 and uneven >= 300, (queries, no, uneven)
+
+
+def test_ktar_at_k_is_the_tj_search(monkeypatch):
+    """At k = |x| = |y|, ``ktar_decide`` is ``tj_decide``'s one search: the
+    route is ``tj_to_tar`` of the TJ route, with the same stored states, the
+    same ``still_target`` calls and the same guard trips at guards 3, 40 and
+    the default, on the seeded searches of the hub test (52 trips measured,
+    and 268 searches that called ``still_target``)."""
+    calls = []
+    real = oracle.still_target
+    monkeypatch.setattr(oracle, "still_target", lambda *a: calls.append(a) or real(*a))
+    trips = tested = 0
+    for g, x, y in _searches(4096, 240):
+        for guard in (3, 40, DEFAULT_GUARD):
+            calls.clear()
+            tj = outcome(lambda: tj_decide(g, x, y, guard=guard))
+            tj_calls = len(calls)
+            calls.clear()
+            tar = outcome(lambda: ktar_decide(g, x, y, len(x), guard=guard))
+            assert len(calls) == tj_calls, (g, sorted(x), sorted(y), guard)
+            assert (tar == "guard") == (tj == "guard"), (g, sorted(x), sorted(y), guard)
+            if tj == "guard":
+                trips += 1
+                continue
+            assert (tar.reconfigurable, tar.explored) == (tj.reconfigurable, tj.explored), (g, sorted(x), sorted(y))
+            assert tar.shortest == (tj_to_tar(tj.shortest) if tj.reconfigurable else None)
+            tested += tj_calls > 0
+    assert trips >= 40 and tested >= 200, (trips, tested)
 
 
 def _terrible_beside_paths(paths):
@@ -338,15 +494,16 @@ def test_removal_tests_are_memoized_per_component(monkeypatch):
     for g, x, y in (_terrible_beside_paths(0), _terrible_beside_paths(1)):
         _, _, start, goal, ok = _check_pair(g, x, y)
         calls.clear()
-        bfs(start, goal, tj_moves(g.vertices), ok, DEFAULT_GUARD)
+        bfs((start,), goal, tj_moves(g.vertices), ok, DEFAULT_GUARD)
         memo = inspect.getclosurevars(ok).nonlocals["memo"]
         assert calls and (len(memo) == 0) == (len(g.components()) == 1)
 
 
-def _table_allowed(g, x, k, model, guard):
+def _table_allowed(g, x, y, k, model, guard):
     """The table rule: 2^n within the guard and within ``_ROWS_PER_TEST`` times
-    the most states the search can test, capped per component by the memo."""
-    sizes = [len(x)] if model == TJ else range(min(k, g.n) + 1)
+    the most states the searches can test, one size each, capped per
+    component by the memo."""
+    sizes = [len(x)] if model == TJ else range(max(len(x), len(y)), min(k, g.n) + 1)
     tests = sum(math.comb(g.n, i) for i in sizes)
     tests = min(tests, sum(len(c) << len(c) for c in g.components()))
     return (1 << g.n) <= min(guard, oracle._ROWS_PER_TEST * tests)
@@ -377,13 +534,11 @@ def test_pair_queries_switch_between_table_and_removal_test(monkeypatch):
                 calls.clear()
                 if model == TJ:
                     got = outcome(lambda: tj_decide(g, x, y, guard=guard))
-                    moves = tj_moves(g.vertices)
+                    want = outcome(lambda: reference_pair(g, x, y, tj_moves(g.vertices), TJ, 0, guard))
+                    assert _summary(got) == want, (g, x, y, guard)
                 else:
-                    got = outcome(lambda: ktar_decide(g, x, y, k, guard=guard))
-                    moves = ktar_moves(g.vertices, k)
-                want = outcome(lambda: reference_pair(g, x, y, moves, model, k, guard))
-                assert _summary(got) == want, (g, x, y, model, k, guard)
-                if _table_allowed(g, x, k, model, guard) and x != y:
+                    check_ktar(g, x, y, k, [guard])
+                if _table_allowed(g, x, y, k, model, guard) and x != y:
                     assert builds in ([], [g.n]) and not calls, (g, x, y, model, k, guard)
                 else:
                     assert not builds, (g, x, y, model, k, guard)
@@ -406,7 +561,7 @@ def test_pair_queries_switch_between_table_and_removal_test(monkeypatch):
     # with no test count, as three arguments give, the removal test runs
     _, _, start, goal, ok = _check_pair(g, x, y)
     calls.clear()
-    bfs(start, goal, tj_moves(g.vertices), ok, DEFAULT_GUARD)
+    bfs((start,), goal, tj_moves(g.vertices), ok, DEFAULT_GUARD)
     assert calls and not builds
 
 
@@ -540,7 +695,9 @@ def _flood_components(sets):
     universe = sorted(set().union(*sets)) if sets else []
     groups = []
     while index:
-        parents, _ = reference_bfs(next(iter(index)), None, reference_tj_moves(universe), index.__contains__, 10**9)
+        parents, _, _ = reference_bfs(
+            [next(iter(index))], never, reference_tj_moves(universe), index.__contains__, 10**9
+        )
         groups.append([index.pop(m) for m in parents])
     return tuple(
         tuple(sorted(grp, key=sorted))
@@ -573,18 +730,19 @@ def test_bit_sliced_closure_matches_numpy_reference():
 
 
 def _pinned_lines():
-    """The outputs the digest below pins: every table, enumeration, size table
-    and component partition of ``_exact_graphs`` and of the C60, then TJ and
-    k-TAR reports (verdict, explored, shortest) on seeded pairs, at a guard of
-    40 and the default, with guard trips as "guard"."""
+    """The outputs the digests below pin, each tagged with its digest: every
+    table, enumeration, size table and component partition of
+    ``_exact_graphs`` and of the C60, then TJ ("exact") and k-TAR ("ktar")
+    reports (verdict, explored, shortest) on seeded pairs, at a guard of 40
+    and the default, with guard trips as "guard"."""
     rng = random.Random(1009)
     c60 = cycle_with_spacing(0, [60])
     for g in _exact_graphs():
-        yield repr(all_target_set_masks(g))
-        yield repr(sorted(target_sets_by_size(g).items()))
+        yield "exact", repr(all_target_set_masks(g))
+        yield "exact", repr(sorted(target_sets_by_size(g).items()))
         for k in range(g.n + 1):
-            yield repr([sorted(s) for s in enumerate_target_sets(g, k)])
-            yield repr([[sorted(s) for s in c] for c in tj_components(g, k).components])
+            yield "exact", repr([sorted(s) for s in enumerate_target_sets(g, k)])
+            yield "exact", repr([[sorted(s) for s in c] for c in tj_components(g, k).components])
         by_size = target_sets_by_size(g)
         for k, masks in by_size.items():
             if len(masks) < 2:
@@ -592,27 +750,31 @@ def _pinned_lines():
             xm, ym = rng.sample(masks, 2)
             x, y = (frozenset(v for v in g.vertices if m >> v & 1) for m in (xm, ym))
             for guard in (40, DEFAULT_GUARD):
-                for decide in (
-                    lambda: tj_decide(g, x, y, guard=guard),
-                    lambda: ktar_decide(g, x, y, k, guard=guard),
-                    lambda: ktar_decide(g, x, y, k + 1, guard=guard),
+                for name, decide in (
+                    ("exact", lambda: tj_decide(g, x, y, guard=guard)),
+                    ("ktar", lambda: ktar_decide(g, x, y, k, guard=guard)),
+                    ("ktar", lambda: ktar_decide(g, x, y, k + 1, guard=guard)),
                 ):
-                    yield repr(_summary(outcome(decide)))
+                    yield name, repr(_summary(outcome(decide)))
     for k in (2, 3):
-        yield repr([sorted(s) for s in enumerate_target_sets(c60, k, cap=60)])
-        yield repr([[sorted(s) for s in c] for c in tj_components(c60, k, cap=60).components])
+        yield "exact", repr([sorted(s) for s in enumerate_target_sets(c60, k, cap=60)])
+        yield "exact", repr([[sorted(s) for s in c] for c in tj_components(c60, k, cap=60).components])
 
 
-# sha256 of ``_pinned_lines``, computed with the numpy core and the jump
-# generator that expanded every hub
-EXACT_DIGEST = "2d0a559b3d2c71797da4f1da567e9d915f9cc2de9482dbe19b404e4e67c34ec8"
+# sha256 of the "exact" lines of ``_pinned_lines``, computed with the numpy
+# core and the jump generator that expanded every hub (all lines together
+# hashed to 2d0a559b... then), and of the "ktar" lines, computed when
+# ``ktar_decide`` became TJ searches between padded endpoints, which
+# ``reference_ktar`` checks
+EXACT_DIGEST = "f0ea402eb1e5de971961afd8f54858d722b00a4f6b32490400910fdcd2fde0bd"
+KTAR_DIGEST = "93f47042f4ce378c1a453d37e15e6ffbe54f2f5db43a9372b3c5c3996386de8c"
 
 
 def test_exact_outputs_match_pinned_digest():
-    h = hashlib.sha256()
-    for line in _pinned_lines():
-        h.update(line.encode() + b"\n")
-    assert h.hexdigest() == EXACT_DIGEST
+    h = {"exact": hashlib.sha256(), "ktar": hashlib.sha256()}
+    for name, line in _pinned_lines():
+        h[name].update(line.encode() + b"\n")
+    assert (h["exact"].hexdigest(), h["ktar"].hexdigest()) == (EXACT_DIGEST, KTAR_DIGEST)
 
 
 def _searches(seed, count):
@@ -643,8 +805,8 @@ def test_hub_expansion_keeps_parents_and_order():
         for tests in (0, DEFAULT_GUARD):  # removal test, then the table where it fits
             _, _, start, goal, ok = _check_pair(g, x, y, tests)
             for guard in (3, 40, 10**9):
-                want = outcome(lambda: bfs(start, goal, lambda cur, _: reference_tj_moves(g.vertices)(cur), ok, guard))
-                got = outcome(lambda: bfs(start, goal, tj_moves(g.vertices), ok, guard))
+                want = outcome(lambda: bfs((start,), goal, lambda cur, _: reference_tj_moves(g.vertices)(cur), ok, guard))
+                got = outcome(lambda: bfs((start,), goal, tj_moves(g.vertices), ok, guard))
                 if want == "guard":
                     trips += 1
                     assert got == "guard", (g, x, y, guard)
