@@ -16,7 +16,8 @@ to them (see ``_check_pair``), else by the local removal test
 ``activation.still_target``, memoized per component.  Everything here is
 desk-scale: enumeration checks its cap and guard before it allocates
 anything, and a pair query aborts once its pops, summed over sizes j for
-k-TAR, exceed a configurable guard.
+k-TAR and with each start charged as it is stored, exceed a configurable
+guard.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .activation import closure_mask, seed_mask, still_target
 from .errors import InstanceTooLarge, InvariantViolated, NotATargetSet, SizeMismatch
 from .graph import ThresholdGraph
-from .reconfig import TAR, TJ, ReconfigSequence, Step
+from .reconfig import TAR, TJ, ReconfigSequence, Step, tj_to_tar
 
 DEFAULT_GUARD = 5_000_000
 DEFAULT_CAP = 20
@@ -46,7 +47,7 @@ class OracleReport:
     queries; pair queries explore lazily and leave them None.  ``explored``
     counts the target sets enumerated, or the states a pair query's
     searches stored, summed over sizes j for k-TAR; the guard counts pops
-    summed over sizes j instead, which are never more.
+    summed over sizes j instead, with each start charged as it is stored.
     """
 
     k: int
@@ -58,11 +59,7 @@ class OracleReport:
 
 
 def enumerate_target_sets(
-    g: ThresholdGraph,
-    k: int,
-    *,
-    guard: int = DEFAULT_GUARD,
-    cap: int = DEFAULT_CAP,
+    g: ThresholdGraph, k: int, *, guard: int = DEFAULT_GUARD, cap: int = DEFAULT_CAP
 ) -> list[frozenset[int]]:
     """All size-k target sets in lexicographic order of their sorted id lists.
 
@@ -280,13 +277,17 @@ def bfs(starts: Iterable[int], goal: int, moves: Moves, ok: Callable[[int, int],
     ``next`` reaches ``out``; a rejected state is not tested again, so every
     state is tested at most once (see ``_check_pair``).  Raises
     InstanceTooLarge once ``popped``, the pops of earlier searches, plus this
-    search's pops exceed ``guard``.
+    search's pops exceed ``guard``; each start is charged its pop as it is
+    stored, so a search with more starts than that stores at most ``guard``
+    + 1 of them.
     """
     parents: dict[int, tuple[int, int, int] | None] = {}
     for s in starts:
         parents[s] = None
         if s & goal == goal:
             return parents, True, popped
+        if popped + len(parents) > guard:
+            raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
     rejected: set[int] = set()
     hubs: set[int] = set()
     queue = deque(parents)
@@ -340,11 +341,18 @@ def ktar_decide(g: ThresholdGraph, x, y, k: int, *, guard: int = DEFAULT_GUARD) 
     Target sets are closed under supersets, so a route can add pads to x up
     to a size j <= k, jump at size j (an addition, then a removal) to a
     superset of y and remove down to y: 2j - |x| - |y| steps plus two a
-    jump.  For each j from max(|x|, |y|) while that base is below the best
-    length so far, one ``bfs`` starts from every size-j superset of x (pads
-    in lexicographic order) and ends at the first state containing y.  The
-    guard counts pops summed over sizes j and ``explored`` the states
-    stored; at |x| = |y| = k this is ``tj_decide``'s one search.
+    jump.  A shortest route has this form: follow any route keeping a
+    superset C of its set, adding what C lacks and, once |C| = k+1,
+    removing an element the route dropped (its next step is a removal if
+    none is yet), then remove C minus y.  Each C is a target set, its
+    additions are the route's and its removals match distinct earlier ones
+    of the route, so C's route is no longer, with j = k if |C| reaches k+1,
+    else the largest |C|.  For each j from max(|x|, |y|) while 2j - |x| -
+    |y| is below the best length so far, one ``bfs`` starts from every
+    size-j superset of x (pads in lexicographic order) and ends at the
+    first state containing y.  The guard counts pops summed over sizes j,
+    each start charged as it is stored, and ``explored`` the states stored;
+    at |x| = |y| = k this is ``tj_decide``'s one search.
     """
     xs, ys = frozenset(x), frozenset(y)
     sizes = range(max(len(xs), len(ys)), min(k, g.n) + 1)
@@ -363,19 +371,16 @@ def ktar_decide(g: ThresholdGraph, x, y, k: int, *, guard: int = DEFAULT_GUARD) 
         if found:
             first, jumps = _steps_to(parents, end := next(reversed(parents)))
             if best is None or base + 2 * len(jumps) < len(best):
-                best = [Step.add(v) for v in g.vertices if (first ^ start) >> v & 1]
-                best += [st for jump in jumps for st in (Step.add(jump.into), Step.remove(jump.out))]
+                pads = [v for v in g.vertices if (first ^ start) >> v & 1]
+                best = [Step.add(v) for v in pads]
+                best += tj_to_tar(ReconfigSequence(xs.union(pads), jumps, TJ)).steps
                 best += [Step.remove(v) for v in g.vertices if (end ^ goal) >> v & 1]
     seq = None if best is None else ReconfigSequence(xs, tuple(best), TAR, k=k)
     return OracleReport(k=k, reconfigurable=seq is not None, shortest=seq, explored=explored)
 
 
 def tj_components(
-    g: ThresholdGraph,
-    k: int,
-    *,
-    guard: int = DEFAULT_GUARD,
-    cap: int = DEFAULT_CAP,
+    g: ThresholdGraph, k: int, *, guard: int = DEFAULT_GUARD, cap: int = DEFAULT_CAP
 ) -> OracleReport:
     """Full partition of the size-k target sets into TJ-connected classes."""
     sets = enumerate_target_sets(g, k, guard=guard, cap=cap)
@@ -400,9 +405,4 @@ def tj_components(
     for i, s in enumerate(sets):
         groups.setdefault(find(i), []).append(s)
     comps = tuple(map(tuple, groups.values()))
-    return OracleReport(
-        k=k,
-        num_target_sets=len(sets),
-        components=comps,
-        explored=len(sets),
-    )
+    return OracleReport(k=k, num_target_sets=len(sets), components=comps, explored=len(sets))

@@ -5,8 +5,8 @@ import tracemalloc
 
 import pytest
 
-from tsr import errors
-from tsr.generators import cycle_with_spacing, random_connected
+from tsr import errors, oracle
+from tsr.generators import cycle_with_spacing, path_with_spacing, random_connected
 from tsr.graph import ThresholdGraph
 from tsr.oracle import (
     all_target_set_masks,
@@ -160,6 +160,18 @@ def test_guards():
         ktar_decide(g, {1, 2, 3}, {4, 5, 6}, 3, guard=3)
     with pytest.raises(errors.InstanceTooLarge):
         hs_tj_decide(HittingSystem.build(6, [range(1, 7)], 2), {1, 2}, {5, 6}, guard=1)
+
+
+def test_ktar_guard_charges_stored_starts(monkeypatch):
+    """A k-TAR search whose padded starts outnumber the guard trips after
+    storing guard + 1 of them: on a threshold-1 path of 24 vertices, x = {1}
+    has C(23, 8) = 490,314 supersets of size 9."""
+    drawn = []
+    real = oracle.bfs
+    monkeypatch.setattr(oracle, "bfs", lambda starts, *a: real((drawn.append(s) or s for s in starts), *a))
+    with pytest.raises(errors.InstanceTooLarge, match="guard of 1000 states"):
+        ktar_decide(path_with_spacing(0, [24]), {1}, set(range(16, 25)), 9, guard=1000)
+    assert len(drawn) == 1001
 
 
 def test_fig1_outputs_pinned(fig1):

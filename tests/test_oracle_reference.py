@@ -69,12 +69,15 @@ GUARDS = (5, 5_000_000)
 def reference_bfs(starts, done, moves, ok, guard, popped=0):
     """BFS from ``starts`` until a state is ``done``, testing every new state
     with the one-argument ``ok``: the parent map, whether a state was done,
-    and the pops so far (``popped`` of them in earlier searches)."""
+    and the pops so far (``popped`` of them in earlier searches).  Each
+    start counts as a pop when it is stored."""
     parents = {}
     for s in starts:
         parents[s] = None
         if done(s):
             return parents, True, popped
+        if popped + len(parents) > guard:
+            raise errors.InstanceTooLarge(f"BFS exceeded guard of {guard} states")
     queue = deque(parents)
     while queue:
         cur = queue.popleft()
@@ -155,7 +158,8 @@ def reference_ktar(g, x, y, k, guard):
     closure, from the size-j supersets of x (pads in lexicographic order) to
     the first superset of y; the route adds the pads, turns each jump into
     an addition and a removal, and removes down to y.  Pops add up over the
-    searches for the guard, and so do the stored states."""
+    searches for the guard, each start charged as it is stored, and so do
+    the stored states."""
     is_ts = functools.cache(lambda m: closure_mask(g, m) == g.full_mask)
     goal = seed_mask(g, y)
     best, explored, popped = None, 0, 0
