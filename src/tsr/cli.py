@@ -78,7 +78,7 @@ def _cmd_activate(args) -> int:
     g = _load_graph(args.graph)
     seed = parse_seed_set(_read(args.seed), g)
     trace = activate(g, seed)
-    sys.stdout.write(trace.format())
+    sys.stdout.writelines(trace.lines())  # streamed: the whole trace is never one string
     print("target set" if trace.final == frozenset(g.vertices) else "not a target set")
     return OK
 

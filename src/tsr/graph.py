@@ -54,28 +54,21 @@ class ThresholdGraph:
         if len(tau) != n:
             raise MalformedLine(f"expected {n} thresholds, got {len(tau)}")
         nbrs: list[set[int]] = [set() for _ in range(n + 1)]
-        seen: set[Edge] = set()
         for u, v in edges:
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise IdGap(f"edge ({u},{v}) out of range 1..{n}")
-            e = _norm_edge(u, v)
-            if e in seen:
-                raise DuplicateEdge(f"duplicate edge {e}")
-            seen.add(e)
-            nbrs[u].add(v)
+            nu = nbrs[u]
+            if v in nu:
+                raise DuplicateEdge(f"duplicate edge {_norm_edge(u, v)}")
+            nu.add(v)
             nbrs[v].add(u)
-        adj = tuple(tuple(sorted(nbrs[v])) for v in range(n + 1))
-        full_tau = (0,) + tuple(tau)
-        for v in range(1, n + 1):
-            d = len(adj[v])
-            t = full_tau[v]
-            if not (1 <= t <= d):
-                raise ThresholdOutOfRange(
-                    f"vertex {v}: tau={t} not in [1, d={d}]"
-                )
-        return ThresholdGraph(n=n, adj=adj, tau=full_tau)
+        adj = tuple([tuple(sorted(s)) for s in nbrs])
+        for v, t in enumerate(tau, start=1):
+            if not 1 <= t <= len(adj[v]):
+                raise ThresholdOutOfRange(f"vertex {v}: tau={t} not in [1, d={len(adj[v])}]")
+        return ThresholdGraph(n=n, adj=adj, tau=(0, *tau))
 
     # -- derived views ------------------------------------------------
 
@@ -270,9 +263,8 @@ def fvs_to_tss(g: PlainGraph) -> ThresholdGraph:
 
 def records(text: str) -> Iterator[tuple[int, list[str]]]:
     """``(lineno, fields)`` for every line that is neither blank nor a ``#`` comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if parts and not parts[0].startswith("#"):
+    for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+        if parts and parts[0][0] != "#":
             yield lineno, parts
 
 
@@ -283,12 +275,13 @@ def parse_graph(text: str) -> ThresholdGraph:
     for lineno, parts in records(text):
         kind = parts[0]
         try:
-            if kind == "p":
-                if header is not None:
-                    raise MalformedLine(f"line {lineno}: duplicate header")
-                if len(parts) != 4 or parts[1] != "tsr":
-                    raise MalformedLine(f"line {lineno}: expected 'p tsr <n> <m>'")
-                header = (int(parts[2]), int(parts[3]))
+            # the m edge and n vertex lines first; the one header line last
+            if kind == "e":
+                if header is None:
+                    raise MalformedLine(f"line {lineno}: 'e' before header")
+                if len(parts) != 3:
+                    raise MalformedLine(f"line {lineno}: expected 'e <u> <v>'")
+                edges.append((int(parts[1]), int(parts[2])))
             elif kind == "v":
                 if header is None:
                     raise MalformedLine(f"line {lineno}: 'v' before header")
@@ -298,12 +291,12 @@ def parse_graph(text: str) -> ThresholdGraph:
                 if vid in tau:
                     raise MalformedLine(f"line {lineno}: duplicate vertex {vid}")
                 tau[vid] = t
-            elif kind == "e":
-                if header is None:
-                    raise MalformedLine(f"line {lineno}: 'e' before header")
-                if len(parts) != 3:
-                    raise MalformedLine(f"line {lineno}: expected 'e <u> <v>'")
-                edges.append((int(parts[1]), int(parts[2])))
+            elif kind == "p":
+                if header is not None:
+                    raise MalformedLine(f"line {lineno}: duplicate header")
+                if len(parts) != 4 or parts[1] != "tsr":
+                    raise MalformedLine(f"line {lineno}: expected 'p tsr <n> <m>'")
+                header = (int(parts[2]), int(parts[3]))
             else:
                 raise MalformedLine(f"line {lineno}: unknown line kind {kind!r}")
         except ValueError as exc:
@@ -329,21 +322,31 @@ def serialize_graph(g: ThresholdGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def seed_ids(lineno: int, parts: list[str]) -> frozenset[int]:
+    """The ids of an ``s <id> ...`` record, each at most once (a non-int raises ValueError)."""
+    ids: set[int] = set()
+    for p in parts[1:]:
+        v = int(p)
+        if v in ids:
+            raise MalformedLine(f"line {lineno}: repeated id {v}")
+        ids.add(v)
+    return frozenset(ids)
+
+
 def parse_seed_set(text: str, g: ThresholdGraph | None = None) -> frozenset[int]:
     """Parse a one-line seed file ``s <id> <id> ...``."""
-    ids: list[int] = []
+    seed: frozenset[int] = frozenset()
     seen_s = False
     for lineno, parts in records(text):
         if parts[0] != "s" or seen_s:
             raise MalformedLine(f"line {lineno}: expected a single 's <ids...>' line")
         seen_s = True
         try:
-            ids = [int(p) for p in parts[1:]]
+            seed = seed_ids(lineno, parts)
         except ValueError as exc:
             raise MalformedLine(f"line {lineno}: {exc}") from exc
     if not seen_s:
         raise MalformedLine("missing 's' line")
-    seed = frozenset(ids)
     if g is not None:
         g.check_seed(seed)
     return seed

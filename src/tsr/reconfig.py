@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 from .activation import closure_mask, seed_mask, still_target
 from .errors import EndpointSizeMismatch, InvalidInput, MalformedLine
-from .graph import ThresholdGraph, records
+from .graph import ThresholdGraph, records, seed_ids
 
 TJ = "tj"
 TAR = "tar"
@@ -323,7 +323,7 @@ def parse_sequence(text: str) -> ReconfigSequence:
             elif parts[0] == "s":
                 if model is None or start is not None:
                     raise MalformedLine(f"line {lineno}: 's' line misplaced")
-                start = frozenset(int(p) for p in parts[1:])
+                start = seed_ids(lineno, parts)
             elif parts[0] == "j":
                 if len(parts) != 3:
                     raise MalformedLine(f"line {lineno}: expected 'j <out> <in>'")

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from tsr.activation import (
+    _INSERT_MAX,
     activate,
     certify_orientation,
     closure_mask,
@@ -28,7 +29,7 @@ from tsr.generators import (
     random_maxdeg2,
     random_tree,
 )
-from tsr.graph import disjoint_union
+from tsr.graph import ThresholdGraph, disjoint_union
 
 
 def reference_activate(g, seed):
@@ -102,6 +103,31 @@ def test_matches_reference():
             targets += len(rounds[-1]) == g.n
     assert checked == 6 * 368
     assert 0 < targets < checked  # both target sets and non-target sets were seeded
+
+
+def _star(leaves):
+    return ThresholdGraph.build(leaves + 1, [(1, v) for v in range(2, leaves + 2)], [1] * (leaves + 1))
+
+
+@pytest.mark.parametrize(
+    "g,seed,merges",
+    [
+        (_star(200), {1}, True),  # one layer of 200 leaves, merged in at once
+        (cycle_with_spacing(0, [301]), {1}, False),  # ids 1 + t and 302 - t inserted
+        (cycle_with_spacing(0, [300]), {1}, False),  # the last round adds one id
+        (path_with_spacing(0, [257]), {129}, False),  # ids inserted at the front and the end
+        (disjoint_union(_star(80), path_with_spacing(0, [9]))[0], {1, 82}, True),  # both branches
+    ],
+    ids=["star200-hub", "t1cycle301", "t1cycle300", "path257-middle", "star-beside-path"],
+)
+def test_format_branches_match_reference(g, seed, merges):
+    """Each branch of ``ActivationTrace.lines``, bisect insertion and merge, byte for byte."""
+    rounds, _ = reference_activate(g, seed)
+    trace = activate(g, seed)
+    assert any(len(layer) > _INSERT_MAX for layer in trace.layers) == merges
+    assert trace.format() == reference_format(rounds)
+    assert "".join(trace.lines()) == trace.format()
+    assert len(rounds) > 1 and rounds[-1] == frozenset(g.vertices)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from tsr.cli import main
-from tsr.generators import cycle_with_spacing
+from tsr.generators import cycle_with_spacing, path_with_spacing
 from tsr.graph import parse_graph, parse_seed_set, serialize_graph
 from tsr.reconfig import parse_sequence, validate_sequence
 
@@ -32,6 +33,15 @@ def test_check_graph_and_seed(capsys):
     assert code == 0
     assert "graph OK: n=10 m=9" in out
     assert "target set" in out
+
+
+def test_check_rejects_repeated_seed_ids(tmp_path, capsys):
+    seed = tmp_path / "twice.seed"
+    seed.write_text("s 1 1\n")
+    code, out, err = run(capsys, "check", FIG1, "--seed", str(seed))
+    assert code == 2
+    assert err == "error: line 1: repeated id 1\n"
+    assert "seed OK" not in out
 
 
 def test_check_rejects_malformed(tmp_path, capsys):
@@ -59,6 +69,63 @@ def test_activate_trace(capsys, tmp_path):
     assert lines[0] == "round 0: 2 9 13"
     assert len([l for l in lines if l.startswith("round")]) == 8
     assert lines[-1] == "target set"
+
+
+class _Digest:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        pass
+
+
+def test_activate_streams_a_long_cascade(tmp_path, monkeypatch):
+    """A threshold-1 P4000 from vertex 1 prints 36 MB, one line a round, and
+    the process never holds it whole: it peaks under 60 MB."""
+    n = 4000
+    graph_file, seed = tmp_path / "p4000.tsr", tmp_path / "one.seed"
+    graph_file.write_text(serialize_graph(path_with_spacing(0, [n])))
+    seed.write_text("s 1\n")
+    argv = ["activate", str(graph_file), "--seed", str(seed)]
+    script = (
+        "import resource, sys\n"
+        "from tsr.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    )
+    # a process's ru_maxrss counts the memory of the process it was forked
+    # from, so the measured one is started by a small launcher, not by pytest
+    launcher = (
+        "import subprocess, sys\n"
+        "subprocess.run([sys.executable, '-c', sys.argv[1]], stdout=subprocess.DEVNULL, timeout=60)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, script], env=env, capture_output=True, text=True, timeout=90
+    )
+    code, max_rss_kb = map(int, proc.stderr.split())  # ru_maxrss is in KB on Linux
+    assert code == 0
+    assert max_rss_kb < 60 * 1024
+
+    out = _Digest()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    want, ids = hashlib.sha256(), []
+    for t in range(n):
+        ids.append(str(t + 1))
+        want.update(f"round {t}: {' '.join(ids)}\n".encode())
+    want.update(b"target set\n")
+    assert out.sha.hexdigest() == want.hexdigest()
 
 
 def test_solve_min_tree(capsys):

@@ -143,6 +143,22 @@ def test_tar_to_tj_only_in_the_join():
     assert callers == ["solvers._joined"]
 
 
+def test_records_is_the_one_line_tokenizer():
+    """Every file format is read through ``graph.records``: it is the one
+    function in ``src/tsr`` that calls ``.splitlines()``, so no parser forks a
+    tokenizer of its own."""
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        fns = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "splitlines":
+                # ast.walk is breadth-first, so the last enclosing function is the innermost
+                inner = [fn.name for fn in fns if fn.lineno <= node.lineno <= fn.end_lineno]
+                callers.append(f"{path.stem}.{inner[-1] if inner else '<module>'}")
+    assert callers == ["graph.records"]
+
+
 def test_one_solver_behind_the_named_solvers():
     """``solvers.solve`` is the one caller of the join ``_joined``, and each named
     solver calls it, so the three stay thin entry points."""

@@ -56,6 +56,63 @@ def test_parse_rejects(text, exc):
         parse_graph(text)
 
 
+HEAD2 = "p tsr 2 1\nv 1 1\nv 2 1\n"
+BAD_INT = "invalid literal for int() with base 10: "
+
+
+@pytest.mark.parametrize(
+    "text,exc,message",
+    [
+        ("p tsr 2\nv 1 1\n", errors.MalformedLine, "line 1: expected 'p tsr <n> <m>'"),
+        ("p tsr 2 1\np tsr 2 1\n", errors.MalformedLine, "line 2: duplicate header"),
+        ("v 1 1\n", errors.MalformedLine, "line 1: 'v' before header"),
+        ("e 1 2\n", errors.MalformedLine, "line 1: 'e' before header"),
+        ("p tsr 2 1\nv 1 1\nv 2 1 7\ne 1 2\n", errors.MalformedLine, "line 3: expected 'v <id> <tau>'"),
+        (HEAD2 + "e 1\n", errors.MalformedLine, "line 4: expected 'e <u> <v>'"),
+        (HEAD2 + "e 1 2\nx 1\n", errors.MalformedLine, "line 5: unknown line kind 'x'"),
+        ("p tsr 2 1\nv 1 1\nv 1 1\ne 1 2\n", errors.MalformedLine, "line 3: duplicate vertex 1"),
+        ("p tsr two 1\n", errors.MalformedLine, f"line 1: {BAD_INT}'two'"),
+        ("p tsr 2 1\nv 1 one\nv 2 1\ne 1 2\n", errors.MalformedLine, f"line 2: {BAD_INT}'one'"),
+        (HEAD2 + "e 1 x\n", errors.MalformedLine, f"line 4: {BAD_INT}'x'"),
+        ("p tsr 0 0\n", errors.MalformedLine, "vertex count must be positive, got 0"),
+        ("p tsr 2 1\nv 1 1\n", errors.MalformedLine, "expected 2 vertex lines, got 1"),
+        ("p tsr 2 1\nv 1 1\nv 3 1\ne 1 2\n", errors.IdGap, "vertex ids are not dense 1..2: [1, 3]"),
+        (HEAD2, errors.MalformedLine, "expected 1 edge lines, got 0"),
+        (HEAD2 + "e 1 1\n", errors.SelfLoop, "self-loop at vertex 1"),
+        (HEAD2 + "e 1 5\n", errors.IdGap, "edge (1,5) out of range 1..2"),
+        ("p tsr 2 2\nv 1 1\nv 2 1\ne 1 2\ne 2 1\n", errors.DuplicateEdge, "duplicate edge (1, 2)"),
+        ("p tsr 2 1\nv 1 1\nv 2 3\ne 1 2\n", errors.ThresholdOutOfRange, "vertex 2: tau=3 not in [1, d=1]"),
+        ("p tsr 2 1\nv 1 0\nv 2 1\ne 1 2\n", errors.ThresholdOutOfRange, "vertex 1: tau=0 not in [1, d=1]"),
+        # two faults each: the first in input order is the one reported
+        ("p tsr 3 3\nv 1 1\nv 2 1\nv 3 1\ne 2 1\ne 1 2\ne 3 3\n", errors.DuplicateEdge, "duplicate edge (1, 2)"),
+        ("p tsr 2 1\nv 1 1\nv 1 x\ne 1 2\n", errors.MalformedLine, f"line 3: {BAD_INT}'x'"),
+    ],
+)
+def test_parse_error_messages(text, exc, message):
+    """The exact message of every parse and build fault."""
+    with pytest.raises(exc) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "n,edges,tau,exc,message",
+    [
+        (-1, [], [], errors.MalformedLine, "negative vertex count -1"),
+        (2, [(1, 2)], [1], errors.MalformedLine, "expected 2 thresholds, got 1"),
+        (3, [(1, 2), (3, 3)], [1, 1, 1], errors.SelfLoop, "self-loop at vertex 3"),
+        (3, [(2, 4), (1, 1)], [1, 1, 1], errors.IdGap, "edge (2,4) out of range 1..3"),
+        (3, [(2, 1), (1, 2), (1, 1)], [1, 1, 1], errors.DuplicateEdge, "duplicate edge (1, 2)"),
+        (3, [(3, 2), (2, 3)], [1, 1, 1], errors.DuplicateEdge, "duplicate edge (2, 3)"),
+        (3, [(1, 2)], [1, 1, 1], errors.ThresholdOutOfRange, "vertex 3: tau=1 not in [1, d=0]"),
+    ],
+)
+def test_build_error_messages(n, edges, tau, exc, message):
+    with pytest.raises(exc) as info:
+        ThresholdGraph.build(n, edges, tau)
+    assert str(info.value) == message
+
+
 def test_isolated_vertex_rejected():
     # tau <= d forces every vertex to have a neighbor
     with pytest.raises(errors.ThresholdOutOfRange):
@@ -187,6 +244,20 @@ def test_seed_set_roundtrip(fig1):
     assert serialize_seed_set(s) == "s 1 3 6\n"
     with pytest.raises(errors.UnknownVertex):
         parse_seed_set("s 99\n", fig1)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("s 1 1\n", "line 1: repeated id 1"),
+        ("# seed\ns 3 1 6 1\n", "line 2: repeated id 1"),
+        ("s 2 x 2\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_seed_set_rejects_repeated_ids(fig1, text, message):
+    with pytest.raises(errors.MalformedLine) as info:
+        parse_seed_set(text, fig1)
+    assert str(info.value) == message
 
 
 @st.composite

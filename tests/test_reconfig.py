@@ -179,6 +179,12 @@ def test_parse_sequence_errors():
         parse_sequence("q warp 0\ns 1\n")
 
 
+def test_parse_sequence_rejects_repeated_start_ids():
+    with pytest.raises(errors.MalformedLine) as info:
+        parse_sequence("q tj 2\ns 4 2 4\nj 2 1\n")
+    assert str(info.value) == "line 2: repeated id 4"
+
+
 @pytest.mark.parametrize("model", ["tar", "tj"])
 def test_parse_sequence_rejects_negative_k(model):
     with pytest.raises(errors.MalformedLine, match="negative"):
