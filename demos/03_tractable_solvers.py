@@ -16,9 +16,8 @@ from tsr.oracle import tj_decide
 from tsr.solvers import (
     chen_tree,
     component_plan,
-    cycle_analyze,
     decompose_deg2,
-    path_canonical,
+    even_cycle_flip_steps,
     solve,
     solve_maxdeg2,
     solve_tree,
@@ -27,14 +26,21 @@ from tsr.solvers import (
 
 # --- paths --------------------------------------------------------------
 p = path_with_spacing(4, [1, 1, 1, 1, 1])
-size, canon, builder = path_canonical(p)
-print("path with m=4: minimum size", size, "canonical set", sorted(canon))
+# Every component is routed to a canonical minimum; from the whole vertex
+# set, the route of the path's one component ends there.
+path_plan = component_plan(p)
+canon = path_plan.route(0, frozenset(p.vertices))[1]
+print("path with m=4: minimum size", path_plan.min_size, "canonical set", sorted(canon))
 
 # --- cycles and the terrible obstruction ---------------------------------
 c = cycle_with_spacing(4, [1, 1, 1, 1])
-ana = cycle_analyze(c, frozenset(v for v in c.vertices if c.tau[v] == 2))
-print("\neven cycle m=4 minima:", [sorted(s) for s in ana.minimum_sets])
-print("terrible:", ana.component.terrible)
+cycle_plan = component_plan(c)
+cycle = cycle_plan.components[0]
+# An even cycle has two minima: the canonical one and its flip.
+low = cycle_plan.route(0, frozenset(cycle.w))[1]
+minima = (low, even_cycle_flip_steps(cycle, low)[1])
+print("\neven cycle m=4 minima:", [sorted(s) for s in minima])
+print("terrible:", cycle.terrible)
 
 # --- a full maximum-degree-2 instance ------------------------------------
 g = ThresholdGraph.build(
@@ -61,7 +67,9 @@ t = ThresholdGraph.build(
 )
 plan = chen_tree(t)
 print("\ntree canonical minimum:", sorted(plan.s_star))
-print(plan.format_packing())
+for i, region in enumerate(plan.packing, start=1):
+    print(f"packing {i}:", *sorted(region))
+print()
 
 # Any target set drains into the canonical one within an |S|-TAR budget;
 # chaining two drains answers every same-size pair with YES.
@@ -79,7 +87,7 @@ mixed, shift = disjoint_union(star, c)
 plan = component_plan(mixed)
 print("\nmixed components:", [(comp.kind, comp.min_size) for comp in plan.components],
       "minimum:", plan.min_size)
-a, b = ({shift[v] for v in m} for m in ana.minimum_sets)
+a, b = ({shift[v] for v in m} for m in minima)
 x, y = frozenset({1, 4} | a), frozenset({1, 4} | b)
 print(f"minimum pair, cycle restrictions {sorted(a)} and {sorted(b)}:", solve(mixed, x, y)[0],
       f"(oracle: {tj_decide(mixed, x, y).reconfigurable})")

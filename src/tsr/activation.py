@@ -229,13 +229,6 @@ class Residual:
     graph: ThresholdGraph
     vertex_map: tuple[int, ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return self.graph.n == 0
-
-    def original_vertices(self) -> frozenset[int]:
-        return frozenset(self.vertex_map[1:])
-
     def as_original(self) -> tuple[frozenset[int], frozenset[Edge], dict[int, int]]:
         """(vertices, edges, thresholds) relabeled back to original ids."""
         vm = self.vertex_map

@@ -122,10 +122,6 @@ def _oracle_pair(g, x, y, args):
 
 
 def _cmd_reconfigure(args) -> int:
-    if args.k is not None and not args.oracle:
-        # the solvers answer the |x|-TAR question; another budget needs the search
-        print("error: --k applies only with --oracle", file=sys.stderr)
-        return INPUT_ERROR
     g = _load_graph(args.graph)
     x = parse_seed_set(_read(args.src), g)
     y = parse_seed_set(_read(args.dst), g)
@@ -143,25 +139,25 @@ def _cmd_reconfigure(args) -> int:
     return OK
 
 
-def _oracle_misuse(args) -> str | None:
-    """Why the options of ``tsr oracle`` do not make one query, or None."""
-    pair = (args.src, args.dst, args.model, args.k, args.emit_sequence)
-    if args.size is not None and any(o is not None for o in pair):
-        return "--size takes none of --from, --to, --model, --k and --emit-sequence"
-    if (args.src is None) != (args.dst is None):
-        return "--from and --to go together"
-    if args.size is None and args.src is None:
-        return "oracle needs --size, or both --from and --to"
+def _misuse(args) -> str | None:
+    """Why the options of ``tsr reconfigure`` or ``tsr oracle`` do not make one query, or None."""
+    if args.command == "oracle":
+        pair = (args.src, args.dst, args.model, args.k, args.emit_sequence)
+        if args.size is not None and any(o is not None for o in pair):
+            return "--size takes none of --from, --to, --model, --k and --emit-sequence"
+        if (args.src is None) != (args.dst is None):
+            return "--from and --to go together"
+        if args.size is None and args.src is None:
+            return "oracle needs --size, or both --from and --to"
+    # the solvers answer the |x|-TAR question; another budget needs the TAR search
+    if args.k is not None and not args.oracle:
+        return "--k applies only with --oracle"
     if args.k is not None and args.model != "tar":
         return "--k applies only with --model tar"
     return None
 
 
 def _cmd_oracle(args) -> int:
-    misuse = _oracle_misuse(args)
-    if misuse:
-        print(f"error: {misuse}", file=sys.stderr)
-        return INPUT_ERROR
     g = _load_graph(args.graph)
     if args.src is not None:
         x = parse_seed_set(_read(args.src), g)
@@ -305,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", dest="src", required=True, help="seed file for X")
     sp.add_argument("--to", dest="dst", required=True, help="seed file for Y")
     sp.add_argument("--model", choices=["tj", "tar"], default="tj")
-    sp.add_argument("--k", type=int, default=None, help="TAR budget (only with --oracle)")
+    sp.add_argument("--k", type=int, default=None, help="TAR budget (only with --oracle --model tar)")
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--emit-sequence", default=None)
     add_guard(sp)
@@ -321,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--emit-sequence", default=None)
     sp.add_argument("--json", action="store_true")
     add_guard(sp)
-    sp.set_defaults(func=_cmd_oracle)
+    sp.set_defaults(func=_cmd_oracle, oracle=True)
 
     sp = sub.add_parser("reduce", help="apply a hardness reduction to an instance")
     sp.add_argument("kind", choices=["vc-cubic", "pb342", "b312", "split"])
@@ -349,6 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    misuse = _misuse(args) if args.command in ("reconfigure", "oracle") else None
+    if misuse:
+        print(f"error: {misuse}", file=sys.stderr)
+        return INPUT_ERROR
     try:
         return args.func(args)
     except InstanceTooLarge as exc:

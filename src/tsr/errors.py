@@ -83,14 +83,6 @@ class InstanceTooLarge(TsrError):
 
 # --- solvers ---
 
-class NotAPath(TsrError):
-    pass
-
-
-class NotACycle(TsrError):
-    pass
-
-
 class NotATree(TsrError):
     pass
 

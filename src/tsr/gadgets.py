@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .errors import NotA33Vertex, SameVertex, UnknownVertex
+from .errors import InvalidInput, NotA33Vertex, SameVertex, UnknownVertex
 from .graph import Edge, PlainGraph, ThresholdGraph
 
 ONEWAY = "oneway"
@@ -164,7 +164,7 @@ def attach_oneway(g: ThresholdGraph, v: int, w: int) -> tuple[ThresholdGraph, Ga
     g.check_vertex(v)
     g.check_vertex(w)
     if v == w:
-        raise UnknownVertex(f"one-way gadget needs distinct endpoints, got {v} twice")
+        raise SameVertex(f"one-way gadget needs distinct endpoints, got {v} twice")
     return _grafted(g, _ONEWAY, {"v": v, "w": w}, [(v, "t"), (w, "h")])
 
 
@@ -250,23 +250,13 @@ def sigma_gadget() -> tuple[PlainGraph, GadgetMap]:
     return _grafted(None, _SIGMA, {})
 
 
-def subdivision_map(u: int, v: int, w: int) -> GadgetMap:
-    """Record one edge subdivision (u,v) -> (u,w),(w,v) for seed projection."""
-    a, b = (u, v) if u < v else (v, u)
-    return GadgetMap(
-        kind=SUBDIVISION,
-        anchors={"u": a, "v": b},
-        named_internals={"w": w},
-    )
-
-
 # -- seed projections -------------------------------------------------------
 
 
 def phi_sd(s: frozenset[int], gmap: GadgetMap) -> frozenset[int]:
     """Project a seed of the subdivided graph back: the new vertex maps to u."""
     if gmap.kind != SUBDIVISION:
-        raise ValueError(f"phi_sd needs a subdivision map, got {gmap.kind}")
+        raise InvalidInput(f"phi_sd needs a subdivision map, got {gmap.kind}")
     w = gmap.named_internals["w"]
     if w not in s:
         return s
@@ -280,7 +270,7 @@ def phi_upsilon(s: frozenset[int], gmap: GadgetMap) -> frozenset[int]:
     internal tokens collapse onto w.
     """
     if gmap.kind != UPSILON:
-        raise ValueError(f"phi_upsilon needs an upsilon map, got {gmap.kind}")
+        raise InvalidInput(f"phi_upsilon needs an upsilon map, got {gmap.kind}")
     w = gmap.anchors["w"]
     internals = gmap.internal_vertices
     if w not in s and not (s & internals):

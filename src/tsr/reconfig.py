@@ -292,11 +292,6 @@ def reverse_steps(steps) -> tuple[Step, ...]:
     return tuple(rev)
 
 
-def reverse(seq: ReconfigSequence) -> ReconfigSequence:
-    """Reverse a sequence; adds become removes and jumps swap direction."""
-    return ReconfigSequence(seq.end, reverse_steps(seq.steps), seq.model, seq.k)
-
-
 # -- sequence file format -------------------------------------------------
 #
 #   q <model> <k>
@@ -337,10 +332,12 @@ def parse_sequence(text: str) -> ReconfigSequence:
                     raise MalformedLine(f"line {lineno}: expected 'r <v>'")
                 steps.append(Step.remove(int(parts[1])))
             elif parts[0] == "n":
+                if len(parts) != 1:
+                    raise MalformedLine(f"line {lineno}: expected 'n'")
                 steps.append(Step.noop())
             else:
                 raise MalformedLine(f"line {lineno}: unknown line kind {parts[0]!r}")
-        except ValueError as exc:
+        except (ValueError, InvalidInput) as exc:  # a non-int id, or a jump onto itself
             raise MalformedLine(f"line {lineno}: {exc}") from exc
     if model is None or start is None:
         raise MalformedLine("missing 'q' or 's' line")

@@ -20,14 +20,11 @@ from __future__ import annotations
 
 import dataclasses
 from functools import cached_property
-from typing import Callable
 
 from .activation import closure_mask, is_target_set, seed_mask
 from .errors import (
     DegreeTooLarge,
     InvariantViolated,
-    NotACycle,
-    NotAPath,
     NotATargetSet,
     NotATree,
     PreconditionViolated,
@@ -141,7 +138,12 @@ class Plan:
         return sum(c.min_size for c in self.components)
 
     def route(self, i: int, r: frozenset[int]) -> tuple[tuple[Step, ...], frozenset[int], int | None]:
-        """``_component_route`` of component i from r, with the steps as a tuple."""
+        """(steps, canonical, anchor): the TAR steps from r down to component i's
+        canonical minimum, that minimum, and the odd-cycle anchor (else None).
+
+        r must be the restriction of a target set to the component; this is
+        not checked here (``is_target_set`` checks it for ``solve``).
+        """
         hit = self._routes.get((i, r))
         if hit is None:
             steps, final, anchor = _component_route(self.components[i], r)
@@ -237,11 +239,6 @@ class TreePlan:
     s_star: frozenset[int]
     s_list: tuple[int, ...]
     packing: tuple[frozenset[int], ...]
-
-    def format_packing(self) -> str:
-        return "".join(
-            f"packing {i}: " + " ".join(map(str, sorted(p))) + "\n" for i, p in enumerate(self.packing, start=1)
-        )
 
 
 def chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
@@ -420,71 +417,6 @@ def _component_route(comp: Component, s: frozenset[int]) -> tuple[list[Step], fr
     else:
         regions, anchor = _odd_cycle_regions(comp, s)
     return (*_sweep(s, regions), anchor)
-
-
-@dataclasses.dataclass(frozen=True)
-class CycleAnalysis:
-    """Case record and canonical routing for one cycle graph."""
-
-    component: Component
-    min_size: int
-    case: str  # "zero" | "even" | "odd"
-    minimum_sets: tuple[frozenset[int], ...]
-    to_canonical: ReconfigSequence
-    canonical: frozenset[int]
-    anchor: int | None
-
-
-def cycle_analyze(g: ThresholdGraph, s) -> CycleAnalysis:
-    """Analyze a cycle graph and build the TAR route from s to a special minimum."""
-    dec = decompose_deg2(g)
-    if len(dec.components) != 1 or dec.components[0].kind != "cycle":
-        raise NotACycle("graph is not a single cycle")
-    comp = dec.components[0]
-    ss = g.check_seed(s)
-    if not dec.is_target_set(g, ss, [ss]):
-        raise NotATargetSet(f"{sorted(ss)} is not a target set")
-    steps, final, anchor = dec.route(0, ss)
-    m = comp.m
-    if m == 0:
-        case = "zero"
-        minima = tuple(frozenset({v}) for v in comp.order)
-    elif m % 2 == 0:
-        case = "even"
-        minima = (frozenset(comp.w[0::2]), frozenset(comp.w[1::2]))
-    else:
-        case = "odd"
-        minima = tuple(
-            frozenset(comp.w[(p + 2 * t) % m] for t in range((m - 1) // 2 + 1))
-            for p in range(m)
-        )
-    return CycleAnalysis(
-        component=comp,
-        min_size=comp.min_size,
-        case=case,
-        minimum_sets=minima,
-        to_canonical=ReconfigSequence(ss, steps, TAR, k=len(ss)),
-        canonical=final,
-        anchor=anchor,
-    )
-
-
-def path_canonical(g: ThresholdGraph) -> tuple[int, frozenset[int], Callable[[frozenset[int]], ReconfigSequence]]:
-    """Minimum size, canonical minimum set, and TAR builder for a path graph."""
-    dec = decompose_deg2(g)
-    if len(dec.components) != 1 or dec.components[0].kind != "path":
-        raise NotAPath("graph is not a single path")
-    comp = dec.components[0]
-    # every route ends at the canonical minimum; the whole vertex set is a target set
-    canonical = dec.route(0, comp.vertices)[1]
-
-    def builder(s) -> ReconfigSequence:
-        ss = g.check_seed(s)
-        if not dec.is_target_set(g, ss, [ss]):
-            raise NotATargetSet(f"{sorted(ss)} is not a target set")
-        return ReconfigSequence(ss, dec.route(0, ss)[0], TAR, k=len(ss))
-
-    return comp.min_size, canonical, builder
 
 
 def maxdeg2_min_size(g: ThresholdGraph) -> int:

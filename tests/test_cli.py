@@ -425,6 +425,18 @@ def test_tar_budget_without_oracle_is_usage_error(capsys, tmp_path):
     assert run(capsys, *pair, "--oracle", "--k", "3")[:2] == (0, "YES\n")
 
 
+@pytest.mark.parametrize("options", ["--oracle --k 7", "--oracle --model tj --k 7", "--model tar --k 7"])
+def test_reconfigure_rejects_a_budget_it_would_ignore(capsys, tmp_path, options):
+    """``--k`` needs ``--oracle`` and ``--model tar``, as in ``tsr oracle``:
+    otherwise exit 2, nothing on stdout, no sequence file."""
+    seqfile = tmp_path / "route.seq"
+    pair = ["reconfigure", FIG1, "--from", str(FIXTURES / "fig1_x1.seed"), "--to", str(FIXTURES / "fig1_y1.seed")]
+    code, out, err = run(capsys, *pair, *options.split(), "--emit-sequence", str(seqfile))
+    assert (code, out) == (2, "") and err.startswith("error: --k applies only with "), err
+    assert not seqfile.exists()
+    assert run(capsys, *pair, "--oracle", "--model", "tar", "--k", "7")[:2] == (0, "YES\n")
+
+
 def test_cold_commands_leave_numpy_unloaded(capsys, tmp_path):
     """No command needs numpy: a fresh interpreter that imports ``tsr`` and runs
     commands that never enumerate does not load it, nor does ``tsr oracle

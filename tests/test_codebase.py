@@ -99,6 +99,32 @@ def test_no_dead_definitions():
     assert not dead, f"defined but never named elsewhere: {dead}"
 
 
+def test_public_surface_is_documented():
+    """A public function, class or method of ``src/tsr`` that nothing in ``src/``
+    or ``bench/`` names (a re-export in ``__init__`` is not use) is API only if
+    README's "Public surface" lists it as ``module.name``; every listed name is
+    defined."""
+    files = [p for d in ("src", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    words = collections.Counter()
+    for p in files:
+        if p != ROOT / "src" / "tsr" / "__init__.py":
+            words.update(re.findall(r"\w+", p.read_text(encoding="utf-8")))
+    defined = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[f"{path.stem}.{node.name}"] = node.name
+                for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        defined[f"{path.stem}.{node.name}.{sub.name}"] = sub.name
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public surface\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`(\w+(?:\.\w+)+)`", section))
+    unlisted = sorted(q for q, name in defined.items() if words[name] < 2 and q not in listed)
+    assert not unlisted, f"used by nothing in src/ or bench/ and not in README's Public surface: {unlisted}"
+    assert listed <= defined.keys(), f"listed but not defined: {sorted(listed - defined.keys())}"
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     """Every module-level import in ``src/tsr`` (``__future__`` aside) is used in its module."""

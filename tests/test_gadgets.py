@@ -6,6 +6,8 @@ import pytest
 from tsr import errors
 from tsr.activation import activate, is_target_set, residual
 from tsr.gadgets import (
+    _SUBDIVISION,
+    _Build,
     attach_oneway,
     attach_sigma,
     attach_theta,
@@ -15,7 +17,6 @@ from tsr.gadgets import (
     phi_upsilon,
     replace_upsilon,
     sigma_gadget,
-    subdivision_map,
     theta_gadget,
     xi_gadget,
 )
@@ -50,7 +51,7 @@ def test_oneway_degrees():
 
 
 def test_oneway_same_vertex_rejected():
-    with pytest.raises(errors.UnknownVertex):
+    with pytest.raises(errors.SameVertex):
         attach_oneway(HOST, 2, 2)
 
 
@@ -213,11 +214,30 @@ def test_sigma_attach_raises_degree():
     assert all(out.degrees[v] == 3 for v in gm.internal_vertices)
 
 
+def _subdivided(host, edge):
+    """``subdivide_edge(host, edge)`` and its map, grafted as the (3,3) reductions graft it."""
+    g, w = subdivide_edge(host, edge)
+    b = _Build(host)
+    b.unlink(*edge)
+    gm = b.graft(_SUBDIVISION, dict(zip("uv", edge)), [(u, "w") for u in edge])
+    assert b.graph() == g and gm.named_internals == {"w": w}
+    return g, gm
+
+
 def test_phi_sd():
-    g, w = subdivide_edge(HOST, (1, 2))
-    gm = subdivision_map(1, 2, w)
+    g, gm = _subdivided(HOST, (1, 2))
+    w = gm.named_internals["w"]
     assert phi_sd(frozenset({3}), gm) == {3}
     assert phi_sd(frozenset({w, 3}), gm) == {1, 3}
+
+
+def test_projections_reject_the_wrong_kind_of_map(k4):
+    _, upsilon = replace_upsilon(k4, 1)
+    _, sub = _subdivided(HOST, (1, 2))
+    with pytest.raises(errors.InvalidInput, match="phi_sd needs a subdivision map, got upsilon"):
+        phi_sd(frozenset({1}), upsilon)
+    with pytest.raises(errors.InvalidInput, match="phi_upsilon needs an upsilon map, got subdivision"):
+        phi_upsilon(frozenset({1}), sub)
 
 
 def test_subdivision_minimum_correspondence():
@@ -227,8 +247,7 @@ def test_subdivision_minimum_correspondence():
     for _ in range(8):
         host = random_connected(rng, rng.randint(3, 7))
         edge = host.edges[rng.randrange(host.m)]
-        g, w = subdivide_edge(host, edge)
-        gm = subdivision_map(*edge, w)
+        g, gm = _subdivided(host, edge)
         k = min_target_set_size(host)
         k2 = min_target_set_size(g)
         assert k == k2

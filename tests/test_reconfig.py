@@ -14,7 +14,7 @@ from tsr.reconfig import (
     ReconfigSequence,
     Step,
     parse_sequence,
-    reverse,
+    reverse_steps,
     strip_noops,
     tar_to_tj,
     tj_to_tar,
@@ -131,7 +131,7 @@ def test_jump_needs_distinct_endpoints():
 
 def test_reverse_roundtrip(fig1):
     seq = fig1_paper_sequence()
-    rev = reverse(seq)
+    rev = ReconfigSequence(seq.end, reverse_steps(seq.steps), seq.model, seq.k)
     assert rev.start == seq.end and rev.end == seq.start
     assert validate_sequence(fig1, rev).ok
 
@@ -183,6 +183,21 @@ def test_parse_sequence_rejects_repeated_start_ids():
     with pytest.raises(errors.MalformedLine) as info:
         parse_sequence("q tj 2\ns 4 2 4\nj 2 1\n")
     assert str(info.value) == "line 2: repeated id 4"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("q tj 2\ns 1 2\nj 3 3\n", "line 3: jump with out == in == 3"),
+        ("q tj 2\ns 1 2\nn\nn 5 6\n", "line 4: expected 'n'"),
+        ("q tar 2\ns 1 2\na 3 4\n", "line 3: expected 'a <v>'"),
+        ("q tj 2\ns 1 2\nj 1 x\n", "line 3: invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_parse_sequence_faults_name_their_line(text, message):
+    with pytest.raises(errors.MalformedLine) as info:
+        parse_sequence(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("model", ["tar", "tj"])

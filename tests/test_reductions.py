@@ -8,6 +8,8 @@ from tsr import errors
 from tsr.activation import is_target_set
 from tsr.generators import random_hitting_system
 from tsr.gadgets import (
+    _SUBDIVISION,
+    _Build,
     attach_oneway,
     attach_sigma,
     attach_theta,
@@ -15,7 +17,6 @@ from tsr.gadgets import (
     oneway_gadget,
     replace_upsilon,
     sigma_gadget,
-    subdivision_map,
     theta_gadget,
     xi_gadget,
 )
@@ -315,7 +316,7 @@ def test_reductions_and_gadgets_match_golden(k4):
         text = serialize_graph(g) if isinstance(g, ThresholdGraph) else f"plain {g.n} {list(g.edges)}\n"
         h.update(text.encode())
         h.update(_gmap_text(gm).encode())
-    h.update(_gmap_text(subdivision_map(5, 2, 9)).encode())
+    h.update(_gmap_text(_Build(_cycle(8)).graft(_SUBDIVISION, {"u": 2, "v": 5})).encode())
     assert h.hexdigest() == GOLDEN_DIGEST
 
 

@@ -29,10 +29,10 @@ from tsr.reconfig import TAR, TJ, ReconfigSequence, tar_to_tj, validate_sequence
 from tsr.solvers import (
     chen_tree,
     component_plan,
-    cycle_analyze,
     decompose_deg2,
+    even_cycle_flip_steps,
     maxdeg2_min_size,
-    path_canonical,
+    odd_cycle_rotation_steps,
     solve,
     solve_maxdeg2,
     solve_threshold1,
@@ -69,6 +69,12 @@ def test_decompose_rejects_degree3(k4):
         decompose_deg2(k4)
 
 
+def _route_to_canonical(g, s):
+    """The plan's TAR route of a one-component graph from s, and where it ends."""
+    steps, canonical, anchor = component_plan(g).route(0, frozenset(s))
+    return ReconfigSequence(frozenset(s), steps, TAR, k=len(s)), canonical, anchor
+
+
 @pytest.mark.parametrize(
     "m,gaps,size,canon_positions",
     [
@@ -84,17 +90,20 @@ def test_decompose_rejects_degree3(k4):
 )
 def test_path_canonical_examples(m, gaps, size, canon_positions):
     g = path_with_spacing(m, gaps)
-    got_size, canon, builder = path_canonical(g)
-    assert got_size == size == min_target_set_size(g)
+    plan = component_plan(g)
+    assert [c.kind for c in plan.components] == ["path"]
+    assert plan.min_size == size == min_target_set_size(g)
+    # every route ends at the canonical minimum; the whole vertex set is a target set
+    canon = plan.route(0, plan.components[0].vertices)[1]
     if canon_positions is None:
         assert canon == {1}
     else:
         w = [v for v in g.vertices if g.tau[v] == 2]
         assert canon == {w[i] for i in canon_positions}
     for s in enumerate_target_sets(g, size) + enumerate_target_sets(g, size + 1):
-        seq = builder(s)
+        seq, end, _ = _route_to_canonical(g, s)
         rep = validate_sequence(g, seq)
-        assert rep.ok and seq.end == canon
+        assert rep.ok and seq.end == end == canon
         assert max(len(t) for t in seq.sets()) <= len(s) + 1
 
 
@@ -104,12 +113,13 @@ def test_cycle_fig3_route():
     w = [v for v in g.vertices if g.tau[v] == 2]
     a, d, e = 2, 8, 10
     s = frozenset({w[2], w[5], a, d, e})
-    ana = cycle_analyze(g, s)
-    assert ana.case == "even"
-    assert ana.canonical == {w[1], w[3], w[5]}
-    rep = validate_sequence(g, ana.to_canonical)
-    assert rep.ok and ana.to_canonical.end == ana.canonical
-    assert max(len(t) for t in ana.to_canonical.sets()) <= len(s) + 1
+    comp = component_plan(g).components[0]
+    assert (comp.kind, comp.m) == ("cycle", 6)
+    seq, canonical, _ = _route_to_canonical(g, s)
+    assert canonical == {w[1], w[3], w[5]}
+    rep = validate_sequence(g, seq)
+    assert rep.ok and seq.end == canonical
+    assert max(len(t) for t in seq.sets()) <= len(s) + 1
 
 
 def test_cycle_fig4_odd_route():
@@ -117,33 +127,51 @@ def test_cycle_fig4_odd_route():
     g = cycle_with_spacing(5, [1, 2, 3, 1, 2])
     w = [v for v in g.vertices if g.tau[v] == 2]
     s = frozenset({w[1], w[3], 2, 4, 13, 14})
-    ana = cycle_analyze(g, s)
-    assert ana.case == "odd"
-    assert ana.canonical == {w[0], w[2], w[4]}
-    assert ana.anchor == 0
-    rep = validate_sequence(g, ana.to_canonical)
-    assert rep.ok and ana.to_canonical.end == ana.canonical
-    assert max(len(t) for t in ana.to_canonical.sets()) <= len(s) + 1
+    comp = component_plan(g).components[0]
+    assert (comp.kind, comp.m) == ("cycle", 5)
+    seq, canonical, anchor = _route_to_canonical(g, s)
+    assert canonical == {w[0], w[2], w[4]}
+    assert anchor == 0
+    rep = validate_sequence(g, seq)
+    assert rep.ok and seq.end == canonical
+    assert max(len(t) for t in seq.sets()) <= len(s) + 1
 
 
 def test_cycle_m2_two_singletons():
     g = cycle_with_spacing(2, [1, 1])
     w = [v for v in g.vertices if g.tau[v] == 2]
-    ana = cycle_analyze(g, frozenset({w[0]}))
-    assert ana.min_size == 1
-    assert set(ana.minimum_sets) == {frozenset({w[0]}), frozenset({w[1]})}
+    plan = component_plan(g)
+    assert plan.min_size == 1
+    _, canonical, _ = _route_to_canonical(g, {w[0]})
+    _, flipped = even_cycle_flip_steps(plan.components[0], canonical)
+    assert {canonical, flipped} == {frozenset({w[0]}), frozenset({w[1]})}
 
 
 def test_cycle_minimum_sets_match_oracle():
+    """An even cycle's minima are the two sets its flip moves between; an odd
+    cycle's m rotations are minima, and every odd-cycle canonical is one."""
     for m, gaps in [(2, [1, 0]), (4, [1, 0, 1, 0]), (5, [1, 0, 0, 1, 0]), (6, [0] * 6)]:
         g = cycle_with_spacing(m, gaps)
-        ana = cycle_analyze(g, frozenset({v for v in g.vertices if g.tau[v] == 2}))
-        mins = enumerate_target_sets(g, ana.min_size)
+        plan = component_plan(g)
+        comp = plan.components[0]
+        assert (comp.kind, comp.m, comp.terrible) == ("cycle", m, m in (4, 6))
+        mins = enumerate_target_sets(g, plan.min_size)
+        assert plan.min_size == min_target_set_size(g)
         if m % 2 == 0:
-            assert sorted(map(sorted, mins)) == sorted(map(sorted, ana.minimum_sets))
+            _, canonical, _ = _route_to_canonical(g, comp.w)
+            flip, flipped = even_cycle_flip_steps(comp, canonical)
+            assert sorted(map(sorted, mins)) == sorted(map(sorted, (canonical, flipped)))
+            assert ReconfigSequence(canonical, tuple(flip), TAR, k=len(canonical)).end == flipped
         else:
-            # the all-threshold-2 minima are among the oracle minima
-            assert set(ana.minimum_sets) <= set(mins)
+            # the m all-threshold-2 minima: each rotation of the anchored canonical
+            _, canonical, anchor = _route_to_canonical(g, comp.w)
+            rotations = {
+                ReconfigSequence(canonical, tuple(odd_cycle_rotation_steps(comp, anchor, q)), TAR).end
+                for q in range(m)
+            }
+            assert len(rotations) == m and rotations <= set(mins)
+            sets = mins + enumerate_target_sets(g, plan.min_size + 1)
+            assert {_route_to_canonical(g, s)[1] for s in sets} <= rotations
 
 
 def test_chen_fig5(fig5_tree):
@@ -312,12 +340,6 @@ def test_solve_maxdeg2_preconditions(fig1):
         solve_maxdeg2(fig1, {1, 6, 9}, {3, 7, 9, 10})
     with pytest.raises(errors.PreconditionViolated):
         solve_maxdeg2(fig1, {1, 2, 9}, {3, 7, 9})
-
-
-def test_tree_plan_packing_dump(fig5_tree):
-    text = chen_tree(fig5_tree).format_packing()
-    assert text.splitlines()[0] == "packing 1: 6 10 11"
-    assert text.splitlines()[3] == "packing 4: 2 3 4 5 7"
 
 
 def test_solve_threshold1_p3_pair():
