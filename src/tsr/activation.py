@@ -74,11 +74,13 @@ def still_target(g: ThresholdGraph, mask: int, v: int) -> bool:
     ``mask`` (if v activates, yes), then goes on with them all active (if v
     still does not, no); otherwise r doubles.  The first run is exact once
     no edge leaves B, and runs on the whole graph once B holds more than
-    half the vertices.
+    half the vertices.  First, v's own neighbours in ``mask`` may suffice.
     """
     if mask >> v & 1:
         return True
     adj, am, tau = g.adj, g.adj_masks, g.tau
+    if (am[v] & mask).bit_count() >= tau[v]:
+        return True
     ball, layer, depth, radius = {v}, [v], 0, 2
     while True:
         while layer and depth < radius and 2 * len(ball) <= g.n:

@@ -11,13 +11,15 @@ from a set of starts to the first state that contains the goal: it serves
 ``tj_decide``, ``reductions.hs_tj_decide`` and ``ktar_decide``, which pads
 the endpoints up to each size j it searches, since target sets are closed
 under supersets; shortest sequences are rebuilt from its parent map.  The
-searches test each state at most once: by the table when it is cheap next
-to them (see ``_check_pair``), else by the local removal test
-``activation.still_target``, memoized per component.  Everything here is
-desk-scale: enumeration checks its cap and guard before it allocates
-anything, and a pair query aborts once its pops, summed over sizes j for
-k-TAR and with each start charged as it is stored, exceed a configurable
-guard.
+searches test each hub and each state at most once: a hub that is a target
+set passes every jump through it untested, and one that is not passes none
+outside the removed vertex's component.  A test reads the table when it is
+cheap next to the searches (see ``_check_pair``), else runs the local
+removal test ``activation.still_target``, memoized per component.
+Everything here is desk-scale: enumeration checks its cap and guard before
+it allocates anything, and a pair query aborts once its pops, summed over
+sizes j for k-TAR and with each start charged as it is stored, exceed a
+configurable guard.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from .reconfig import TAR, TJ, ReconfigSequence, Step, tj_to_tar
 
 DEFAULT_GUARD = 5_000_000
 DEFAULT_CAP = 20
-
-Moves = Callable[[int, set[int]], Iterable[tuple[int, int, int]]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,21 +192,24 @@ _ROWS_PER_TEST = 64
 
 
 def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GUARD):
-    """Validated endpoints as sets and masks, plus the removal test for ``bfs``.
+    """Validated endpoints as sets and masks, plus ``near`` and the removal
+    test ``ok`` for ``bfs``.
 
-    ``tests`` is the most states the searches can test (``bfs`` tests each at
-    most once, at one size a search); on a disconnected graph the memo below
-    also caps the tests at |C| 2^|C| per component C.  When 2^n is at most
-    ``guard`` and at most ``_ROWS_PER_TEST`` times that cap, ``ok(nxt, out)``
-    reads ``_table(g)``, built (once per graph object) at the first test.
-    That is exact: ``nxt`` plus ``out`` contains the target set it was
-    reached from, so the closure of ``nxt`` reaches ``out`` exactly when
-    ``nxt`` is a target set.
-    Otherwise ``ok(nxt, out)`` is ``still_target(g, nxt, out)`` memoized under
-    ``(nxt & comp[out], out)``, ``comp[out]`` being the mask of out's
-    component: the closure inside it depends only on that restriction.  On a
-    connected graph the key would be ``nxt``, which ``bfs`` never tests twice,
-    so the memo is bypassed and stores nothing.
+    ``near[v]`` is the mask of v's component.  ``tests`` is the most states
+    the searches can test at their sizes (``bfs`` tests each hub and each
+    state at most once, at one size a search; the hubs, a size below, are
+    not counted); on a disconnected graph the memo below also caps the tests
+    at |C| 2^|C| per component C.  When 2^n is at most ``guard`` and at most
+    ``_ROWS_PER_TEST`` times that cap, ``ok(m, out)`` reads ``_table(g)``,
+    built (once per graph object) at the first test.  That is exact: ``m``
+    plus ``out`` contains the target set that ``m``, a hub or a state, was
+    reached from, so the closure of ``m`` reaches ``out`` exactly when ``m``
+    is a target set.
+    Otherwise ``ok(m, out)`` is ``still_target(g, m, out)`` memoized under
+    ``(m & near[out], out)``: the closure inside out's component depends
+    only on that restriction.  On a connected graph the key would be ``m``,
+    which one search never tests twice, so the memo is bypassed and stores
+    nothing.
     """
     xs, ys = frozenset(x), frozenset(y)
     start, goal = seed_mask(g, xs), seed_mask(g, ys)
@@ -214,72 +217,65 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
         if closure_mask(g, m) != g.full_mask:
             raise NotATargetSet(f"{sorted(s)} is not a target set")
     comps = g.components()
+    near = [0] * (g.n + 1)
+    for vs in comps:
+        mask = seed_mask(g, vs)
+        for v in vs:
+            near[v] = mask
     # the memo below tests each (restriction, out) pair at most once
     tests = min(tests, sum(len(vs) << len(vs) for vs in comps))
     if (1 << g.n) <= min(guard, _ROWS_PER_TEST * tests):
         table = None
 
-        def lookup(nxt: int, out: int) -> bool:
+        def lookup(m: int, out: int) -> bool:
             nonlocal table
             if table is None:
                 table = _table(g)
-            i = nxt >> 1
+            i = m >> 1
             return table[i >> 3] >> (i & 7) & 1
 
-        return xs, ys, start, goal, lookup
-    comp: dict[int, int] = {}
-    for vs in comps:
-        comp.update(dict.fromkeys(vs, seed_mask(g, vs)))
+        return xs, ys, start, goal, near, lookup
     memo: dict[tuple[int, int], bool] = {}
 
-    def ok(nxt: int, out: int) -> bool:
-        if comp[out] == g.full_mask:
-            return still_target(g, nxt, out)
-        key = (nxt & comp[out], out)
+    def ok(m: int, out: int) -> bool:
+        if near[out] == g.full_mask:
+            return still_target(g, m, out)
+        key = (m & near[out], out)
         if key not in memo:
-            memo[key] = still_target(g, nxt, out)
+            memo[key] = still_target(g, m, out)
         return memo[key]
 
-    return xs, ys, start, goal, ok
+    return xs, ys, start, goal, near, ok
 
 
-def tj_moves(universe: Sequence[int]) -> Moves:
-    """Single jumps: ascending removed element, then ascending added element.
+def bfs(
+    starts: Iterable[int],
+    goal: int,
+    universe: Sequence[int],
+    near: Sequence[int],
+    ok: Callable[[int, int], bool],
+    guard: int,
+    popped: int = 0,
+):
+    """Parent map of the states reached from ``starts`` by single jumps within
+    ``universe``, whether one contains ``goal`` (the search ends there; at the
+    goal's size it is the goal), and the pops so far.
 
-    A jump from ``cur`` goes through a hub, ``cur`` minus the removed
-    element, and reaches the sets above that hub, the same from every set
-    that contains it.  ``bfs`` passes ``hubs``, one set per search: a hub
-    joins it when expanded and is skipped after, when the search has tested
-    or stored every set it reaches.  Without ``hubs`` every hub is expanded.
-    """
-    bits = [(v, 1 << v) for v in universe]
-
-    def moves(cur: int, hubs: set[int] | None = None):
-        hubs = set() if hubs is None else hubs
-        absent = [(v, b) for v, b in bits if not cur & b]
-        for out, b in bits:
-            if cur & b and (hub := cur ^ b) not in hubs:
-                hubs.add(hub)
-                for into, c in absent:
-                    yield hub | c, out, into
-
-    return moves
-
-
-def bfs(starts: Iterable[int], goal: int, moves: Moves, ok: Callable[[int, int], bool], guard: int, popped: int = 0):
-    """Parent map of the states reached from ``starts``, whether one contains
-    ``goal`` (the search ends there; at the goal's size it is the goal), and
-    the pops so far.
-
-    ``moves(cur, hubs)`` yields jumps ``(next, out, into)``; ``hubs`` starts
-    empty in each search, for ``tj_moves``.  A jump is tested by ``ok(next,
-    out)``, which for target sets need only ask whether the closure of
-    ``next`` reaches ``out``; a rejected state is not tested again, so every
-    state is tested at most once (see ``_check_pair``).  Raises
-    InstanceTooLarge once ``popped``, the pops of earlier searches, plus this
-    search's pops exceed ``guard``; each start is charged its pop as it is
-    stored, so a search with more starts than that stores at most ``guard``
-    + 1 of them.
+    Jumps from ``cur`` go by ascending removed element ``out``, then ascending
+    added element.  Each goes through a hub, ``cur`` minus ``out``, to a set
+    above it, the same from every state that contains the hub, so a search
+    expands each hub once, from the first state popped that contains it.
+    ``ok(m, out)`` tests a hub or a state ``m`` where ``m`` plus ``out`` is a
+    target set, so it need only ask whether the closure of ``m`` reaches
+    ``out`` (see ``_check_pair``).  Target sets are closed under supersets,
+    so every set above a hub that passes is stored untested.  Above a hub
+    that fails, only a vertex of ``near[out]``, out's component, can repair
+    it, as activation never crosses a component: the other sets are skipped
+    untested and the rest tested, a rejected state not again.  So a search
+    tests each hub and each state at most once.  Raises InstanceTooLarge
+    once ``popped``, the pops of earlier searches, plus this search's pops
+    exceed ``guard``; each start is charged its pop as it is stored, so a
+    search with more starts than that stores at most ``guard`` + 1 of them.
     """
     parents: dict[int, tuple[int, int, int] | None] = {}
     for s in starts:
@@ -288,6 +284,7 @@ def bfs(starts: Iterable[int], goal: int, moves: Moves, ok: Callable[[int, int],
             return parents, True, popped
         if popped + len(parents) > guard:
             raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
+    bits = [(v, 1 << v) for v in universe]
     rejected: set[int] = set()
     hubs: set[int] = set()
     queue = deque(parents)
@@ -296,16 +293,23 @@ def bfs(starts: Iterable[int], goal: int, moves: Moves, ok: Callable[[int, int],
         popped += 1
         if popped > guard:
             raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
-        for nxt, out, into in moves(cur, hubs):
-            if nxt in parents or nxt in rejected:
+        absent = [(v, c) for v, c in bits if not cur & c]
+        for out, b in bits:
+            if not cur & b or (hub := cur ^ b) in hubs:
                 continue
-            if not ok(nxt, out):
-                rejected.add(nxt)
-                continue
-            parents[nxt] = (cur, out, into)
-            if nxt & goal == goal:
-                return parents, True, popped
-            queue.append(nxt)
+            hubs.add(hub)
+            whole = ok(hub, out)
+            mine = -1 if whole else near[out]  # -1 has every bit: a passing hub keeps every jump
+            for into, c in absent:
+                if not c & mine or (nxt := hub | c) in parents:
+                    continue
+                if not whole and (nxt in rejected or not ok(nxt, out)):
+                    rejected.add(nxt)
+                    continue
+                parents[nxt] = (cur, out, into)
+                if nxt & goal == goal:
+                    return parents, True, popped
+                queue.append(nxt)
     return parents, False, popped
 
 
@@ -326,10 +330,10 @@ def tj_decide(g: ThresholdGraph, x, y, *, guard: int = DEFAULT_GUARD) -> OracleR
     vertex, then ascending added vertex) for reproducible shortest sequences.
     """
     xs = frozenset(x)
-    xs, ys, start, goal, ok = _check_pair(g, xs, y, comb(g.n, len(xs)), guard)
+    xs, ys, start, goal, near, ok = _check_pair(g, xs, y, comb(g.n, len(xs)), guard)
     if len(xs) != len(ys):
         raise SizeMismatch(f"|x|={len(xs)} != |y|={len(ys)}")
-    parents, found, _ = bfs((start,), goal, tj_moves(g.vertices), ok, guard)
+    parents, found, _ = bfs((start,), goal, g.vertices, near, ok, guard)
     seq = ReconfigSequence(xs, _steps_to(parents, goal)[1], TJ) if found else None
     return OracleReport(k=len(xs), reconfigurable=found, shortest=seq, explored=len(parents))
 
@@ -356,17 +360,17 @@ def ktar_decide(g: ThresholdGraph, x, y, k: int, *, guard: int = DEFAULT_GUARD) 
     """
     xs, ys = frozenset(x), frozenset(y)
     sizes = range(max(len(xs), len(ys)), min(k, g.n) + 1)
-    xs, ys, start, goal, ok = _check_pair(g, xs, ys, sum(comb(g.n, j) for j in sizes), guard)
+    xs, ys, start, goal, near, ok = _check_pair(g, xs, ys, sum(comb(g.n, j) for j in sizes), guard)
     if len(xs) > k or len(ys) > k:
         raise SizeMismatch(f"endpoint sizes {len(xs)}, {len(ys)} exceed k={k}")
-    moves, free = tj_moves(g.vertices), [1 << v for v in g.vertices if v not in xs]
+    free = [1 << v for v in g.vertices if v not in xs]
     best, explored, popped = None, 0, 0
     for j in sizes:
         base = 2 * j - len(xs) - len(ys)
         if best is not None and base >= len(best):
             break
         starts = (start + sum(pad) for pad in itertools.combinations(free, j - len(xs)))
-        parents, found, popped = bfs(starts, goal, moves, ok, guard, popped)
+        parents, found, popped = bfs(starts, goal, g.vertices, near, ok, guard, popped)
         explored += len(parents)
         if found:
             first, jumps = _steps_to(parents, end := next(reversed(parents)))

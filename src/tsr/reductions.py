@@ -28,7 +28,7 @@ from .errors import (
 from .gadgets import _SIGMA, _SUBDIVISION, _THETA, _XI, SUBDIVISION, GadgetMap, _Build, _upsilon
 from .gadgets import phi_sd, phi_upsilon
 from .graph import PlainGraph, ThresholdGraph, records
-from .oracle import DEFAULT_GUARD, bfs, tj_decide, tj_moves
+from .oracle import DEFAULT_GUARD, bfs, tj_decide
 
 SeedMap = Callable[[frozenset[int]], frozenset[int]]
 
@@ -323,8 +323,10 @@ def hs_tj_decide(hs: HittingSystem, x, y, *, guard: int = DEFAULT_GUARD) -> bool
             raise NotATargetSet(f"{sorted(s)} is not a hitting set")
     family = [sum(1 << u for u in f) for f in hs.family]
     start, goal = (sum(1 << u for u in s) for s in (xs, ys))
-    moves = tj_moves(range(1, hs.n + 1))
-    return bfs((start,), goal, moves, lambda m, _: all(m & f for f in family), guard)[1]
+    universe = range(1, hs.n + 1)
+    # hitting sets are closed under supersets too; the whole universe is near every element
+    near = [sum(1 << u for u in universe)] * (hs.n + 1)
+    return bfs((start,), goal, universe, near, lambda m, _: all(m & f for f in family), guard)[1]
 
 
 # -- instance-level equivalence checking --------------------------------------

@@ -173,9 +173,12 @@ def _still_target_graphs(rng):
 
 
 def test_still_target_matches_closure():
-    """Random masks, target sets minus one vertex and such sets plus another vertex."""
+    """Random masks, target sets minus one vertex and such sets plus another
+    vertex; both the neighbour fast path (v's neighbours in the mask reach
+    tau(v)) and the ball search run on at least 100 queries each."""
     rng = random.Random(31337)
     checked = yes = 0
+    branches = {"neighbours": 0, "ball": 0}
     for g in _still_target_graphs(rng):
         queries = []
         for _ in range(8):
@@ -194,5 +197,7 @@ def test_still_target_matches_closure():
             assert still_target(g, mask, v) == want, (g, mask, v)
             checked += 1
             yes += want
-    assert checked > 4000
+            if not mask >> v & 1:
+                branches["neighbours" if (g.adj_masks[v] & mask).bit_count() >= g.tau[v] else "ball"] += 1
+    assert checked > 4000 and min(branches.values()) >= 100, (checked, branches)
     assert 0.2 < yes / checked < 0.8

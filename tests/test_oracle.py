@@ -277,21 +277,27 @@ def test_table_is_built_once_per_graph(monkeypatch):
 
 
 def test_hub_state_belongs_to_one_search():
-    """One ``tj_moves`` object serves two searches alike: the hubs one search
-    expanded are not skipped by the next, nor by a call without ``hubs``."""
-    from tsr.oracle import DEFAULT_GUARD, _check_pair, bfs, tj_moves
+    """Each search keeps its own hubs: the hubs one search expanded are not
+    skipped by the next, so two identical calls give identical results."""
+    from tsr.oracle import DEFAULT_GUARD, _check_pair, bfs
 
     g = cycle_with_spacing(0, [9])
     x, y = {1, 2, 3}, {5, 6, 7}
-    _, _, start, goal, ok = _check_pair(g, x, y)
-    moves = tj_moves(g.vertices)
-    first = bfs((start,), goal, moves, ok, DEFAULT_GUARD)
-    again = bfs((start,), goal, moves, ok, DEFAULT_GUARD)
-    assert list(again[0].items()) == list(first[0].items()) and again[1] and first[1]
-    back = bfs((goal,), start, moves, ok, DEFAULT_GUARD)
-    assert list(back[0].items()) == list(bfs((goal,), start, tj_moves(g.vertices), ok, DEFAULT_GUARD)[0].items())
-    # within one search a hub is expanded once; without ``hubs`` every call expands all
-    hubs: set[int] = set()
-    assert len(list(moves(start, hubs))) == 3 * 6 and hubs
-    assert list(moves(start, hubs)) == []
-    assert list(moves(start)) == list(moves(start)) != []
+    _, _, start, goal, near, ok = _check_pair(g, x, y)
+    first = bfs((start,), goal, g.vertices, near, ok, DEFAULT_GUARD)
+    again = bfs((start,), goal, g.vertices, near, ok, DEFAULT_GUARD)
+    assert first[1] and list(again[0].items()) == list(first[0].items()) and again[1:] == first[1:]
+
+
+def test_hub_test_bounds_removal_tests(monkeypatch):
+    """On a threshold-1 C40 at k = 10 every hub is a target set, so a search
+    that trips the guard of 20,000 made one ``still_target`` call per hub
+    expanded and none per state (54,212 measured; 516,165 when each state was
+    tested, more than the 200,010 hubs that 20,001 pops of 10 can expand)."""
+    calls = []
+    real = oracle.still_target
+    monkeypatch.setattr(oracle, "still_target", lambda g, m, v: calls.append(m) or real(g, m, v))
+    g = cycle_with_spacing(0, [40])
+    with pytest.raises(errors.InstanceTooLarge):
+        tj_decide(g, set(range(1, 11)), set(range(21, 31)), guard=20_000)
+    assert {m.bit_count() for m in calls} == {9} and len(set(calls)) == len(calls) <= 20_001 * 10

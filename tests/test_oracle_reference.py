@@ -21,7 +21,7 @@ before its union-find over shared (k-1)-subsets.  ``reference_full_rows``
 and ``reference_byte_table`` keep that core as it was, in float32 numpy
 matmul rounds, before it was bit-sliced over Python ints, and
 ``reference_tj_moves`` the jump generator from before each search expanded
-a hub once.  numpy is a test dependency only.
+a hub once and tested it once.  numpy is a test dependency only.
 """
 
 import functools
@@ -57,7 +57,6 @@ from tsr.oracle import (
     target_sets_by_size,
     tj_components,
     tj_decide,
-    tj_moves,
 )
 from tsr.graph import PlainGraph, ThresholdGraph, disjoint_union, vc_to_tss
 from tsr.reconfig import TAR, TJ, ReconfigSequence, Step, tj_to_tar, validate_sequence
@@ -234,7 +233,7 @@ def reference_components(g, k):
     index = {seed_mask(g, s): s for s in sets}
     groups = []
     while index:
-        parents, _, _ = reference_bfs([next(iter(index))], never, tj_moves(g.vertices), index.__contains__, 10**9)
+        parents, _, _ = reference_bfs([next(iter(index))], never, reference_tj_moves(g.vertices), index.__contains__, 10**9)
         groups.append([index.pop(m) for m in parents])
     comps = tuple(
         tuple(sorted(grp, key=sorted))
@@ -293,7 +292,7 @@ def test_pair_queries_match_reference():
             x, y = (frozenset(v for v in g.vertices if m >> v & 1) for m in (xm, ym))
             for guard in GUARDS:
                 got = outcome(lambda: tj_decide(g, x, y, guard=guard))
-                want = outcome(lambda: reference_pair(g, x, y, tj_moves(g.vertices), TJ, 0, guard))
+                want = outcome(lambda: reference_pair(g, x, y, reference_tj_moves(g.vertices), TJ, 0, guard))
                 assert _summary(got) == want, (g, sorted(x), sorted(y), guard)
             for k in (len(x), len(x) + 1):
                 check_ktar(g, x, y, k, GUARDS)
@@ -326,7 +325,7 @@ def test_hitting_set_queries_match_reference(guard):
         start, goal = (sum(1 << u for u in s) for s in (x, y))
         want = outcome(
             lambda: reference_bfs(
-                [start], goal.__eq__, tj_moves(range(1, n + 1)), lambda m: all(m & f for f in family), guard
+                [start], goal.__eq__, reference_tj_moves(range(1, n + 1)), lambda m: all(m & f for f in family), guard
             )[1]
         )
         assert outcome(lambda: hs_tj_decide(hs, x, y, guard=guard)) == want, (hs, x, y)
@@ -378,7 +377,7 @@ def test_multi_component_pair_queries_match_reference():
         g, x, y = _union_pair(rng)
         for guard in GUARDS:
             got = outcome(lambda: tj_decide(g, x, y, guard=guard))
-            want = outcome(lambda: reference_pair(g, x, y, tj_moves(g.vertices), TJ, 0, guard))
+            want = outcome(lambda: reference_pair(g, x, y, reference_tj_moves(g.vertices), TJ, 0, guard))
             assert _summary(got) == want, (g, sorted(x), sorted(y), guard)
             no += guard == GUARDS[-1] and not want[0]
         for k in (len(x), len(x) + 1):
@@ -496,9 +495,9 @@ def test_removal_tests_are_memoized_per_component(monkeypatch):
         assert 0 < len(calls) <= 60
 
     for g, x, y in (_terrible_beside_paths(0), _terrible_beside_paths(1)):
-        _, _, start, goal, ok = _check_pair(g, x, y)
+        _, _, start, goal, near, ok = _check_pair(g, x, y)
         calls.clear()
-        bfs((start,), goal, tj_moves(g.vertices), ok, DEFAULT_GUARD)
+        bfs((start,), goal, g.vertices, near, ok, DEFAULT_GUARD)
         memo = inspect.getclosurevars(ok).nonlocals["memo"]
         assert calls and (len(memo) == 0) == (len(g.components()) == 1)
 
@@ -538,7 +537,7 @@ def test_pair_queries_switch_between_table_and_removal_test(monkeypatch):
                 calls.clear()
                 if model == TJ:
                     got = outcome(lambda: tj_decide(g, x, y, guard=guard))
-                    want = outcome(lambda: reference_pair(g, x, y, tj_moves(g.vertices), TJ, 0, guard))
+                    want = outcome(lambda: reference_pair(g, x, y, reference_tj_moves(g.vertices), TJ, 0, guard))
                     assert _summary(got) == want, (g, x, y, guard)
                 else:
                     check_ktar(g, x, y, k, [guard])
@@ -563,9 +562,9 @@ def test_pair_queries_switch_between_table_and_removal_test(monkeypatch):
     assert not builds
 
     # with no test count, as three arguments give, the removal test runs
-    _, _, start, goal, ok = _check_pair(g, x, y)
+    _, _, start, goal, near, ok = _check_pair(g, x, y)
     calls.clear()
-    bfs((start,), goal, tj_moves(g.vertices), ok, DEFAULT_GUARD)
+    bfs((start,), goal, g.vertices, near, ok, DEFAULT_GUARD)
     assert calls and not builds
 
 
@@ -800,20 +799,41 @@ def _searches(seed, count):
 
 
 def test_hub_expansion_keeps_parents_and_order():
-    """``bfs`` with ``tj_moves``, which expands each hub once per search, against
-    the generator that expanded every hub: the same parent map in the same
-    insertion order, verdict and guard trips, under the table and under the
-    removal test, at guards 3, 40 and 10^9."""
+    """``bfs``, which expands each hub once per search with one test, against
+    the generator that expanded every hub and the closure test of every
+    state: the same parent map in the same insertion order, verdict, pops
+    and guard trips, under the table and under the removal test, at guards
+    3, 40 and 10^9.  On the disjoint unions a hub that is no target set
+    skips the jumps out of the removed vertex's component untested, under
+    both tests."""
     trips = 0
+    skips = {"table": 0, "still_target": 0}
     for g, x, y in _searches(4096, 240):
+        is_ts = functools.cache(lambda m: closure_mask(g, m) == g.full_mask)
         for tests in (0, DEFAULT_GUARD):  # removal test, then the table where it fits
-            _, _, start, goal, ok = _check_pair(g, x, y, tests)
+            _, _, start, goal, near, ok = _check_pair(g, x, y, tests)
+            side = "still_target" if "memo" in inspect.getclosurevars(ok).nonlocals else "table"
+
+            last = [0, 0, True]  # the hub tested last: the states tested next lie above it
+
+            def counted(m, out):
+                passed = ok(m, out)
+                if m.bit_count() < len(x):  # a hub; if it fails, the absent vertices outside out's component are skipped
+                    last[:] = m, out, passed
+                    skips[side] += 0 if passed else (g.full_mask & ~near[out] & ~m).bit_count()
+                else:  # a state, tested only above a failing hub and only by a jump into out's component
+                    hub, hub_out, hub_passed = last
+                    assert not hub_passed and out == hub_out and m & hub == hub and (m ^ hub) & near[out], (g, m, out)
+                return passed
+
             for guard in (3, 40, 10**9):
-                want = outcome(lambda: bfs((start,), goal, lambda cur, _: reference_tj_moves(g.vertices)(cur), ok, guard))
-                got = outcome(lambda: bfs((start,), goal, tj_moves(g.vertices), ok, guard))
+                want = outcome(
+                    lambda: reference_bfs([start], lambda m: m & goal == goal, reference_tj_moves(g.vertices), is_ts, guard)
+                )
+                got = outcome(lambda: bfs((start,), goal, g.vertices, near, counted, guard))
                 if want == "guard":
                     trips += 1
                     assert got == "guard", (g, x, y, guard)
                 else:
-                    assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (g, x, y, guard)
-    assert trips >= 100
+                    assert list(got[0].items()) == list(want[0].items()) and got[1:] == want[1:], (g, x, y, guard)
+    assert trips >= 100 and min(skips.values()) >= 100, (trips, skips)
