@@ -104,10 +104,6 @@ class ThresholdGraph:
     def full_mask(self) -> int:
         return ((1 << self.n) - 1) << 1
 
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u] if 1 <= u <= self.n else False
 

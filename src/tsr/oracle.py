@@ -249,17 +249,11 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
 
 
 def bfs(
-    starts: Iterable[int],
-    goal: int,
-    universe: Sequence[int],
-    near: Sequence[int],
-    ok: Callable[[int, int], bool],
-    guard: int,
-    popped: int = 0,
+    starts: Iterable[int], goal: int, near: Sequence[int], ok: Callable[[int, int], bool], guard: int, popped: int = 0
 ):
-    """Parent map of the states reached from ``starts`` by single jumps within
-    ``universe``, whether one contains ``goal`` (the search ends there; at the
-    goal's size it is the goal), and the pops so far.
+    """Parent map of the states reached from ``starts`` by single jumps among
+    the ids 1..len(``near``) - 1, whether one contains ``goal`` (the search
+    ends there; at the goal's size it is the goal), and the pops so far.
 
     Jumps from ``cur`` go by ascending removed element ``out``, then ascending
     added element.  Each goes through a hub, ``cur`` minus ``out``, to a set
@@ -284,7 +278,7 @@ def bfs(
             return parents, True, popped
         if popped + len(parents) > guard:
             raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
-    bits = [(v, 1 << v) for v in universe]
+    bits = [(v, 1 << v) for v in range(1, len(near))]
     rejected: set[int] = set()
     hubs: set[int] = set()
     queue = deque(parents)
@@ -333,7 +327,7 @@ def tj_decide(g: ThresholdGraph, x, y, *, guard: int = DEFAULT_GUARD) -> OracleR
     xs, ys, start, goal, near, ok = _check_pair(g, xs, y, comb(g.n, len(xs)), guard)
     if len(xs) != len(ys):
         raise SizeMismatch(f"|x|={len(xs)} != |y|={len(ys)}")
-    parents, found, _ = bfs((start,), goal, g.vertices, near, ok, guard)
+    parents, found, _ = bfs((start,), goal, near, ok, guard)
     seq = ReconfigSequence(xs, _steps_to(parents, goal)[1], TJ) if found else None
     return OracleReport(k=len(xs), reconfigurable=found, shortest=seq, explored=len(parents))
 
@@ -370,7 +364,7 @@ def ktar_decide(g: ThresholdGraph, x, y, k: int, *, guard: int = DEFAULT_GUARD) 
         if best is not None and base >= len(best):
             break
         starts = (start + sum(pad) for pad in itertools.combinations(free, j - len(xs)))
-        parents, found, popped = bfs(starts, goal, g.vertices, near, ok, guard, popped)
+        parents, found, popped = bfs(starts, goal, near, ok, guard, popped)
         explored += len(parents)
         if found:
             first, jumps = _steps_to(parents, end := next(reversed(parents)))

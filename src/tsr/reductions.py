@@ -6,14 +6,15 @@ theta), the (3,3)-graph to bipartite 3-regular {1,2}-threshold reduction
 (upsilon, subdivision, duplication, xi), and the hitting-set to split-graph
 reduction.  A gadget reduction grafts each gadget spec onto one builder and
 validates its output once, with a single ``ThresholdGraph.build``.  Every
-output carries forward/backward seed maps and per-vertex provenance tags.
+output carries per-vertex provenance tags and its seed maps as data: the seed
+block and copies that ``forward`` adds, and the vertices that ``backward``
+keeps before projecting through the gadget maps.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from itertools import combinations
-from typing import Callable
 
 from .errors import (
     BadDegree,
@@ -25,23 +26,43 @@ from .errors import (
     SizeMismatch,
     UnknownVertex,
 )
-from .gadgets import _SIGMA, _SUBDIVISION, _THETA, _XI, SUBDIVISION, GadgetMap, _Build, _upsilon
+from .gadgets import _SIGMA, _SUBDIVISION, _THETA, _XI, SUBDIVISION, UPSILON, GadgetMap, _Build, _upsilon
 from .gadgets import phi_sd, phi_upsilon
 from .graph import PlainGraph, ThresholdGraph, records
 from .oracle import DEFAULT_GUARD, bfs, tj_decide
 
-SeedMap = Callable[[frozenset[int]], frozenset[int]]
+_PHI = {SUBDIVISION: phi_sd, UPSILON: phi_upsilon}
 
 
 @dataclasses.dataclass
 class ReductionOutput:
-    """A transformed instance plus the machinery to move seeds across it."""
+    """A transformed instance with its seed maps as data.
+
+    ``forward`` maps a seed of source ids 1..``source_n`` to itself, its
+    ``shift`` copies and the block ``extra``.  ``backward`` keeps a seed's
+    vertices in ``keep``, then projects them through the upsilon and
+    subdivision maps among ``gadgets``, last first; ``keep`` already drops
+    the other gadgets' vertices.
+    """
 
     graph: ThresholdGraph
-    forward: SeedMap
-    backward: SeedMap
+    source_n: int
+    extra: frozenset[int]
+    keep: frozenset[int]
     provenance: dict[int, str]
     gadgets: tuple[GadgetMap, ...]
+    shift: dict[int, int] = dataclasses.field(default_factory=dict)
+
+    def forward(self, s) -> frozenset[int]:
+        s = _source_seed(s, self.source_n)
+        return s | {self.shift.get(v, v) for v in s} | self.extra
+
+    def backward(self, s) -> frozenset[int]:
+        s = _source_seed(s, self.graph.n) & self.keep
+        for gm in reversed(self.gadgets):
+            if gm.kind in _PHI:
+                s = _PHI[gm.kind](s, gm)
+        return s
 
     def format_provenance(self) -> str:
         lines = [f"origin {v} {tag}" for v, tag in sorted(self.provenance.items())]
@@ -49,7 +70,7 @@ class ReductionOutput:
 
 
 def _source_seed(s, n: int) -> frozenset[int]:
-    """``s`` as source ids 1..n: the one check of every forward map."""
+    """``s`` as ids 1..n: the one check of both seed maps."""
     s = frozenset(s)
     if bad := sorted(v for v in s if not 1 <= v <= n):
         raise UnknownVertex(f"seed vertex {bad[0]} not in 1..{n}")
@@ -81,21 +102,12 @@ def reduce_vc23_to_cubic(g: PlainGraph) -> ReductionOutput:
     b = _Build(g)
     maps = [b.graft(_SIGMA, {"v": v}, [(v, "r")]) for v in range(1, g.n + 1) if degs[v] == 2]
     b.tau = [len(nbrs) for nbrs in b.adj]  # tau = d: target sets are vertex covers
-    prov = _tags({v: f"orig:{v}" for v in range(1, g.n + 1)}, maps)
-    m_union = frozenset().union(*(gm.m_set for gm in maps))
-    orig = frozenset(range(1, g.n + 1))
-
-    def forward(s: frozenset[int]) -> frozenset[int]:
-        return _source_seed(s, g.n) | m_union
-
-    def backward(s: frozenset[int]) -> frozenset[int]:
-        return frozenset(s) & orig
-
     return ReductionOutput(
         graph=b.graph(),
-        forward=forward,
-        backward=backward,
-        provenance=prov,
+        source_n=g.n,
+        extra=frozenset().union(*(gm.m_set for gm in maps)),
+        keep=frozenset(range(1, g.n + 1)),
+        provenance=_tags({v: f"orig:{v}" for v in range(1, g.n + 1)}, maps),
         gadgets=tuple(maps),
     )
 
@@ -121,12 +133,6 @@ def _split_33(g: ThresholdGraph):
     return b, prov, maps
 
 
-def _project_back(s: frozenset[int], maps) -> frozenset[int]:
-    for gm in reversed(maps):
-        s = phi_sd(s, gm) if gm.kind == SUBDIVISION else phi_upsilon(s, gm)
-    return s
-
-
 def reduce_33_to_pb342(g: ThresholdGraph) -> ReductionOutput:
     """(3,3)-graph to a bipartite ({3,4},2)-graph via upsilon, subdivision, theta.
 
@@ -135,24 +141,16 @@ def reduce_33_to_pb342(g: ThresholdGraph) -> ReductionOutput:
     minimum seed X maps forward to X plus the union of the theta minima.
     """
     b, prov, maps = _split_33(g)
+    keep = frozenset(range(1, b.n + 1))  # every vertex but the theta internals
     candidates = [v for v in range(1, b.n + 1) if (len(b.adj[v]), b.tau[v]) in ((2, 1), (3, 1))]
     theta_maps = [b.graft(_THETA, {"v": v}, [(v, "r")], [v]) for v in candidates]
-    _tags(prov, theta_maps)
-    m_union = frozenset().union(*(gm.m_set for gm in theta_maps))
-    theta_internals = frozenset().union(*(gm.internal_vertices for gm in theta_maps))
-
-    def forward(s: frozenset[int]) -> frozenset[int]:
-        return _source_seed(s, g.n) | m_union
-
-    def backward(s: frozenset[int]) -> frozenset[int]:
-        return _project_back(frozenset(s) - theta_internals, maps)
-
     return ReductionOutput(
         graph=b.graph(),
-        forward=forward,
-        backward=backward,
-        provenance=prov,
-        gadgets=tuple(maps) + tuple(theta_maps),
+        source_n=g.n,
+        extra=frozenset().union(*(gm.m_set for gm in theta_maps)),
+        keep=keep,
+        provenance=_tags(prov, theta_maps),
+        gadgets=tuple(maps + theta_maps),
     )
 
 
@@ -174,23 +172,14 @@ def reduce_33_to_b312(g: ThresholdGraph) -> ReductionOutput:
         b.graft(_XI, {"v1": v, "v2": shift[v]}, [(v, "a1"), (shift[v], "a2")], [v, shift[v]])
         for v in two_one
     ]
-    _tags(prov, xi_maps)
-    a1_set = frozenset(gm.named_internals["a1"] for gm in xi_maps)
-    copy1 = frozenset(range(1, n_i + 1))
-
-    def forward(s: frozenset[int]) -> frozenset[int]:
-        s = _source_seed(s, g.n)
-        return s | frozenset(shift[v] for v in s) | a1_set
-
-    def backward(s: frozenset[int]) -> frozenset[int]:
-        return _project_back(frozenset(s) & copy1, maps)
-
     return ReductionOutput(
         graph=b.graph(),
-        forward=forward,
-        backward=backward,
-        provenance=prov,
-        gadgets=tuple(maps) + tuple(xi_maps),
+        source_n=g.n,
+        extra=frozenset(gm.named_internals["a1"] for gm in xi_maps),
+        keep=frozenset(range(1, n_i + 1)),  # the first copy
+        provenance=_tags(prov, xi_maps),
+        gadgets=tuple(maps + xi_maps),
+        shift=shift,
     )
 
 
@@ -225,11 +214,10 @@ class HittingSystem:
         ss = frozenset(s)
         return all(1 <= u <= self.n for u in ss) and all(ss & f for f in self.family)
 
-    def hitting_sets(self, k: int | None = None) -> list[frozenset[int]]:
-        k = self.k if k is None else k
+    def hitting_sets(self) -> list[frozenset[int]]:
         return [
             frozenset(c)
-            for c in combinations(range(1, self.n + 1), k)
+            for c in combinations(range(1, self.n + 1), self.k)
             if self.is_hitting_set(c)
         ]
 
@@ -292,22 +280,14 @@ def reduce_hitting_to_split(hs: HittingSystem) -> ReductionOutput:
     for a, b in combinations(clique, 2):
         edges.append((a, b))
     tau = [occ[u] + k + 1 for u in range(1, n + 1)] + [1] * m + [m + k]
-    graph = ThresholdGraph.build(n + m + 1, edges, tau)
     prov = {u: f"universe:{u}" for u in range(1, n + 1)}
     prov.update({n + j: f"family:{j}" for j in range(1, m + 1)})
     prov[x] = "apex"
-    universe = frozenset(range(1, n + 1))
-
-    def forward(s: frozenset[int]) -> frozenset[int]:
-        return _source_seed(s, n)  # v_u shares u's id
-
-    def backward(s: frozenset[int]) -> frozenset[int]:
-        return frozenset(s) & universe
-
     return ReductionOutput(
-        graph=graph,
-        forward=forward,
-        backward=backward,
+        graph=ThresholdGraph.build(n + m + 1, edges, tau),
+        source_n=n,
+        extra=frozenset(),
+        keep=frozenset(range(1, n + 1)),  # v_u shares u's id
         provenance=prov,
         gadgets=(),
     )
@@ -323,10 +303,9 @@ def hs_tj_decide(hs: HittingSystem, x, y, *, guard: int = DEFAULT_GUARD) -> bool
             raise NotATargetSet(f"{sorted(s)} is not a hitting set")
     family = [sum(1 << u for u in f) for f in hs.family]
     start, goal = (sum(1 << u for u in s) for s in (xs, ys))
-    universe = range(1, hs.n + 1)
     # hitting sets are closed under supersets too; the whole universe is near every element
-    near = [sum(1 << u for u in universe)] * (hs.n + 1)
-    return bfs((start,), goal, universe, near, lambda m, _: all(m & f for f in family), guard)[1]
+    near = [sum(1 << u for u in range(1, hs.n + 1))] * (hs.n + 1)
+    return bfs((start,), goal, near, lambda m, _: all(m & f for f in family), guard)[1]
 
 
 # -- instance-level equivalence checking --------------------------------------

@@ -195,10 +195,7 @@ def _component(g: ThresholdGraph, comp: tuple[int, ...], deg2: bool) -> Componen
         return Component("cycle", walk, None, w, len(w) >= 4 and len(w) % 2 == 0)
     if sum(len(g.adj[v]) for v in comp) != 2 * len(comp) - 2:
         return None
-    if len(comp) < g.n:
-        return Component("tree", comp, tuple(zip(*_chen(g, comp[0])[:2])))
-    tree = chen_tree(g)  # the graph is one tree: Chen runs once for it and the plan
-    return Component("tree", comp, tuple(zip(tree.s_list, tree.packing)))
+    return Component("tree", comp, tuple(zip(*_chen(g, comp[0])[:2])))
 
 
 def component_plan(g: ThresholdGraph) -> Plan | None:

@@ -81,46 +81,56 @@ def test_cli_subprocess_matches_in_process(tmp_path, capsys, monkeypatch):
     assert helps == [proc.stdout, proc.stdout]
 
 
+def _uses(dirs, skip=()):
+    """How often the Python files under ``dirs`` (less ``skip``) use each name:
+    an ``ast.Name`` id or an import alias counts for ``name``, an
+    ``ast.Attribute`` attr for ``.name``.  Docstrings, comments and
+    definitions count for nothing."""
+    uses = collections.Counter()
+    for path in (p for d in dirs for p in sorted((ROOT / d).rglob("*.py")) if p not in skip):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                uses[node.id] += 1
+            elif isinstance(node, ast.alias):
+                uses[node.name.rsplit(".", 1)[-1]] += 1
+            elif isinstance(node, ast.Attribute):
+                uses["." + node.attr] += 1
+    return uses
+
+
 def test_no_dead_definitions():
-    """Every function and class defined in ``src/tsr`` is named somewhere else
-    in ``src/``, ``tests/``, ``demos/`` or ``bench/``."""
-    files = [p for d in ("src", "tests", "demos", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
-    words = collections.Counter()
-    for p in files:
-        words.update(re.findall(r"\w+", p.read_text(encoding="utf-8")))
+    """Every function and class defined in ``src/tsr`` is used in ``src/``,
+    ``tests/``, ``demos/`` or ``bench/``."""
+    uses = _uses(("src", "tests", "demos", "bench"))
     dead = [
         f"{path.name}:{node.lineno} {node.name}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("__")
-        and words[node.name] < 2
+        and not uses[node.name] + uses["." + node.name]
     ]
-    assert not dead, f"defined but never named elsewhere: {dead}"
+    assert not dead, f"defined but never used: {dead}"
 
 
 def test_public_surface_is_documented():
     """A public function, class or method of ``src/tsr`` that nothing in ``src/``
-    or ``bench/`` names (a re-export in ``__init__`` is not use) is API only if
-    README's "Public surface" lists it as ``module.name``; every listed name is
-    defined."""
-    files = [p for d in ("src", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
-    words = collections.Counter()
-    for p in files:
-        if p != ROOT / "src" / "tsr" / "__init__.py":
-            words.update(re.findall(r"\w+", p.read_text(encoding="utf-8")))
+    or ``bench/`` uses (a re-export in ``__init__`` is not use, and a method is
+    used only as an attribute) is API only if README's "Public surface" lists
+    it as ``module.name``; every listed name is defined."""
+    uses = _uses(("src", "bench"), skip={ROOT / "src" / "tsr" / "__init__.py"})
     defined = {}
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[f"{path.stem}.{node.name}"] = node.name
+                defined[f"{path.stem}.{node.name}"] = uses[node.name] + uses["." + node.name]
                 for sub in node.body if isinstance(node, ast.ClassDef) else ():
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                        defined[f"{path.stem}.{node.name}.{sub.name}"] = sub.name
+                        defined[f"{path.stem}.{node.name}.{sub.name}"] = uses["." + sub.name]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Public surface\n", 1)[1].split("\n## ", 1)[0]
     listed = set(re.findall(r"`(\w+(?:\.\w+)+)`", section))
-    unlisted = sorted(q for q, name in defined.items() if words[name] < 2 and q not in listed)
+    unlisted = sorted(q for q, used in defined.items() if not used and q not in listed)
     assert not unlisted, f"used by nothing in src/ or bench/ and not in README's Public surface: {unlisted}"
     assert listed <= defined.keys(), f"listed but not defined: {sorted(listed - defined.keys())}"
 
@@ -201,3 +211,25 @@ def test_one_solver_behind_the_named_solvers():
     assert [name for name, called in calls.items() if "_joined" in called] == ["solvers.solve"]
     for name in ("solve_tree", "solve_threshold1", "solve_maxdeg2"):
         assert "solve" in calls[f"solvers.{name}"]
+
+
+def test_seed_maps_are_data():
+    """A reduction's seed maps are ``ReductionOutput.forward`` and ``.backward``
+    over its fields: no function in ``reductions`` defines a closure, and those
+    two methods are the only callers of the id check ``_source_seed``."""
+    tree = ast.parse((ROOT / "src" / "tsr" / "reductions.py").read_text(encoding="utf-8"))
+    fns = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    nested = [f"{fn.name}.{sub.name}" for fn in fns for sub in ast.walk(fn) if sub is not fn and sub in fns]
+    assert not nested, f"nested functions in reductions: {nested}"
+    callers = []
+    for path in SOURCES:
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        scopes = [(f"{path.stem}.{cls.name}.", cls.body) for cls in body if isinstance(cls, ast.ClassDef)]
+        for prefix, nodes in [(f"{path.stem}.", body)] + scopes:
+            callers += [
+                prefix + fn.name
+                for fn in nodes
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_source_seed" for n in ast.walk(fn))
+            ]
+    assert sorted(callers) == ["reductions.ReductionOutput.backward", "reductions.ReductionOutput.forward"]

@@ -497,7 +497,7 @@ def test_removal_tests_are_memoized_per_component(monkeypatch):
     for g, x, y in (_terrible_beside_paths(0), _terrible_beside_paths(1)):
         _, _, start, goal, near, ok = _check_pair(g, x, y)
         calls.clear()
-        bfs((start,), goal, g.vertices, near, ok, DEFAULT_GUARD)
+        bfs((start,), goal, near, ok, DEFAULT_GUARD)
         memo = inspect.getclosurevars(ok).nonlocals["memo"]
         assert calls and (len(memo) == 0) == (len(g.components()) == 1)
 
@@ -564,7 +564,7 @@ def test_pair_queries_switch_between_table_and_removal_test(monkeypatch):
     # with no test count, as three arguments give, the removal test runs
     _, _, start, goal, near, ok = _check_pair(g, x, y)
     calls.clear()
-    bfs((start,), goal, g.vertices, near, ok, DEFAULT_GUARD)
+    bfs((start,), goal, near, ok, DEFAULT_GUARD)
     assert calls and not builds
 
 
@@ -830,7 +830,7 @@ def test_hub_expansion_keeps_parents_and_order():
                 want = outcome(
                     lambda: reference_bfs([start], lambda m: m & goal == goal, reference_tj_moves(g.vertices), is_ts, guard)
                 )
-                got = outcome(lambda: bfs((start,), goal, g.vertices, near, counted, guard))
+                got = outcome(lambda: bfs((start,), goal, near, counted, guard))
                 if want == "guard":
                     trips += 1
                     assert got == "guard", (g, x, y, guard)

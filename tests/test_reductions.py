@@ -204,8 +204,9 @@ def test_identity_reduction_trivially_equivalent(fig2):
 
     out = ReductionOutput(
         graph=fig2,
-        forward=lambda s: s,
-        backward=lambda s: s,
+        source_n=fig2.n,
+        extra=frozenset(),
+        keep=frozenset(fig2.vertices),
         provenance={},
         gadgets=(),
     )
@@ -321,8 +322,9 @@ def test_reductions_and_gadgets_match_golden(k4):
 
 
 def test_forward_maps_reject_unknown_ids(k4):
-    """Every reduction's forward map takes source ids only: 0, n + 1 and 999
-    raise UnknownVertex, while the ids 1..n map."""
+    """Every reduction's forward map takes source ids only and its backward
+    map output ids only: 0, n + 1 and 999 (999 past the output's ids) raise
+    UnknownVertex, while the ids 1..n map."""
     hs = HittingSystem.build(4, [{1, 2}, {3, 4}], 2)
     cases = [
         (reduce_33_to_pb342(k4), 4),
@@ -335,3 +337,8 @@ def test_forward_maps_reject_unknown_ids(k4):
         for bad in (0, n + 1, 999):
             with pytest.raises(errors.UnknownVertex, match=f"seed vertex {bad} not in 1..{n}"):
                 out.forward(frozenset({1, bad}))
+        big = out.graph.n  # 1,840 and 1,020 for the k4 reductions, so 999 is an output id
+        assert out.backward(frozenset(range(1, big + 1))) == set(range(1, n + 1))
+        for bad in (0, big + 1, big + 999):
+            with pytest.raises(errors.UnknownVertex, match=f"seed vertex {bad} not in 1..{big}"):
+                out.backward(frozenset({1, bad}))
