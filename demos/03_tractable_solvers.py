@@ -9,10 +9,11 @@ Activation never crosses a component, so one solver handles any graph whose
 components are each threshold-1, a tree, a path or a cycle.
 """
 
-from tsr import ThresholdGraph, validate_sequence
+from tsr import ReconfigSequence, ThresholdGraph, validate_sequence
 from tsr.generators import cycle_with_spacing, path_with_spacing
 from tsr.graph import disjoint_union
 from tsr.oracle import tj_decide
+from tsr.reconfig import TAR
 from tsr.solvers import (
     chen_tree,
     component_plan,
@@ -21,7 +22,6 @@ from tsr.solvers import (
     solve,
     solve_maxdeg2,
     solve_tree,
-    tree_tar_to_canonical,
 )
 
 # --- paths --------------------------------------------------------------
@@ -65,16 +65,17 @@ t = ThresholdGraph.build(
      (6, 10), (6, 11), (8, 12), (8, 13), (9, 14)],
     [1, 2, 2, 1, 3, 3, 1, 2, 2, 1, 1, 1, 1, 1],
 )
+# The tree is the one component of its plan; Chen's regions route it.
 plan = chen_tree(t)
 print("\ntree canonical minimum:", sorted(plan.s_star))
-for i, region in enumerate(plan.packing, start=1):
+for i, (_, region) in enumerate(plan.regions, start=1):
     print(f"packing {i}:", *sorted(region))
 print()
 
 # Any target set drains into the canonical one within an |S|-TAR budget;
 # chaining two drains answers every same-size pair with YES.
 big = frozenset(t.vertices)
-drain = tree_tar_to_canonical(t, plan, big)
+drain = ReconfigSequence(big, component_plan(t).route(0, big)[0], TAR, k=len(big))
 print("drain from V: ", len(drain), "steps, valid:", validate_sequence(t, drain).ok)
 yes, route = solve_tree(t, frozenset({1, 2, 6, 8, 9}), frozenset({2, 6, 9, 12, 13}))
 print("tree pair:", yes, "valid:", validate_sequence(t, route).ok)

@@ -29,6 +29,24 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _neighbours(n: int, edges: Iterable[Edge]) -> list[set[int]]:
+    """Each vertex's neighbour set (index 0 unused): the one edge check of
+    both graph builds, which rejects self-loops, ids outside 1..n and
+    duplicate edges."""
+    nbrs: list[set[int]] = [set() for _ in range(n + 1)]
+    for u, v in edges:
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u}")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise IdGap(f"edge ({u},{v}) out of range 1..{n}")
+        nu = nbrs[u]
+        if v in nu:
+            raise DuplicateEdge(f"duplicate edge {_norm_edge(u, v)}")
+        nu.add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 @dataclasses.dataclass(frozen=True)
 class ThresholdGraph:
     """Simple undirected graph with per-vertex integer thresholds.
@@ -53,18 +71,7 @@ class ThresholdGraph:
             raise MalformedLine(f"negative vertex count {n}")
         if len(tau) != n:
             raise MalformedLine(f"expected {n} thresholds, got {len(tau)}")
-        nbrs: list[set[int]] = [set() for _ in range(n + 1)]
-        for u, v in edges:
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise IdGap(f"edge ({u},{v}) out of range 1..{n}")
-            nu = nbrs[u]
-            if v in nu:
-                raise DuplicateEdge(f"duplicate edge {_norm_edge(u, v)}")
-            nu.add(v)
-            nbrs[v].add(u)
-        adj = tuple([tuple(sorted(s)) for s in nbrs])
+        adj = tuple([tuple(sorted(s)) for s in _neighbours(n, edges)])
         for v, t in enumerate(tau, start=1):
             if not 1 <= t <= len(adj[v]):
                 raise ThresholdOutOfRange(f"vertex {v}: tau={t} not in [1, d={len(adj[v])}]")
@@ -146,17 +153,8 @@ class PlainGraph:
 
     @staticmethod
     def build(n: int, edges: Iterable[Edge]) -> "PlainGraph":
-        seen: set[Edge] = set()
-        for u, v in edges:
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise IdGap(f"edge ({u},{v}) out of range 1..{n}")
-            e = _norm_edge(u, v)
-            if e in seen:
-                raise DuplicateEdge(f"duplicate edge {e}")
-            seen.add(e)
-        return PlainGraph(n=n, edges=tuple(sorted(seen)))
+        nbrs = _neighbours(n, edges)
+        return PlainGraph(n=n, edges=tuple((u, v) for u in range(1, n + 1) for v in sorted(nbrs[u]) if u < v))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:

@@ -9,11 +9,11 @@ sweep (``_sweep``): for each region, add its target, then clear the rest of
 the region; the canonical minimum is the set of region targets.  ``solve``
 ends in one checked join (``_joined``): x's route down, then y's reversed.
 
-Plans are built once per graph object, in its own ``__dict__`` as a
-``cached_property`` is, and live as long as it does; a ``dataclasses.replace``
-copy starts empty.  They are the component plan (``component_plan``), whose
-route memo grows with the distinct component restrictions queried, and Chen's
-tree plan per root (``chen_tree``).
+One plan, the component plan (``component_plan``), is built per graph object,
+in its own ``__dict__`` as a ``cached_property`` is, and lives as long as it
+does; a ``dataclasses.replace`` copy starts empty.  Its route memo grows with
+the distinct component restrictions queried; a tree's one entry in it is
+``chen_tree``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from functools import cached_property
 
-from .activation import closure_mask, is_target_set, seed_mask
+from .activation import closure_mask, seed_mask
 from .errors import (
     DegreeTooLarge,
     InvariantViolated,
@@ -111,6 +111,11 @@ class Component:
         return sum(1 << v for v in self.order)
 
     @cached_property
+    def s_star(self) -> frozenset[int] | None:
+        """The canonical minimum, the set of region targets; None without regions."""
+        return None if self.regions is None else frozenset(t for t, _ in self.regions)
+
+    @cached_property
     def min_size(self) -> int:
         # one vertex per region; ceil(m/2) threshold-2 vertices on a cycle
         return (self.m + 1) // 2 if self.regions is None else len(self.regions)
@@ -195,7 +200,7 @@ def _component(g: ThresholdGraph, comp: tuple[int, ...], deg2: bool) -> Componen
         return Component("cycle", walk, None, w, len(w) >= 4 and len(w) % 2 == 0)
     if sum(len(g.adj[v]) for v in comp) != 2 * len(comp) - 2:
         return None
-    return Component("tree", comp, tuple(zip(*_chen(g, comp[0])[:2])))
+    return Component("tree", comp, tuple(zip(*_chen(g, comp[0]))))
 
 
 def component_plan(g: ThresholdGraph) -> Plan | None:
@@ -221,36 +226,19 @@ def decompose_deg2(g: ThresholdGraph) -> Plan:
 # -- trees ------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class TreePlan:
-    """Output of Chen's algorithm plus the canonical-seed packing.
+def chen_tree(g: ThresholdGraph) -> Component:
+    """The component plan's one entry for a tree g; raises ``NotATree`` otherwise.
 
-    ``s_list`` orders the canonical minimum target set S* by postorder;
-    ``packing[i]`` is the region P_i that every target set must hit, with
-    S* & P_i == {s_list[i]}.
+    Its ``s_star`` is the canonical minimum that ``solve_tree`` routes through:
+    a tree with a degree-3 vertex gets Chen's regions from vertex 1 (``_chen``),
+    a threshold-1 tree the single region (1, V), which is what Chen gives from
+    vertex 1, and a path its own path regions, so its ``s_star`` can differ
+    from Chen's but has the same size.
     """
-
-    root: int
-    parent: tuple[int, ...]
-    tau_prime: tuple[int, ...]
-    s_star: frozenset[int]
-    s_list: tuple[int, ...]
-    packing: tuple[frozenset[int], ...]
-
-
-def chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
-    """Bottom-up minimum target set of a tree (``_chen``), cached on g per root."""
-    root = 1 if root is None else root
-    plans = g.__dict__.setdefault("_tree_plans", {})
-    if root not in plans:
-        if len(g.components()) != 1 or g.m != g.n - 1:
-            raise NotATree("graph is not a tree")
-        g.check_vertex(root)
-        s_list, packing, parent, tau_prime = _chen(g, root)
-        ids = range(g.n + 1)  # index 0 unused
-        by_vertex = tuple(map(parent.get, ids)), tuple(map(tau_prime.get, ids))
-        plans[root] = TreePlan(root, *by_vertex, frozenset(s_list), s_list, packing)
-    return plans[root]
+    plan = component_plan(g)
+    if plan is None or len(plan.components) != 1 or g.m != g.n - 1:
+        raise NotATree("graph is not a tree")
+    return plan.components[0]
 
 
 def _chen(g: ThresholdGraph, root: int):
@@ -259,10 +247,10 @@ def _chen(g: ThresholdGraph, root: int):
     Scans vertices in postorder (children in ascending id); tau'(v) subtracts
     the children that the current selection would have activated.  A non-root
     joins S* when tau'(v) >= 2, the root when tau'(root) >= 1.  Returns S* in
-    postorder, its packing, and parent and tau' as dicts over the component
-    and 0, so that each tree of a forest costs its own size.
+    postorder and its packing; parent and tau' are dicts over the component,
+    so that each tree of a forest costs its own size.
     """
-    parent = {0: 0, root: 0}
+    parent = {root: 0}
     # neighbors pushed in ascending id pop in descending id, so this preorder
     # visits children in descending id and its reverse is the postorder with
     # children in ascending id
@@ -276,7 +264,7 @@ def _chen(g: ThresholdGraph, root: int):
                 parent[u] = v
                 stack.append(u)
     post = order[::-1]
-    tau_prime = {0: 0}
+    tau_prime: dict[int, int] = {}
     s_star: set[int] = set()
     for v in post:
         activated = sum(1 for w in g.adj[v] if w != parent[v] and (tau_prime[w] == 0 or w in s_star))
@@ -294,21 +282,7 @@ def _chen(g: ThresholdGraph, root: int):
         nearest[v] = v if v in s_star else nearest[parent[v]]
         if nearest[v]:
             regions[nearest[v]].append(v)
-    return s_list, tuple(frozenset(regions[s]) for s in s_list), parent, tau_prime
-
-
-def tree_tar_to_canonical(g: ThresholdGraph, plan: TreePlan, s) -> ReconfigSequence:
-    """|S|-TAR route from any target set S of a tree to the canonical S*.
-
-    For each canonical seed in postorder: add it if absent, then clear the
-    rest of its packing region; finish by removing leftovers outside the
-    packing.  Every intermediate set is a superset of a target set.
-    """
-    ss = g.check_seed(s)
-    if not is_target_set(g, ss):
-        raise NotATargetSet(f"{sorted(ss)} is not a target set")
-    steps, _ = _sweep(ss, zip(plan.s_list, plan.packing))
-    return ReconfigSequence(ss, tuple(steps), TAR, k=len(ss))
+    return s_list, tuple(frozenset(regions[s]) for s in s_list)
 
 
 # -- paths and cycles --------------------------------------------------------
@@ -470,9 +444,7 @@ def solve(g: ThresholdGraph, x, y, *, model: str = TJ) -> tuple[bool, ReconfigSe
 
 def solve_tree(g: ThresholdGraph, x, y, *, model: str = TJ) -> tuple[bool, ReconfigSequence]:
     """Trees: any two same-size target sets are reconfigurable (``solve``)."""
-    plan = component_plan(g)
-    if plan is None or len(plan.components) != 1 or g.m != g.n - 1:
-        raise NotATree("graph is not a tree")
+    chen_tree(g)
     return solve(g, x, y, model=model)
 
 

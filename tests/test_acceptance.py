@@ -28,7 +28,7 @@ from tsr.oracle import (
     target_sets_by_size,
     tj_decide,
 )
-from tsr.reconfig import validate_sequence, tar_to_tj, tj_to_tar
+from tsr.reconfig import TAR, ReconfigSequence, validate_sequence, tar_to_tj, tj_to_tar
 from tsr.reductions import (
     hs_tj_decide,
     reduce_33_to_b312,
@@ -37,7 +37,7 @@ from tsr.reductions import (
     reduce_vc23_to_cubic,
     verify_reduction,
 )
-from tsr.solvers import chen_tree, maxdeg2_min_size, solve_maxdeg2, tree_tar_to_canonical
+from tsr.solvers import chen_tree, component_plan, maxdeg2_min_size, solve_maxdeg2
 
 
 @contextmanager
@@ -220,7 +220,7 @@ def test_criterion_6_tree_solver(fig5_tree):
             plan = chen_tree(g)
             masks = all_target_set_masks(g)
             assert len(plan.s_star) == min(m.bit_count() for m in masks)
-            packing_masks = [_mask(p) for p in plan.packing]
+            packing_masks = [_mask(p) for _, p in plan.regions]
             for m in masks:
                 assert all(m & pm for pm in packing_masks), (g, m)
             ts_all = set(masks)
@@ -228,7 +228,7 @@ def test_criterion_6_tree_solver(fig5_tree):
             sample = masks[:: max(1, len(masks) // 20)][:25]
             for m in sample:
                 s = frozenset(v for v in g.vertices if m >> v & 1)
-                seq = tree_tar_to_canonical(g, plan, s)
+                seq = ReconfigSequence(s, component_plan(g).route(0, s)[0], TAR, k=len(s))
                 rep = validate_sequence(g, seq, is_ts=is_ts)
                 assert rep.ok and seq.end == plan.s_star
                 assert max(len(t) for t in seq.sets()) <= len(s) + 1

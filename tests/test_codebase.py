@@ -195,6 +195,21 @@ def test_records_is_the_one_line_tokenizer():
     assert callers == ["graph.records"]
 
 
+def test_chen_only_in_the_component_plan():
+    """Chen's regions live in one tree plan, the component plan: the one call
+    of ``_chen`` in ``src/tsr`` is the tree case of ``solvers._component``."""
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        fns = [fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_chen":
+                # ast.walk is breadth-first, so the last enclosing function is the innermost
+                inner = [fn.name for fn in fns if fn.lineno <= node.lineno <= fn.end_lineno]
+                callers.append(f"{path.stem}.{inner[-1] if inner else '<module>'}")
+    assert callers == ["solvers._component"]
+
+
 def test_one_solver_behind_the_named_solvers():
     """``solvers.solve`` is the one caller of the join ``_joined``, and each named
     solver calls it, so the three stay thin entry points."""

@@ -123,14 +123,38 @@ def test_b312_audit(k4):
     assert out.backward(x) == {1, 2}
 
 
-def test_b312_duplication_doubles_components(k4):
-    # before the xi wiring, the doubled graph has twice the components
-    from tsr.graph import disjoint_union
+def _component_count(vertices, edges) -> int:
+    """Connected components of the graph on ``vertices`` with the ``edges`` inside it."""
+    root = {v: v for v in vertices}
 
-    out = reduce_33_to_pb342(k4)  # reuse upsilon+subdivision steps indirectly
-    # direct check on the doubling primitive
-    g2, _ = disjoint_union(k4, k4)
-    assert len(g2.components()) == 2 * len(k4.components())
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        if u in root and v in root:
+            root[find(u)] = find(v)
+    return len({find(v) for v in vertices})
+
+
+def test_b312_duplication_doubles_components(k4):
+    """On K4, ``shift`` maps the first copy 1..150 onto 151..300; each copy
+    keeps its vertex's threshold and mirrors its edges, so before the xi
+    wiring the two copies have twice the first copy's components; ``forward``
+    puts each seed id beside its copy."""
+    out = reduce_33_to_b312(k4)
+    g, shift = out.graph, out.shift
+    first, second = range(1, 151), range(151, 301)
+    assert out.keep == frozenset(first)
+    assert sorted(shift) == list(first) and sorted(shift.values()) == list(second)
+    assert all(g.tau[shift[v]] == g.tau[v] for v in first)
+    inside = lambda block: {e for e in g.edges if e[0] in block and e[1] in block}
+    assert {tuple(sorted((shift[u], shift[v]))) for u, v in inside(first)} == inside(second)
+    assert not {(u, v) for u, v in g.edges if u in first and v in second}
+    doubled = _component_count([*first, *second], g.edges)
+    assert doubled == 2 * _component_count(first, g.edges)
+    assert {1, shift[1]} <= out.forward({1})
 
 
 def test_33_rejected_on_other_graphs(fig1):

@@ -37,7 +37,6 @@ from tsr.solvers import (
     solve_maxdeg2,
     solve_threshold1,
     solve_tree,
-    tree_tar_to_canonical,
 )
 
 
@@ -176,26 +175,23 @@ def test_cycle_minimum_sets_match_oracle():
 
 def test_chen_fig5(fig5_tree):
     plan = chen_tree(fig5_tree)
+    assert plan.kind == "tree"
     assert plan.s_star == {2, 6, 8, 9}
     assert len(plan.s_star) == 4
-    assert plan.s_list == (6, 8, 9, 2)
-    assert plan.packing == (
+    assert tuple(s_i for s_i, _ in plan.regions) == (6, 8, 9, 2)
+    assert tuple(p_i for _, p_i in plan.regions) == (
         frozenset({6, 10, 11}),
         frozenset({8, 12, 13}),
         frozenset({9, 14}),
         frozenset({2, 3, 4, 5, 7}),
     )
-    for s_i, p_i in zip(plan.s_list, plan.packing):
+    for s_i, p_i in plan.regions:
         assert plan.s_star & p_i == {s_i}
 
 
 def test_chen_single_edge():
     g = ThresholdGraph.build(2, [(1, 2)], [1, 1])
-    plan = chen_tree(g)
-    assert plan.s_star == {1}
-    assert plan.tau_prime[2] == 1
-    # Algorithm 1's update gives tau'(root) = tau(root) - 0 = 1 here
-    assert plan.tau_prime[1] == 1
+    assert chen_tree(g).s_star == {1}
 
 
 def test_chen_star():
@@ -209,16 +205,21 @@ def test_chen_rejects_non_tree(fig1):
         chen_tree(fig1)
 
 
+def _tree_route(g, s):
+    """The TAR sequence from s down the tree's one component route."""
+    return ReconfigSequence(s, component_plan(g).route(0, s)[0], TAR, k=len(s))
+
+
 def test_tree_route_from_s_star(fig5_tree):
     plan = chen_tree(fig5_tree)
-    seq = tree_tar_to_canonical(fig5_tree, plan, plan.s_star)
+    seq = _tree_route(fig5_tree, plan.s_star)
     assert len(seq) == 0
 
 
 def test_tree_route_from_full_vertex_set(fig5_tree):
     plan = chen_tree(fig5_tree)
     s = frozenset(fig5_tree.vertices)
-    seq = tree_tar_to_canonical(fig5_tree, plan, s)
+    seq = _tree_route(fig5_tree, s)
     rep = validate_sequence(fig5_tree, seq)
     assert rep.ok and seq.end == plan.s_star
     sizes = [len(t) for t in seq.sets()]
@@ -230,16 +231,10 @@ def test_tree_route_mixed_seed(fig5_tree):
     plan = chen_tree(fig5_tree)
     leaves = frozenset(v for v in fig5_tree.vertices if len(fig5_tree.adj[v]) == 1)
     s = leaves | plan.s_star
-    seq = tree_tar_to_canonical(fig5_tree, plan, s)
+    seq = _tree_route(fig5_tree, s)
     rep = validate_sequence(fig5_tree, seq)
     assert rep.ok and seq.end == plan.s_star
     assert max(len(t) for t in seq.sets()) <= len(s) + 1
-
-
-def test_tree_route_rejects_non_target_set(fig5_tree):
-    plan = chen_tree(fig5_tree)
-    with pytest.raises(errors.NotATargetSet):
-        tree_tar_to_canonical(fig5_tree, plan, {1})
 
 
 def test_chen_matches_oracle_random():
@@ -413,24 +408,9 @@ def test_plans_are_per_instance_and_never_change_answers():
         else:
             assert chen_tree(g) is chen_tree(g)
             assert chen_tree(copy) is not chen_tree(g)
-
-
-def test_chen_tree_plan_per_root():
-    rng = random.Random(9)
-    for _ in range(20):
-        g = random_tree(rng, rng.randint(3, 12))
-        r = rng.randint(2, g.n)
-        default, rooted = chen_tree(dataclasses.replace(g)), chen_tree(dataclasses.replace(g), root=r)
-        assert default.root == 1 and rooted.root == r
-        first_default = dataclasses.replace(g)
-        d = chen_tree(first_default)
-        assert chen_tree(first_default, root=r) == rooted
-        assert chen_tree(first_default) is d and d == default
-        first_rooted = dataclasses.replace(g)
-        p = chen_tree(first_rooted, root=r)
-        assert chen_tree(first_rooted) == default
-        assert chen_tree(first_rooted, root=1) is chen_tree(first_rooted)
-        assert chen_tree(first_rooted, root=r) is p and p == rooted
+            # one tree plan: chen_tree is the component plan's entry, cached nowhere else
+            assert chen_tree(g) is component_plan(g).components[0]
+            assert "_tree_plans" not in vars(g)
 
 
 @pytest.mark.parametrize("model", [TJ, TAR])
@@ -453,6 +433,16 @@ def test_same_endpoints_give_the_empty_sequence(solve, model):
         (solve_threshold1, 4, [(1, 2), (3, 4)], [1, 1, 1, 1], {3, 4}, {2, 4}, {3, 4}),
         (solve_maxdeg2, 4, [(1, 2), (2, 3), (3, 4)], [1, 2, 2, 1], {2, 3}, {1, 4}, {1, 4}),
         (solve_maxdeg2, 4, [(1, 2), (3, 4)], [1, 1, 1, 1], {1, 2}, {2, 3}, {1, 2}),
+        # fig5, a tree with degree-3 vertices routed by Chen's regions
+        (
+            solve_tree,
+            14,
+            [(1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (4, 7), (5, 8), (5, 9), (6, 10), (6, 11), (8, 12), (8, 13), (9, 14)],
+            [1, 2, 2, 1, 3, 3, 1, 2, 2, 1, 1, 1, 1, 1],
+            {1},
+            {14},
+            {1},
+        ),
     ],
 )
 def test_endpoint_error_names_the_set(solve, n, edges, tau, x, y, bad):

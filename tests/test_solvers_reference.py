@@ -2,12 +2,13 @@
 
 ``reference_chen_tree`` is Chen's bottom-up selection as the solvers ran it
 with a second traversal: a DFS for parents and preorder, sorted ``children``
-lists, then an explicit-stack postorder.  The library ``chen_tree`` takes
+lists, then an explicit-stack postorder.  The library's ``_chen`` takes
 the postorder as the reverse of one DFS preorder.  ``reference_components``
 is the max-degree-2 walk with separate path and cycle cases.  Both are kept
 verbatim except that they cache nothing on the graph, so the library's
-per-graph caches never serve them.  Plans, and each component's ``order``,
-``kind``, ``w`` and ``terrible``, must not change.
+per-graph caches never serve them, and that the Chen reference returns only
+S* in postorder and its packing, the two things ``_chen`` returns.  Those, and
+each component's ``order``, ``kind``, ``w`` and ``terrible``, must not change.
 """
 
 import random
@@ -15,10 +16,11 @@ import random
 from tsr.errors import NotATree
 from tsr.generators import random_maxdeg2, random_tree
 from tsr.graph import ThresholdGraph, classify
-from tsr.solvers import TreePlan, chen_tree, decompose_deg2
+from tsr.solvers import _chen, decompose_deg2
 
 
-def reference_chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
+def reference_chen_tree(g: ThresholdGraph, root: int | None = None):
+    """(S* in postorder, its packing) from root, 1 by default."""
     root = 1 if root is None else root
     if not classify(g).is_tree:
         raise NotATree("graph is not a tree")
@@ -75,15 +77,7 @@ def reference_chen_tree(g: ThresholdGraph, root: int | None = None) -> TreePlan:
     for v in g.vertices:
         if nearest[v]:
             regions[nearest[v]].append(v)
-    packing = tuple(frozenset(regions[s]) for s in s_list)
-    return TreePlan(
-        root=root,
-        parent=tuple(parent),
-        tau_prime=tuple(tau_prime),
-        s_star=frozenset(s_star),
-        s_list=s_list,
-        packing=packing,
-    )
+    return s_list, tuple(frozenset(regions[s]) for s in s_list)
 
 
 def reference_components(g: ThresholdGraph) -> list[tuple[str, tuple[int, ...], tuple[int, ...], bool]]:
@@ -134,8 +128,8 @@ def test_chen_tree_matches_reference():
         if i % 2:
             g = relabeled(g, rng)
         r = rng.randint(1, g.n)
-        assert chen_tree(g) == reference_chen_tree(g)
-        assert chen_tree(g, root=r) == reference_chen_tree(g, r)
+        assert _chen(g, 1) == reference_chen_tree(g)
+        assert _chen(g, r) == reference_chen_tree(g, r)
 
 
 def test_decompose_deg2_matches_reference():
