@@ -222,18 +222,18 @@ def _cmd_reduce(args) -> int:
     return OK
 
 
+# each `tsr gadget` kind and the graph it emits; sigma is a VC gadget, emitted as TSS
+_GADGETS = {
+    "oneway": lambda: oneway_gadget()[0],
+    "theta": lambda: theta_gadget()[0],
+    "theta1": lambda: theta_gadget(r_tau=1)[0],
+    "xi": lambda: xi_gadget()[0],
+    "sigma": lambda: vc_to_tss(sigma_gadget()[0]),
+}
+
+
 def _cmd_gadget(args) -> int:
-    if args.kind == "oneway":
-        g, _ = oneway_gadget()
-    elif args.kind == "theta":
-        g, _ = theta_gadget()
-    elif args.kind == "theta1":
-        g, _ = theta_gadget(r_tau=1)
-    elif args.kind == "xi":
-        g, _ = xi_gadget()
-    else:
-        g = vc_to_tss(sigma_gadget()[0])
-    sys.stdout.write(serialize_graph(g))
+    sys.stdout.write(serialize_graph(_GADGETS[args.kind]()))
     return OK
 
 
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_reduce)
 
     sp = sub.add_parser("gadget", help="emit a standalone gadget as a TSR file")
-    sp.add_argument("kind", choices=["oneway", "theta", "theta1", "xi", "sigma"])
+    sp.add_argument("kind", choices=list(_GADGETS))
     sp.set_defaults(func=_cmd_gadget)
 
     sp = sub.add_parser("gen", help="generate a random instance")

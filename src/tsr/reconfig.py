@@ -25,9 +25,12 @@ TJN = "tjn"
 
 @dataclasses.dataclass(frozen=True)
 class Step:
-    """One reconfiguration step: jump(out,in), add(v), remove(v), or noop."""
+    """One reconfiguration step: the vertex it removes and the vertex it adds.
 
-    kind: str  # "jump" | "add" | "remove" | "noop"
+    A jump sets both, an add only ``into``, a remove only ``out``, a noop
+    neither; ``kind`` names that shape.
+    """
+
     out: int | None = None
     into: int | None = None
 
@@ -35,28 +38,36 @@ class Step:
     def jump(out: int, into: int) -> "Step":
         if out == into:
             raise InvalidInput(f"jump with out == in == {out}")
-        return Step("jump", out, into)
+        return Step(out, into)
 
     @staticmethod
     def add(v: int) -> "Step":
-        return Step("add", None, v)
+        return Step(None, v)
 
     @staticmethod
     def remove(v: int) -> "Step":
-        return Step("remove", v, None)
+        return Step(v, None)
 
     @staticmethod
     def noop() -> "Step":
-        return Step("noop")
+        return Step()
+
+    @property
+    def kind(self) -> str:
+        return _SHAPES[self.out is not None, self.into is not None][0]
 
     def format(self) -> str:
-        if self.kind == "jump":
-            return f"j {self.out} {self.into}"
-        if self.kind == "add":
-            return f"a {self.into}"
-        if self.kind == "remove":
-            return f"r {self.out}"
-        return "n"
+        letter = _SHAPES[self.out is not None, self.into is not None][1]
+        return " ".join([letter] + [str(v) for v in (self.out, self.into) if v is not None])
+
+
+# (removes a vertex, adds a vertex) -> kind, sequence-file letter, file usage
+_SHAPES = {
+    (True, True): ("jump", "j", "j <out> <in>"),
+    (False, True): ("add", "a", "a <v>"),
+    (True, False): ("remove", "r", "r <v>"),
+    (False, False): ("noop", "n", "n"),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,9 +117,9 @@ def apply_step(current: frozenset[int], step: Step) -> frozenset[int]:
 
 def _apply_in_place(cur: set[int], step: Step) -> None:
     """``apply_step`` on a mutable set, in O(1)."""
-    if step.kind in ("jump", "remove"):
+    if step.out is not None:
         cur.discard(step.out)
-    if step.kind in ("jump", "add"):
+    if step.into is not None:
         cur.add(step.into)
 
 
@@ -122,7 +133,8 @@ class ValidityReport:
         return self.ok
 
 
-_ALLOWED_KINDS = {TJ: {"jump"}, TAR: {"add", "remove"}, TJN: {"jump", "noop"}}
+# the step shapes, (removes a vertex, adds a vertex), that each model admits
+_ALLOWED_SHAPES = {TJ: {(True, True)}, TAR: {(False, True), (True, False)}, TJN: {(True, True), (False, False)}}
 
 
 def validate_sequence(
@@ -142,7 +154,7 @@ def validate_sequence(
     ``is_ts`` is called on the same sets; it must be monotone and agree with
     activation on g.
     """
-    if seq.model not in _ALLOWED_KINDS:
+    if seq.model not in _ALLOWED_SHAPES:
         return ValidityReport(False, -1, f"unknown model {seq.model!r}")
     for v in seq.start:
         if not 1 <= v <= g.n:
@@ -153,36 +165,29 @@ def validate_sequence(
     if seq.model == TAR and len(seq.start) > seq.k + 1:
         return ValidityReport(False, -1, f"start set exceeds size {seq.k}+1")
     cur = set(seq.start)
-    size0 = len(cur)
+    allowed = _ALLOWED_SHAPES[seq.model]
     for i, st in enumerate(seq.steps):
-        if st.kind not in _ALLOWED_KINDS[seq.model]:
+        out, into = st.out, st.into
+        if (out is not None, into is not None) not in allowed:
             return ValidityReport(False, i, f"step kind {st.kind!r} not allowed in model {seq.model}")
-        if st.kind == "jump":
-            if st.out not in cur:
-                return ValidityReport(False, i, f"jump removes {st.out} which is not in the set")
-            if st.into in cur:
-                return ValidityReport(False, i, f"jump adds {st.into} which is already in the set")
-            if not 1 <= st.into <= g.n:
-                return ValidityReport(False, i, f"jump adds unknown vertex {st.into}")
-        elif st.kind == "add":
-            if st.into in cur:
-                return ValidityReport(False, i, f"add of {st.into} already in the set")
-            if not 1 <= st.into <= g.n:
-                return ValidityReport(False, i, f"add of unknown vertex {st.into}")
-        elif st.kind == "remove":
-            if st.out not in cur:
-                return ValidityReport(False, i, f"remove of {st.out} not in the set")
+        if out is not None and out not in cur:
+            why = f"jump removes {out} which is" if into is not None else f"remove of {out}"
+            return ValidityReport(False, i, f"{why} not in the set")
+        if into is not None and into in cur:
+            why = f"jump adds {into} which is" if out is not None else f"add of {into}"
+            return ValidityReport(False, i, f"{why} already in the set")
+        if into is not None and not 1 <= into <= g.n:
+            why = "jump adds" if out is not None else "add of"
+            return ValidityReport(False, i, f"{why} unknown vertex {into}")
         _apply_in_place(cur, st)
-        if st.kind in ("jump", "remove"):
-            mask ^= 1 << st.out
-        if st.kind in ("jump", "add"):
-            mask |= 1 << st.into
-        if seq.model in (TJ, TJN) and len(cur) != size0:
-            return ValidityReport(False, i, "TJ/TJN set size changed")
+        if out is not None:
+            mask ^= 1 << out
+        if into is not None:
+            mask |= 1 << into
         if seq.model == TAR and len(cur) > seq.k + 1:
             return ValidityReport(False, i, f"set size {len(cur)} exceeds {seq.k}+1")
-        if st.kind in ("jump", "remove") and not (
-            is_ts(frozenset(cur)) if is_ts is not None else still_target(g, mask, st.out)
+        if out is not None and not (
+            is_ts(frozenset(cur)) if is_ts is not None else still_target(g, mask, out)
         ):
             return ValidityReport(
                 False, i, f"set after step {i} is not a target set: {sorted(cur)}"
@@ -200,7 +205,7 @@ def tj_to_tar(seq: ReconfigSequence) -> ReconfigSequence:
         raise InvalidInput(f"expected a TJ sequence, got model {seq.model}")
     steps: list[Step] = []
     for st in seq.steps:
-        if st.kind != "jump":
+        if st.out is None or st.into is None:
             raise InvalidInput(f"TJ sequence contains step kind {st.kind!r}")
         steps.append(Step.add(st.into))
         steps.append(Step.remove(st.out))
@@ -232,7 +237,7 @@ def tar_to_tj(seq: ReconfigSequence) -> ReconfigSequence:
             f"endpoints have sizes {len(seq.start)}, {len(seq.end)}; expected k={k}"
         )
     for st in seq.steps:
-        if st.kind not in ("add", "remove"):
+        if (st.out is None) == (st.into is None):
             raise InvalidInput(f"TAR sequence contains step kind {st.kind!r}")
 
     steps: list[Step] = []
@@ -241,7 +246,7 @@ def tar_to_tj(seq: ReconfigSequence) -> ReconfigSequence:
     deferred: deque[tuple[int, int]] = deque()  # (index, vertex), oldest first
     live: dict[int, deque[int]] = {}  # vertex -> indices of its removals still deferred
     for i, st in enumerate(seq.steps):
-        if st.kind == "remove":
+        if st.into is None:
             if size > k:
                 if st.out != pending:
                     steps.append(Step.jump(st.out, pending))
@@ -273,23 +278,13 @@ def strip_noops(seq: ReconfigSequence) -> ReconfigSequence:
     """Drop noop steps from a TJN sequence, yielding a TJ sequence."""
     if seq.model not in (TJN, TJ):
         raise InvalidInput(f"expected a TJN sequence, got model {seq.model}")
-    steps = tuple(st for st in seq.steps if st.kind != "noop")
+    steps = tuple(st for st in seq.steps if st.out is not None or st.into is not None)
     return ReconfigSequence(seq.start, steps, TJ)
 
 
 def reverse_steps(steps) -> tuple[Step, ...]:
-    """Steps that undo ``steps``: adds become removes and jumps swap direction."""
-    rev: list[Step] = []
-    for st in reversed(steps):
-        if st.kind == "jump":
-            rev.append(Step.jump(st.into, st.out))
-        elif st.kind == "add":
-            rev.append(Step.remove(st.into))
-        elif st.kind == "remove":
-            rev.append(Step.add(st.out))
-        else:
-            rev.append(Step.noop())
-    return tuple(rev)
+    """Steps that undo ``steps``: each step, last first, with out and in swapped."""
+    return tuple(Step(st.into, st.out) for st in reversed(steps))
 
 
 # -- sequence file format -------------------------------------------------
@@ -297,6 +292,9 @@ def reverse_steps(steps) -> tuple[Step, ...]:
 #   q <model> <k>
 #   s <ids...>
 #   j <out> <in> | a <v> | r <v> | n        (one step per line)
+
+
+_LETTERS = {letter: (shape, usage) for shape, (_, letter, usage) in _SHAPES.items()}
 
 
 def parse_sequence(text: str) -> ReconfigSequence:
@@ -319,26 +317,20 @@ def parse_sequence(text: str) -> ReconfigSequence:
                 if model is None or start is not None:
                     raise MalformedLine(f"line {lineno}: 's' line misplaced")
                 start = seed_ids(lineno, parts)
-            elif parts[0] == "j":
-                if len(parts) != 3:
-                    raise MalformedLine(f"line {lineno}: expected 'j <out> <in>'")
-                steps.append(Step.jump(int(parts[1]), int(parts[2])))
-            elif parts[0] == "a":
-                if len(parts) != 2:
-                    raise MalformedLine(f"line {lineno}: expected 'a <v>'")
-                steps.append(Step.add(int(parts[1])))
-            elif parts[0] == "r":
-                if len(parts) != 2:
-                    raise MalformedLine(f"line {lineno}: expected 'r <v>'")
-                steps.append(Step.remove(int(parts[1])))
-            elif parts[0] == "n":
-                if len(parts) != 1:
-                    raise MalformedLine(f"line {lineno}: expected 'n'")
-                steps.append(Step.noop())
+            elif parts[0] in _LETTERS:
+                if start is None:
+                    raise MalformedLine(f"line {lineno}: {parts[0]!r} before 's' line")
+                (has_out, has_into), usage = _LETTERS[parts[0]]
+                if len(parts) != 1 + has_out + has_into:
+                    raise MalformedLine(f"line {lineno}: expected {usage!r}")
+                out = int(parts[1]) if has_out else None
+                into = int(parts[-1]) if has_into else None
+                steps.append(Step.jump(out, into) if has_out and has_into else Step(out, into))
             else:
                 raise MalformedLine(f"line {lineno}: unknown line kind {parts[0]!r}")
         except (ValueError, InvalidInput) as exc:  # a non-int id, or a jump onto itself
             raise MalformedLine(f"line {lineno}: {exc}") from exc
     if model is None or start is None:
         raise MalformedLine("missing 'q' or 's' line")
-    return ReconfigSequence(start, tuple(steps), model, k)
+    # a TJ or TJN file carries |start| where a TAR file carries its budget k
+    return ReconfigSequence(start, tuple(steps), model, k if model == TAR else 0)

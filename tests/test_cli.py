@@ -278,10 +278,14 @@ def test_reduce_pb342(capsys, tmp_path):
 
 
 def test_gadget_emission(capsys):
+    digest = hashlib.sha256()
     for kind, n in [("oneway", 4), ("theta", 13), ("theta1", 13), ("xi", 8), ("sigma", 5)]:
         code, out, _ = run(capsys, "gadget", kind)
         assert code == 0
         assert parse_graph(out).n == n
+        digest.update(out.encode())
+    # the five files, byte for byte
+    assert digest.hexdigest() == "e84bfd6154419c3c21a6d56a18f8884ef279980b6d7b80f2108e888d00f3054a"
 
 
 def test_gen_deterministic(capsys):

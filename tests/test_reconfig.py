@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -13,6 +14,7 @@ from tsr.reconfig import (
     TJN,
     ReconfigSequence,
     Step,
+    apply_step,
     parse_sequence,
     reverse_steps,
     strip_noops,
@@ -129,11 +131,45 @@ def test_jump_needs_distinct_endpoints():
         Step.jump(3, 3)
 
 
+def test_step_is_its_out_and_into():
+    """A step stores the vertex it removes and the vertex it adds, nothing
+    else; its kind is read off which of the two is set."""
+    assert [f.name for f in dataclasses.fields(Step)] == ["out", "into"]
+    steps = [Step.jump(1, 2), Step.add(3), Step.remove(4), Step.noop()]
+    assert [st.kind for st in steps] == ["jump", "add", "remove", "noop"]
+    assert [st.format() for st in steps] == ["j 1 2", "a 3", "r 4", "n"]
+
+
 def test_reverse_roundtrip(fig1):
     seq = fig1_paper_sequence()
     rev = ReconfigSequence(seq.end, reverse_steps(seq.steps), seq.model, seq.k)
     assert rev.start == seq.end and rev.end == seq.start
     assert validate_sequence(fig1, rev).ok
+
+
+def test_reverse_steps_undoes_every_step_shape():
+    """Random walks of jumps, adds, removes and noops: the reversed steps lead
+    from the walk's end back to its start, and reversing twice is the identity."""
+    rng = random.Random(2206)
+    shapes = {"jump": 0, "add": 0, "remove": 0, "noop": 0}
+    for _ in range(200):
+        vertices = range(1, rng.randint(2, 9))
+        start = frozenset(v for v in vertices if rng.random() < 0.5)
+        cur, steps = start, []
+        for _ in range(rng.randint(0, 12)):
+            inside, outside = sorted(cur), [v for v in vertices if v not in cur]
+            options = [Step.noop()]
+            options += [Step.add(rng.choice(outside))] if outside else []
+            options += [Step.remove(rng.choice(inside))] if inside else []
+            options += [Step.jump(rng.choice(inside), rng.choice(outside))] if inside and outside else []
+            st = rng.choice(options)
+            steps.append(st)
+            shapes[st.kind] += 1
+            cur = apply_step(cur, st)
+        back = ReconfigSequence(cur, reverse_steps(steps), TJN)
+        assert back.end == start
+        assert reverse_steps(back.steps) == tuple(steps)
+    assert min(shapes.values()) >= 100, shapes
 
 
 def test_roundtrip_on_oracle_sequences():
@@ -162,12 +198,14 @@ def test_roundtrip_on_oracle_sequences():
 
 
 def test_sequence_file_roundtrip(fig1):
-    seq = fig1_paper_sequence()
-    text = seq.format()
-    back = parse_sequence(text)
-    assert back.start == seq.start and back.steps == seq.steps and back.model == TJ
-    tar = tj_to_tar(seq)
-    assert parse_sequence(tar.format()).k == 4
+    """A TJ, a TAR and a TJN sequence each come back whole from their file;
+    only a TAR file's 'q' line carries the budget k."""
+    tj = fig1_paper_sequence()
+    tar = tj_to_tar(tj)
+    tjn = ReconfigSequence(X2, (Step.noop(), Step.jump(9, 3), Step.noop()), TJN)
+    for seq in (tj, tar, tjn):
+        assert parse_sequence(seq.format()) == seq
+    assert tar.k == 4 and tj.format().startswith("q tj 4\n")
 
 
 def test_parse_sequence_errors():
@@ -192,6 +230,8 @@ def test_parse_sequence_rejects_repeated_start_ids():
         ("q tj 2\ns 1 2\nn\nn 5 6\n", "line 4: expected 'n'"),
         ("q tar 2\ns 1 2\na 3 4\n", "line 3: expected 'a <v>'"),
         ("q tj 2\ns 1 2\nj 1 x\n", "line 3: invalid literal for int() with base 10: 'x'"),
+        ("j 1 3\nq tj 2\ns 1 2\n", "line 1: 'j' before 's' line"),
+        ("q tar 2\nr 1\ns 1 2\n", "line 2: 'r' before 's' line"),
     ],
 )
 def test_parse_sequence_faults_name_their_line(text, message):
