@@ -23,7 +23,6 @@ from .graph import (
     parse_seed_set,
     serialize_graph,
     serialize_seed_set,
-    subdivide_edge,
     vc_to_tss,
 )
 from .oracle import (

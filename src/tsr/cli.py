@@ -17,7 +17,7 @@ from pathlib import Path
 from . import generators
 from .activation import activate, is_target_set
 from .errors import InstanceTooLarge, TsrError
-from .gadgets import oneway_gadget, sigma_gadget, theta_gadget, xi_gadget
+from .gadgets import attach
 from .graph import (
     PlainGraph,
     ThresholdGraph,
@@ -133,9 +133,9 @@ def _cmd_reconfigure(args) -> int:
         if tractable is None:
             return GUARD_EXCEEDED
         yes, seq = tractable[1](g, x, y, model=TAR if args.model == "tar" else TJ)
-    print("YES" if yes else "NO")
-    if yes and seq is not None:
+    if yes and seq is not None:  # before the verdict: a write error leaves stdout empty
         _emit_sequence(args.emit_sequence, seq)
+    print("YES" if yes else "NO")
     return OK
 
 
@@ -163,6 +163,8 @@ def _cmd_oracle(args) -> int:
         x = parse_seed_set(_read(args.src), g)
         y = parse_seed_set(_read(args.dst), g)
         report = _oracle_pair(g, x, y, args)
+        if report.reconfigurable and report.shortest is not None:
+            _emit_sequence(args.emit_sequence, report.shortest)
         if args.json:
             payload = {
                 "k": report.k,
@@ -175,8 +177,6 @@ def _cmd_oracle(args) -> int:
             print("YES" if report.reconfigurable else "NO")
             if report.shortest is not None:
                 print(f"shortest length {len(report.shortest)}")
-        if report.reconfigurable and report.shortest is not None:
-            _emit_sequence(args.emit_sequence, report.shortest)
         return OK
     report = tj_components(g, args.size, guard=args.guard, cap=args.cap)
     if args.json:
@@ -222,18 +222,9 @@ def _cmd_reduce(args) -> int:
     return OK
 
 
-# each `tsr gadget` kind and the graph it emits; sigma is a VC gadget, emitted as TSS
-_GADGETS = {
-    "oneway": lambda: oneway_gadget()[0],
-    "theta": lambda: theta_gadget()[0],
-    "theta1": lambda: theta_gadget(r_tau=1)[0],
-    "xi": lambda: xi_gadget()[0],
-    "sigma": lambda: vc_to_tss(sigma_gadget()[0]),
-}
-
-
 def _cmd_gadget(args) -> int:
-    sys.stdout.write(serialize_graph(_GADGETS[args.kind]()))
+    g = attach(None, args.kind)[0]  # sigma is a VC gadget, emitted as TSS
+    sys.stdout.write(serialize_graph(vc_to_tss(g) if isinstance(g, PlainGraph) else g))
     return OK
 
 
@@ -328,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_reduce)
 
     sp = sub.add_parser("gadget", help="emit a standalone gadget as a TSR file")
-    sp.add_argument("kind", choices=list(_GADGETS))
+    sp.add_argument("kind", choices=["oneway", "theta", "theta1", "xi", "sigma"])
     sp.set_defaults(func=_cmd_gadget)
 
     sp = sub.add_parser("gen", help="generate a random instance")

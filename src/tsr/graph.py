@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     DegreeTooSmall,
     DuplicateEdge,
-    EdgeNotFound,
     IdGap,
     MalformedLine,
     SelfLoop,
@@ -23,10 +22,6 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
-
-
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 def _neighbours(n: int, edges: Iterable[Edge]) -> list[set[int]]:
@@ -41,7 +36,7 @@ def _neighbours(n: int, edges: Iterable[Edge]) -> list[set[int]]:
             raise IdGap(f"edge ({u},{v}) out of range 1..{n}")
         nu = nbrs[u]
         if v in nu:
-            raise DuplicateEdge(f"duplicate edge {_norm_edge(u, v)}")
+            raise DuplicateEdge(f"duplicate edge {(min(u, v), max(u, v))}")
         nu.add(v)
         nbrs[v].add(u)
     return nbrs
@@ -218,17 +213,6 @@ def disjoint_union(g1: ThresholdGraph, g2: ThresholdGraph) -> tuple[ThresholdGra
     return ThresholdGraph.build(g1.n + g2.n, edges, tau), shift
 
 
-def subdivide_edge(g: ThresholdGraph, e: Edge) -> tuple[ThresholdGraph, int]:
-    """Subdivide edge e by a fresh threshold-1 vertex.  Returns (graph, new id)."""
-    u, v = _norm_edge(*e)
-    if not g.has_edge(u, v):
-        raise EdgeNotFound(f"edge ({u},{v}) not present")
-    w = g.n + 1
-    edges = [f for f in g.edges if f != (u, v)] + [(u, w), (v, w)]
-    tau = [g.tau[x] for x in g.vertices] + [1]
-    return ThresholdGraph.build(g.n + 1, edges, tau), w
-
-
 def vc_to_tss(g: PlainGraph) -> ThresholdGraph:
     """Set tau(v) = d(v): target sets of the result are exactly vertex covers of g."""
     degs = g.degrees
@@ -317,7 +301,7 @@ def serialize_graph(g: ThresholdGraph) -> str:
 
 
 def seed_ids(lineno: int, parts: list[str]) -> frozenset[int]:
-    """The ids of an ``s <id> ...`` record, each at most once (a non-int raises ValueError)."""
+    """The ids of an ``s <id> ...`` (or ``f``) record, each at most once (a non-int raises ValueError)."""
     ids: set[int] = set()
     for p in parts[1:]:
         v = int(p)

@@ -26,12 +26,9 @@ from .errors import (
     SizeMismatch,
     UnknownVertex,
 )
-from .gadgets import _SIGMA, _SUBDIVISION, _THETA, _XI, SUBDIVISION, UPSILON, GadgetMap, _Build, _upsilon
-from .gadgets import phi_sd, phi_upsilon
-from .graph import PlainGraph, ThresholdGraph, records
+from .gadgets import _SIGMA, _SPECS, _SUBDIVISION, _THETA, _UPSILON, _XI, GadgetMap, _Build, project
+from .graph import PlainGraph, ThresholdGraph, records, seed_ids
 from .oracle import DEFAULT_GUARD, bfs, tj_decide
-
-_PHI = {SUBDIVISION: phi_sd, UPSILON: phi_upsilon}
 
 
 @dataclasses.dataclass
@@ -40,9 +37,9 @@ class ReductionOutput:
 
     ``forward`` maps a seed of source ids 1..``source_n`` to itself, its
     ``shift`` copies and the block ``extra``.  ``backward`` keeps a seed's
-    vertices in ``keep``, then projects them through the upsilon and
-    subdivision maps among ``gadgets``, last first; ``keep`` already drops
-    the other gadgets' vertices.
+    vertices in ``keep``, then projects them through the maps among
+    ``gadgets`` that have a collapse anchor (upsilon and subdivision), last
+    first; ``keep`` already drops the other gadgets' vertices.
     """
 
     graph: ThresholdGraph
@@ -60,8 +57,8 @@ class ReductionOutput:
     def backward(self, s) -> frozenset[int]:
         s = _source_seed(s, self.graph.n) & self.keep
         for gm in reversed(self.gadgets):
-            if gm.kind in _PHI:
-                s = _PHI[gm.kind](s, gm)
+            if _SPECS[gm.kind].collapse:
+                s = project(s, gm)
         return s
 
     def format_provenance(self) -> str:
@@ -100,7 +97,7 @@ def reduce_vc23_to_cubic(g: PlainGraph) -> ReductionOutput:
         if degs[v] not in (2, 3):
             raise BadDegree(f"vertex {v} has degree {degs[v]}, needs 2 or 3")
     b = _Build(g)
-    maps = [b.graft(_SIGMA, {"v": v}, [(v, "r")]) for v in range(1, g.n + 1) if degs[v] == 2]
+    maps = [b.graft(_SIGMA, (v,)) for v in range(1, g.n + 1) if degs[v] == 2]
     b.tau = [len(nbrs) for nbrs in b.adj]  # tau = d: target sets are vertex covers
     return ReductionOutput(
         graph=b.graph(),
@@ -124,11 +121,11 @@ def _split_33(g: ThresholdGraph):
                 f"vertex {v} is a ({len(g.adj[v])},{g.tau[v]})-vertex, needs (3,3)"
             )
     b = _Build(g)
-    maps = [_upsilon(b, w) for w in g.vertices]
+    # each upsilon's roles x < y < z are w's neighbours when it is grafted
+    maps = [b.graft(_UPSILON, (w, *sorted(b.adj[w]))) for w in g.vertices]
     prov = _tags({v: f"orig:{v}" for v in g.vertices}, maps)
     for u, v in b.edges():
-        b.unlink(u, v)
-        maps.append(b.graft(_SUBDIVISION, {"u": u, "v": v}, [(u, "w"), (v, "w")]))
+        maps.append(b.graft(_SUBDIVISION, (u, v)))
         prov[b.n] = f"sd:{u}-{v}"
     return b, prov, maps
 
@@ -143,7 +140,7 @@ def reduce_33_to_pb342(g: ThresholdGraph) -> ReductionOutput:
     b, prov, maps = _split_33(g)
     keep = frozenset(range(1, b.n + 1))  # every vertex but the theta internals
     candidates = [v for v in range(1, b.n + 1) if (len(b.adj[v]), b.tau[v]) in ((2, 1), (3, 1))]
-    theta_maps = [b.graft(_THETA, {"v": v}, [(v, "r")], [v]) for v in candidates]
+    theta_maps = [b.graft(_THETA, (v,)) for v in candidates]
     return ReductionOutput(
         graph=b.graph(),
         source_n=g.n,
@@ -168,10 +165,7 @@ def reduce_33_to_b312(g: ThresholdGraph) -> ReductionOutput:
     for u, v in b.edges():
         b.link(shift[u], shift[v])
     prov.update((shift[v], prov[v] + ":copy2") for v in shift)
-    xi_maps = [
-        b.graft(_XI, {"v1": v, "v2": shift[v]}, [(v, "a1"), (shift[v], "a2")], [v, shift[v]])
-        for v in two_one
-    ]
+    xi_maps = [b.graft(_XI, (v, shift[v])) for v in two_one]
     return ReductionOutput(
         graph=b.graph(),
         source_n=g.n,
@@ -233,7 +227,9 @@ def parse_hitting_system(text: str) -> HittingSystem:
                     raise MalformedLine(f"line {lineno}: expected 'p hs <n> <m> <k>'")
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             elif parts[0] == "f":
-                family.append([int(p) for p in parts[1:]])
+                if header is None:
+                    raise MalformedLine(f"line {lineno}: 'f' before header")
+                family.append(seed_ids(lineno, parts))
             else:
                 raise MalformedLine(f"line {lineno}: unknown line kind {parts[0]!r}")
         except ValueError as exc:

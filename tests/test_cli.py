@@ -172,6 +172,21 @@ def test_reconfigure_fig1_yes_with_sequence(capsys, tmp_path):
     assert code == 0 and "sequence OK" in out
 
 
+@pytest.mark.parametrize("command", ["reconfigure", "oracle"])
+def test_unwritable_sequence_path_prints_no_verdict(capsys, tmp_path, command):
+    """The sequence file is written before the verdict, so a path that cannot
+    be written is an input error (exit 2) with nothing on stdout."""
+    seqfile = tmp_path / "missing" / "route.seq"
+    code, out, err = run(
+        capsys, command, FIG1,
+        "--from", str(FIXTURES / "fig1_x2.seed"),
+        "--to", str(FIXTURES / "fig1_y2.seed"),
+        "--emit-sequence", str(seqfile),
+    )
+    assert (code, out) == (2, "") and err.startswith("error: "), err
+    assert not seqfile.exists()
+
+
 @pytest.mark.parametrize("model", ["tj", "tar"])
 def test_reconfigure_same_endpoints_writes_no_steps(capsys, tmp_path, model):
     seed = tmp_path / "s.seed"

@@ -248,3 +248,21 @@ def test_seed_maps_are_data():
                 and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_source_seed" for n in ast.walk(fn))
             ]
     assert sorted(callers) == ["reductions.ReductionOutput.backward", "reductions.ReductionOutput.forward"]
+
+
+def test_gadgets_are_data():
+    """Each gadget is one spec: ``gadgets`` defines no public function but
+    ``attach`` and ``project``, and every ``.graft(`` call in ``src/tsr``
+    passes exactly (spec, anchors), with no labels or hookups of its own."""
+    tree = ast.parse((ROOT / "src" / "tsr" / "gadgets.py").read_text(encoding="utf-8"))
+    public = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    assert public == ["attach", "project"]
+    calls = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "graft":
+                labels = [n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+                calls.append((f"{path.name}:{node.lineno}", len(node.args), len(node.keywords), labels))
+    assert len(calls) >= 6
+    bad = [call for call in calls if call[1:] != (2, 0, [])]
+    assert not bad, f"graft calls not of the form graft(spec, anchors): {bad}"

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsr import errors
+from tsr.gadgets import attach
 from tsr.graph import (
     PlainGraph,
     ThresholdGraph,
@@ -13,7 +14,6 @@ from tsr.graph import (
     parse_seed_set,
     serialize_graph,
     serialize_seed_set,
-    subdivide_edge,
     vc_to_tss,
 )
 
@@ -184,7 +184,8 @@ def test_no_empty_operand():
 
 
 def test_subdivide_p2():
-    g, w = subdivide_edge(parse_graph(P2), (1, 2))
+    g, gm = attach(parse_graph(P2), "subdivision", 1, 2)
+    w = gm.named_internals["w"]
     assert g.n == 3 and g.m == 2 and w == 3
     assert g.tau[3] == 1
     assert g.adj[3] == (1, 2)
@@ -193,13 +194,13 @@ def test_subdivide_p2():
 def test_subdivide_missing_edge():
     g = ThresholdGraph.build(3, [(1, 2), (2, 3)], [1, 2, 1])
     with pytest.raises(errors.EdgeNotFound):
-        subdivide_edge(g, (1, 3))
+        attach(g, "subdivision", 1, 3)
 
 
 def test_subdividing_every_edge_gives_bipartite(k4):
     g = k4
     for e in k4.edges:
-        g, _ = subdivide_edge(g, e)
+        g, _ = attach(g, "subdivision", *e)
     assert classify(g).is_bipartite
 
 

@@ -37,7 +37,7 @@ import pytest
 
 from tsr import errors, oracle
 from tsr.activation import closure_mask, seed_mask
-from tsr.gadgets import theta_gadget
+from tsr.gadgets import attach
 from tsr.generators import (
     cycle_with_spacing,
     path_with_spacing,
@@ -574,7 +574,7 @@ def _enumeration_graphs():
     max-degree-2 graphs on 2..14 vertices.  No graph has n = 1: a lone vertex
     has degree 0, below every allowed threshold."""
     rng = random.Random(1729)
-    out = [ThresholdGraph.build(0, [], []), theta_gadget()[0], theta_gadget(r_tau=1)[0]]
+    out = [ThresholdGraph.build(0, [], []), attach(None, "theta")[0], attach(None, "theta1")[0]]
     out += [path_with_spacing(0, [n]) for n in (2, 3, 8, 13)]
     out += [cycle_with_spacing(0, [n]) for n in (3, 4, 9, 14)]
     for n in range(2, 15):

@@ -7,19 +7,7 @@ import pytest
 from tsr import errors
 from tsr.activation import is_target_set
 from tsr.generators import random_hitting_system
-from tsr.gadgets import (
-    _SUBDIVISION,
-    _Build,
-    attach_oneway,
-    attach_sigma,
-    attach_theta,
-    connect_xi,
-    oneway_gadget,
-    replace_upsilon,
-    sigma_gadget,
-    theta_gadget,
-    xi_gadget,
-)
+from tsr.gadgets import _SUBDIVISION, _Build, attach
 from tsr.graph import PlainGraph, ThresholdGraph, classify, serialize_graph, vc_to_tss
 from tsr.oracle import enumerate_target_sets, tj_decide
 from tsr.reductions import (
@@ -259,6 +247,23 @@ def test_hitting_format_roundtrip():
         parse_hitting_system("f 1 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p hs 2 1 1\n", "expected 1 family lines, got 0"),
+        ("f 1 2\np hs 2 1 1\n", "line 1: 'f' before header"),
+        ("p hs 3 1 1\nf 1 1 2\n", "line 2: repeated id 1"),
+        ("p hs 3 1 1\nf 1 x\n", "line 2: invalid literal"),
+        ("p hs 3 1 1\np hs 3 1 1\nf 1\n", "line 2: expected 'p hs <n> <m> <k>'"),
+    ],
+)
+def test_parse_hitting_system_faults_name_their_line(text, message):
+    """An ``f`` line is read like an ``s`` line, after the header and with
+    each element at most once."""
+    with pytest.raises(errors.MalformedLine, match=message):
+        parse_hitting_system(text)
+
+
 def test_hs_tj_decide_small():
     hs = HittingSystem.build(4, [{1, 2}, {3, 4}], 2)
     assert hs_tj_decide(hs, {1, 3}, {2, 4})
@@ -333,15 +338,17 @@ def test_reductions_and_gadgets_match_golden(k4):
             h.update(f"{sorted(fs)} {sorted(out.backward(fs))} {sorted(out.backward(t))}\n".encode())
     host = ThresholdGraph.build(3, [(1, 2), (2, 3)], [1, 2, 1])
     built = [
-        attach_oneway(host, 1, 3), oneway_gadget(), replace_upsilon(k4, 2),
-        attach_theta(host, 2), theta_gadget(), theta_gadget(r_tau=1),
-        connect_xi(host, 1, 3), xi_gadget(), attach_sigma(_cycle(4), 3), sigma_gadget(),
+        attach(host, "oneway", 1, 3), attach(None, "oneway"), attach(k4, "upsilon", 2),
+        attach(host, "theta", 2), attach(None, "theta"), attach(None, "theta1"),
+        attach(host, "xi", 1, 3), attach(None, "xi"), attach(_cycle(4), "sigma", 3), attach(None, "sigma"),
     ]
     for g, gm in built:
         text = serialize_graph(g) if isinstance(g, ThresholdGraph) else f"plain {g.n} {list(g.edges)}\n"
         h.update(text.encode())
         h.update(_gmap_text(gm).encode())
-    h.update(_gmap_text(_Build(_cycle(8)).graft(_SUBDIVISION, {"u": 2, "v": 5})).encode())
+    c8 = _Build(_cycle(8))
+    c8.link(2, 5)  # the subdivision cuts the edge it replaces
+    h.update(_gmap_text(c8.graft(_SUBDIVISION, (2, 5))).encode())
     assert h.hexdigest() == GOLDEN_DIGEST
 
 
