@@ -11,11 +11,13 @@ from a set of starts to the first state that contains the goal: it serves
 ``tj_decide``, ``reductions.hs_tj_decide`` and ``ktar_decide``, which pads
 the endpoints up to each size j it searches, since target sets are closed
 under supersets; shortest sequences are rebuilt from its parent map.  The
-searches test each hub and each state at most once: a hub that is a target
-set passes every jump through it untested, and one that is not passes none
-outside the removed vertex's component.  A test reads the table when it is
-cheap next to the searches (see ``_check_pair``), else runs the local
-removal test ``activation.still_target``, memoized per component.
+searches expand each hub once, through the list of jumps that repair it:
+none for a hub that is a target set, whose every jump passes untested, and
+else the vertices of the removed vertex's component whose addition makes it
+one.  The lists read the table when it is cheap next to the searches (see
+``_check_pair``), else run the local removal test
+``activation.still_target`` at most once a search per restriction to a
+component, and never on a stored state.
 Everything here is desk-scale: enumeration checks its cap and guard before
 it allocates anything, and a pair query aborts once its pops, summed over
 sizes j for k-TAR and with each start charged as it is stored, exceed a
@@ -28,7 +30,7 @@ import dataclasses
 import itertools
 from collections import deque
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .activation import closure_mask, seed_mask, still_target
 from .errors import InstanceTooLarge, InvariantViolated, NotATargetSet, SizeMismatch
@@ -192,24 +194,27 @@ _ROWS_PER_TEST = 64
 
 
 def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GUARD):
-    """Validated endpoints as sets and masks, plus ``near`` and the removal
-    test ``ok`` for ``bfs``.
+    """Validated endpoints as sets and masks, plus ``repairs(hub, out,
+    stored)`` for ``bfs``.
 
-    ``near[v]`` is the mask of v's component.  ``tests`` is the most states
-    the searches can test at their sizes (``bfs`` tests each hub and each
-    state at most once, at one size a search; the hubs, a size below, are
-    not counted); on a disconnected graph the memo below also caps the tests
-    at |C| 2^|C| per component C.  When 2^n is at most ``guard`` and at most
-    ``_ROWS_PER_TEST`` times that cap, ``ok(m, out)`` reads ``_table(g)``,
-    built (once per graph object) at the first test.  That is exact: ``m``
-    plus ``out`` contains the target set that ``m``, a hub or a state, was
-    reached from, so the closure of ``m`` reaches ``out`` exactly when ``m``
-    is a target set.
-    Otherwise ``ok(m, out)`` is ``still_target(g, m, out)`` memoized under
-    ``(m & near[out], out)``: the closure inside out's component depends
-    only on that restriction.  On a connected graph the key would be ``m``,
-    which one search never tests twice, so the memo is bypassed and stores
-    nothing.
+    ``hub`` plus ``out`` is a target set, so ``hub`` is one exactly when its
+    closure reaches ``out``, that is, as activation never crosses a
+    component, when its restriction to out's component C is a target set of
+    C.  ``repairs`` returns None if it is, else the ascending (into, bit)
+    pairs of the vertices of C outside ``hub`` whose addition makes it one.
+    ``tests`` is the most states the searches can test at their sizes
+    (``bfs`` asks about each hub once a search; the hubs, a size below, are
+    not counted), capped at |C| 2^|C| per component C, a bound on the memo
+    below.  When 2^n is at most ``guard`` and at most ``_ROWS_PER_TEST``
+    times that cap, ``repairs`` reads ``_table(g)``, built (once per graph
+    object) at the first call.  Otherwise it runs the removal test
+    ``still_target(g, m, out)``, memoized in ``covers`` under ``m &
+    near[out]``: the restriction names C unless it is empty, and an empty
+    one is never a target set, as every threshold is at least 1.  A state in
+    ``stored``, the search's parent map, passes untested.  On a connected
+    graph the restriction is ``m`` and a search asks about each hub once, so
+    ``covers`` keeps only failures; on a disconnected graph it keeps both,
+    and ``lists`` keeps each hub's answer under its restriction and C.
     """
     xs, ys = frozenset(x), frozenset(y)
     start, goal = seed_mask(g, xs), seed_mask(g, ys)
@@ -218,58 +223,74 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
             raise NotATargetSet(f"{sorted(s)} is not a target set")
     comps = g.components()
     near = [0] * (g.n + 1)
+    members: list[list[tuple[int, int]]] = [[]] * (g.n + 1)
     for vs in comps:
-        mask = seed_mask(g, vs)
+        mask, pairs = seed_mask(g, vs), [(v, 1 << v) for v in vs]
         for v in vs:
-            near[v] = mask
-    # the memo below tests each (restriction, out) pair at most once
+            near[v], members[v] = mask, pairs
     tests = min(tests, sum(len(vs) << len(vs) for vs in comps))
     if (1 << g.n) <= min(guard, _ROWS_PER_TEST * tests):
-        table = None
+        table = b""
 
-        def lookup(m: int, out: int) -> bool:
+        def lookup(hub: int, out: int, stored) -> list[tuple[int, int]] | None:
             nonlocal table
-            if table is None:
-                table = _table(g)
-            i = m >> 1
-            return table[i >> 3] >> (i & 7) & 1
+            table = table or _table(g)
+            i = hub >> 1
+            if table[i >> 3] >> (i & 7) & 1:
+                return None
+            return [p for p in members[out] if table[(j := i | p[1] >> 1) >> 3] >> (j & 7) & 1]
 
-        return xs, ys, start, goal, near, lookup
-    memo: dict[tuple[int, int], bool] = {}
+        return xs, ys, start, goal, lookup
+    split = len(comps) > 1
+    covers: dict[int, bool] = {}
+    lists: dict[tuple[int, int], list[tuple[int, int]] | None] = {}
 
-    def ok(m: int, out: int) -> bool:
-        if near[out] == g.full_mask:
-            return still_target(g, m, out)
-        key = (m & near[out], out)
-        if key not in memo:
-            memo[key] = still_target(g, m, out)
-        return memo[key]
+    def covered(m: int, out: int) -> bool:
+        key = m & near[out]
+        if (hit := covers.get(key)) is None:
+            hit = still_target(g, m, out)
+            if split or not hit:
+                covers[key] = hit
+        return hit
 
-    return xs, ys, start, goal, near, ok
+    def repairs(hub: int, out: int, stored) -> list[tuple[int, int]] | None:
+        if split and (key := (hub & near[out], near[out])) in lists:
+            return lists[key]
+        fixes = None
+        if not covered(hub, out):
+            fixes = [(v, c) for v, c in members[out] if not hub & c and ((m := hub | c) in stored or covered(m, out))]
+        if split:
+            lists[key] = fixes
+        return fixes
+
+    return xs, ys, start, goal, repairs
 
 
 def bfs(
-    starts: Iterable[int], goal: int, near: Sequence[int], ok: Callable[[int, int], bool], guard: int, popped: int = 0
+    starts: Iterable[int],
+    goal: int,
+    n: int,
+    repairs: Callable[[int, int, dict], list[tuple[int, int]] | None],
+    guard: int,
+    popped: int = 0,
 ):
     """Parent map of the states reached from ``starts`` by single jumps among
-    the ids 1..len(``near``) - 1, whether one contains ``goal`` (the search
-    ends there; at the goal's size it is the goal), and the pops so far.
+    the ids 1..``n``, whether one contains ``goal`` (the search ends there;
+    at the goal's size it is the goal), and the pops so far.
 
     Jumps from ``cur`` go by ascending removed element ``out``, then ascending
     added element.  Each goes through a hub, ``cur`` minus ``out``, to a set
     above it, the same from every state that contains the hub, so a search
-    expands each hub once, from the first state popped that contains it.
-    ``ok(m, out)`` tests a hub or a state ``m`` where ``m`` plus ``out`` is a
-    target set, so it need only ask whether the closure of ``m`` reaches
-    ``out`` (see ``_check_pair``).  Target sets are closed under supersets,
-    so every set above a hub that passes is stored untested.  Above a hub
-    that fails, only a vertex of ``near[out]``, out's component, can repair
-    it, as activation never crosses a component: the other sets are skipped
-    untested and the rest tested, a rejected state not again.  So a search
-    tests each hub and each state at most once.  Raises InstanceTooLarge
-    once ``popped``, the pops of earlier searches, plus this search's pops
-    exceed ``guard``; each start is charged its pop as it is stored, so a
-    search with more starts than that stores at most ``guard`` + 1 of them.
+    expands each hub once, from the first state popped that contains it, and
+    asks ``repairs(hub, out, parents)`` which jumps pass (see
+    ``_check_pair``).  None means the hub is a target set: target sets are
+    closed under supersets, so every set above it passes untested, and the
+    absent vertices of ``cur`` are listed then, once a pop.  Otherwise only
+    the listed (into, bit) pairs pass, each a vertex of out's component, the
+    only ones that can repair the hub.  Raises InstanceTooLarge once
+    ``popped``, the pops of earlier searches, plus this search's pops exceed
+    ``guard``; each start is charged its pop as it is stored, so a search
+    with more starts than that stores at most ``guard`` + 1 of them.
     """
     parents: dict[int, tuple[int, int, int] | None] = {}
     for s in starts:
@@ -278,8 +299,7 @@ def bfs(
             return parents, True, popped
         if popped + len(parents) > guard:
             raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
-    bits = [(v, 1 << v) for v in range(1, len(near))]
-    rejected: set[int] = set()
+    bits = [(v, 1 << v) for v in range(1, n + 1)]
     hubs: set[int] = set()
     queue = deque(parents)
     while queue:
@@ -287,18 +307,19 @@ def bfs(
         popped += 1
         if popped > guard:
             raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
-        absent = [(v, c) for v, c in bits if not cur & c]
-        for out, b in bits:
-            if not cur & b or (hub := cur ^ b) in hubs:
+        absent, rest = None, cur
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if (hub := cur ^ b) in hubs:
                 continue
             hubs.add(hub)
-            whole = ok(hub, out)
-            mine = -1 if whole else near[out]  # -1 has every bit: a passing hub keeps every jump
-            for into, c in absent:
-                if not c & mine or (nxt := hub | c) in parents:
-                    continue
-                if not whole and (nxt in rejected or not ok(nxt, out)):
-                    rejected.add(nxt)
+            out = b.bit_length() - 1
+            fixes = repairs(hub, out, parents)
+            if fixes is None:
+                fixes = absent = absent or [(v, c) for v, c in bits if not cur & c]
+            for into, c in fixes:
+                if (nxt := hub | c) in parents:
                     continue
                 parents[nxt] = (cur, out, into)
                 if nxt & goal == goal:
@@ -324,10 +345,10 @@ def tj_decide(g: ThresholdGraph, x, y, *, guard: int = DEFAULT_GUARD) -> OracleR
     vertex, then ascending added vertex) for reproducible shortest sequences.
     """
     xs = frozenset(x)
-    xs, ys, start, goal, near, ok = _check_pair(g, xs, y, comb(g.n, len(xs)), guard)
+    xs, ys, start, goal, repairs = _check_pair(g, xs, y, comb(g.n, len(xs)), guard)
     if len(xs) != len(ys):
         raise SizeMismatch(f"|x|={len(xs)} != |y|={len(ys)}")
-    parents, found, _ = bfs((start,), goal, near, ok, guard)
+    parents, found, _ = bfs((start,), goal, g.n, repairs, guard)
     seq = ReconfigSequence(xs, _steps_to(parents, goal)[1], TJ) if found else None
     return OracleReport(k=len(xs), reconfigurable=found, shortest=seq, explored=len(parents))
 
@@ -354,7 +375,7 @@ def ktar_decide(g: ThresholdGraph, x, y, k: int, *, guard: int = DEFAULT_GUARD) 
     """
     xs, ys = frozenset(x), frozenset(y)
     sizes = range(max(len(xs), len(ys)), min(k, g.n) + 1)
-    xs, ys, start, goal, near, ok = _check_pair(g, xs, ys, sum(comb(g.n, j) for j in sizes), guard)
+    xs, ys, start, goal, repairs = _check_pair(g, xs, ys, sum(comb(g.n, j) for j in sizes), guard)
     if len(xs) > k or len(ys) > k:
         raise SizeMismatch(f"endpoint sizes {len(xs)}, {len(ys)} exceed k={k}")
     free = [1 << v for v in g.vertices if v not in xs]
@@ -364,7 +385,7 @@ def ktar_decide(g: ThresholdGraph, x, y, k: int, *, guard: int = DEFAULT_GUARD) 
         if best is not None and base >= len(best):
             break
         starts = (start + sum(pad) for pad in itertools.combinations(free, j - len(xs)))
-        parents, found, popped = bfs(starts, goal, near, ok, guard, popped)
+        parents, found, popped = bfs(starts, goal, g.n, repairs, guard, popped)
         explored += len(parents)
         if found:
             first, jumps = _steps_to(parents, end := next(reversed(parents)))

@@ -14,6 +14,7 @@ keeps before projecting through the gadget maps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from itertools import combinations
 
 from .errors import (
@@ -299,9 +300,20 @@ def hs_tj_decide(hs: HittingSystem, x, y, *, guard: int = DEFAULT_GUARD) -> bool
             raise NotATargetSet(f"{sorted(s)} is not a hitting set")
     family = [sum(1 << u for u in f) for f in hs.family]
     start, goal = (sum(1 << u for u in s) for s in (xs, ys))
-    # hitting sets are closed under supersets too; the whole universe is near every element
-    near = [sum(1 << u for u in range(1, hs.n + 1))] * (hs.n + 1)
-    return bfs((start,), goal, near, lambda m, _: all(m & f for f in family), guard)[1]
+    return bfs((start,), goal, hs.n, functools.partial(_hs_repairs, family), guard)[1]
+
+
+def _hs_repairs(family: list[int], hub: int, out: int, stored) -> list[tuple[int, int]] | None:
+    """``bfs``'s callback for hitting sets, which are closed under supersets
+    too: None when ``hub`` hits every set, else the ascending (element, bit)
+    pairs that lie in every set it misses."""
+    common = -1
+    for f in family:
+        if not hub & f:
+            common &= f
+    if common == -1:
+        return None
+    return [(u, 1 << u) for u in range(1, common.bit_length()) if common >> u & 1]
 
 
 # -- instance-level equivalence checking --------------------------------------

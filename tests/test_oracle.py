@@ -283,9 +283,9 @@ def test_hub_state_belongs_to_one_search():
 
     g = cycle_with_spacing(0, [9])
     x, y = {1, 2, 3}, {5, 6, 7}
-    _, _, start, goal, near, ok = _check_pair(g, x, y)
-    first = bfs((start,), goal, near, ok, DEFAULT_GUARD)
-    again = bfs((start,), goal, near, ok, DEFAULT_GUARD)
+    _, _, start, goal, repairs = _check_pair(g, x, y)
+    first = bfs((start,), goal, g.n, repairs, DEFAULT_GUARD)
+    again = bfs((start,), goal, g.n, repairs, DEFAULT_GUARD)
     assert first[1] and list(again[0].items()) == list(first[0].items()) and again[1:] == first[1:]
 
 

@@ -1,11 +1,13 @@
 """The oracle's BFS with its removal-only test against the full-closure reference.
 
 ``reference_bfs`` is the search the oracle used to run: every candidate
-state goes through a memoized full closure.  The library ``bfs`` asks
-``activation.still_target`` only whether the closure of a state reached by
-a jump of v still reaches v, memoized per component of v on disconnected
-graphs, or reads the exact target-set table when that is cheap.  Verdicts,
-explored counts, shortest sequences and guard trips must not change.
+state goes through a memoized full closure.  The library ``bfs`` expands
+each hub once, through the list of jumps that repair it.  The list reads the
+exact target-set table when that is cheap, else asks
+``activation.still_target`` only whether the closure of a set reached by a
+jump of v still reaches v, at most once a search per restriction to v's
+component and never for a stored state.  Verdicts, explored counts,
+shortest sequences and guard trips must not change.
 
 ``ktar_decide`` runs TJ searches between padded endpoints.  ``reference_ktar``
 is that definition, naively, and must match it exactly; the BFS over
@@ -483,8 +485,9 @@ def _terrible_beside_paths(paths):
 
 def test_removal_tests_are_memoized_per_component(monkeypatch):
     """On C8 + 3 x P5 (n = 23, k = 5) each search makes at most 60 removal tests
-    (29 measured; 3,874 and 4,199 without the memo), and a connected graph
-    stores no memo entry."""
+    (27 measured, 29 when the memo was keyed by restriction and removed
+    vertex; 3,874 and 4,199 without the memo), and a connected graph stores
+    no hub list and no passing restriction."""
     calls = []
     real = oracle.still_target
     monkeypatch.setattr(oracle, "still_target", lambda *a: calls.append(a) or real(*a))
@@ -495,11 +498,13 @@ def test_removal_tests_are_memoized_per_component(monkeypatch):
         assert 0 < len(calls) <= 60
 
     for g, x, y in (_terrible_beside_paths(0), _terrible_beside_paths(1)):
-        _, _, start, goal, near, ok = _check_pair(g, x, y)
+        _, _, start, goal, repairs = _check_pair(g, x, y)
         calls.clear()
-        bfs((start,), goal, near, ok, DEFAULT_GUARD)
-        memo = inspect.getclosurevars(ok).nonlocals["memo"]
-        assert calls and (len(memo) == 0) == (len(g.components()) == 1)
+        bfs((start,), goal, g.n, repairs, DEFAULT_GUARD)
+        memo = inspect.getclosurevars(repairs).nonlocals
+        covers = inspect.getclosurevars(memo["covered"]).nonlocals["covers"]
+        split = len(g.components()) > 1
+        assert calls and bool(memo["lists"]) == any(covers.values()) == split, (g, memo["lists"], covers)
 
 
 def _table_allowed(g, x, y, k, model, guard):
@@ -562,9 +567,9 @@ def test_pair_queries_switch_between_table_and_removal_test(monkeypatch):
     assert not builds
 
     # with no test count, as three arguments give, the removal test runs
-    _, _, start, goal, near, ok = _check_pair(g, x, y)
+    _, _, start, goal, repairs = _check_pair(g, x, y)
     calls.clear()
-    bfs((start,), goal, near, ok, DEFAULT_GUARD)
+    bfs((start,), goal, g.n, repairs, DEFAULT_GUARD)
     assert calls and not builds
 
 
@@ -798,42 +803,99 @@ def _searches(seed, count):
     return out
 
 
+def _near(g):
+    """Each vertex's component, as a mask."""
+    return {v: seed_mask(g, c) for c in g.components() for v in c}
+
+
 def test_hub_expansion_keeps_parents_and_order():
-    """``bfs``, which expands each hub once per search with one test, against
-    the generator that expanded every hub and the closure test of every
-    state: the same parent map in the same insertion order, verdict, pops
-    and guard trips, under the table and under the removal test, at guards
-    3, 40 and 10^9.  On the disjoint unions a hub that is no target set
-    skips the jumps out of the removed vertex's component untested, under
-    both tests."""
+    """``bfs``, which expands each hub once per search through its repair
+    list, against the generator that expanded every hub and the closure test
+    of every state: the same parent map in the same insertion order, verdict,
+    pops and guard trips, under the table and under the removal test, at
+    guards 3, 40 and 10^9.  Under both tests ``repairs`` returns None exactly
+    for a hub that is a target set, and otherwise exactly the ascending
+    (vertex, bit) pairs of the removed vertex's component, outside the hub,
+    whose addition makes it one."""
     trips = 0
-    skips = {"table": 0, "still_target": 0}
+    failing = {"table": 0, "still_target": 0}
     for g, x, y in _searches(4096, 240):
         is_ts = functools.cache(lambda m: closure_mask(g, m) == g.full_mask)
+        near = _near(g)
         for tests in (0, DEFAULT_GUARD):  # removal test, then the table where it fits
-            _, _, start, goal, near, ok = _check_pair(g, x, y, tests)
-            side = "still_target" if "memo" in inspect.getclosurevars(ok).nonlocals else "table"
+            _, _, start, goal, repairs = _check_pair(g, x, y, tests)
+            side = "still_target" if "covered" in inspect.getclosurevars(repairs).nonlocals else "table"
 
-            last = [0, 0, True]  # the hub tested last: the states tested next lie above it
-
-            def counted(m, out):
-                passed = ok(m, out)
-                if m.bit_count() < len(x):  # a hub; if it fails, the absent vertices outside out's component are skipped
-                    last[:] = m, out, passed
-                    skips[side] += 0 if passed else (g.full_mask & ~near[out] & ~m).bit_count()
-                else:  # a state, tested only above a failing hub and only by a jump into out's component
-                    hub, hub_out, hub_passed = last
-                    assert not hub_passed and out == hub_out and m & hub == hub and (m ^ hub) & near[out], (g, m, out)
-                return passed
+            def checked(hub, out, stored):
+                fixes = repairs(hub, out, stored)
+                assert (fixes is None) == is_ts(hub), (g, hub, out)
+                if fixes is not None:
+                    near_out = near[out] & ~hub
+                    want = [(v, 1 << v) for v in g.vertices if near_out >> v & 1 and is_ts(hub | 1 << v)]
+                    assert fixes == want, (g, hub, out)
+                    failing[side] += 1
+                return fixes
 
             for guard in (3, 40, 10**9):
                 want = outcome(
                     lambda: reference_bfs([start], lambda m: m & goal == goal, reference_tj_moves(g.vertices), is_ts, guard)
                 )
-                got = outcome(lambda: bfs((start,), goal, near, counted, guard))
+                got = outcome(lambda: bfs((start,), goal, g.n, checked, guard))
                 if want == "guard":
                     trips += 1
                     assert got == "guard", (g, x, y, guard)
                 else:
                     assert list(got[0].items()) == list(want[0].items()) and got[1:] == want[1:], (g, x, y, guard)
-    assert trips >= 100 and min(skips.values()) >= 100, (trips, skips)
+    assert trips >= 100 and min(failing.values()) >= 100, (trips, failing)
+
+
+def _minimal_target_set(g, rng):
+    """A target set of g that drops no vertex, found by dropping vertices in
+    random order while the rest stays a target set."""
+    m = g.full_mask
+    for v in rng.sample(g.vertices, g.n):
+        if closure_mask(g, m ^ 1 << v) == g.full_mask:
+            m ^= 1 << v
+    return m
+
+
+def test_removal_test_asks_each_restriction_once(monkeypatch):
+    """Within one removal-test search (``tests`` = 0), ``still_target`` sees
+    each restriction ``m & near[out]`` at most once and never a state already
+    in the parent map: on seeded connected graphs with n = 18-20, between two
+    minimal target sets padded to one size, and on the same graphs beside a
+    threshold-1 P2 with one token on it."""
+    real = oracle.still_target
+    seen, parents = set(), [{}]
+    near = {}
+
+    def counted(g, m, out):
+        key = m & near[out]
+        assert key not in seen and m not in parents[0], (g, m, out)
+        seen.add(key)
+        return real(g, m, out)
+
+    monkeypatch.setattr(oracle, "still_target", counted)
+    rng = random.Random(1913)
+    tested = 0
+    for _ in range(4):
+        g = random_connected(rng, rng.randint(18, 20), 0.25)
+        xm, ym = _minimal_target_set(g, rng), _minimal_target_set(g, rng)
+        while xm.bit_count() != ym.bit_count():
+            small = min(xm, ym, key=int.bit_count)
+            pad = rng.choice([v for v in g.vertices if not small >> v & 1])
+            xm, ym = (m | 1 << pad if m is small else m for m in (xm, ym))
+        x, y = (frozenset(v for v in g.vertices if m >> v & 1) for m in (xm, ym))
+        for h, hx, hy in ((g, x, y), (disjoint_union(g, path_with_spacing(0, [2]))[0], x | {g.n + 1}, y | {g.n + 2})):
+            near.clear()
+            near.update(_near(h))
+            seen.clear()
+            _, _, start, goal, repairs = _check_pair(h, hx, hy, 0)
+
+            def tracked(hub, out, stored):
+                parents[0] = stored
+                return repairs(hub, out, stored)
+
+            outcome(lambda: bfs((start,), goal, h.n, tracked, 400))
+            tested += len(seen)
+    assert tested >= 200, tested
