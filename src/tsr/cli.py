@@ -265,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_guard(sp):
         sp.add_argument("--guard", type=_count, default=DEFAULT_GUARD,
-                        help="abort a pair search after this many pops (for --model tar summed over "
-                        "sizes j, starts counted as stored), or an enumeration beyond this many sets")
+                        help="abort a pair search once it stores more than this many states (for "
+                        "--model tar summed over sizes j), or an enumeration beyond this many sets")
         sp.add_argument("--cap", type=_count, default=20,
                         help="refuse enumeration beyond this many vertices")
 

@@ -6,29 +6,28 @@ exact.  ``enumerate_target_sets`` seeds it with the C(n, k) combinations,
 and ``_table`` with all 2^n sets, packed one bit per set for
 ``all_target_set_masks``, ``target_sets_by_size`` and the pair queries.
 ``tj_components`` unions the size-k target sets that share a (k-1)-subset.
-``bfs`` is the one breadth-first search over int masks under single jumps,
-from a set of starts to the first state that contains the goal: it serves
-``tj_decide``, ``reductions.hs_tj_decide`` and ``ktar_decide``, which pads
-the endpoints up to each size j it searches, since target sets are closed
-under supersets; shortest sequences are rebuilt from its parent map.  The
-searches expand each hub once, through the list of jumps that repair it:
-none for a hub that is a target set, whose every jump passes untested, and
-else the vertices of the removed vertex's component whose addition makes it
-one.  The lists read the table when it is cheap next to the searches (see
-``_check_pair``), else run the local removal test
-``activation.still_target`` at most once a search per restriction to a
-component, and never on a stored state.
+``bfs`` is the one search over int masks under single jumps, best-first on
+depth plus the goal vertices a state misses, from a set of starts to the
+first state that contains the goal: it serves ``tj_decide``,
+``reductions.hs_tj_decide`` and ``ktar_decide``, which pads the endpoints up
+to each size j it searches, since target sets are closed under supersets;
+shortest sequences are rebuilt from its parent map.  The searches expand
+each hub through the list of jumps that repair it: none for a hub that is a
+target set, whose every jump passes untested, and else the vertices of the
+removed vertex's component whose addition makes it one.  The lists read the
+table when it is cheap next to the searches (see ``_check_pair``), else run
+the local removal test ``activation.still_target`` at most once a search
+per restriction to a component, and never on a stored state.
 Everything here is desk-scale: enumeration checks its cap and guard before
-it allocates anything, and a pair query aborts once its pops, summed over
-sizes j for k-TAR and with each start charged as it is stored, exceed a
-configurable guard.
+it allocates anything, and a pair query aborts once the states it stored,
+summed over sizes j for k-TAR and starts included, exceed a configurable
+guard, so the guard bounds its memory.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections import deque
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -48,8 +47,8 @@ class OracleReport:
     ``num_target_sets`` and ``components`` are filled only by full-enumeration
     queries; pair queries explore lazily and leave them None.  ``explored``
     counts the target sets enumerated, or the states a pair query's
-    searches stored, summed over sizes j for k-TAR; the guard counts pops
-    summed over sizes j instead, with each start charged as it is stored.
+    searches stored, summed over sizes j for k-TAR, starts included; a pair
+    query trips its guard exactly when it would report more than the guard.
     """
 
     k: int
@@ -203,8 +202,8 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
     C.  ``repairs`` returns None if it is, else the ascending (into, bit)
     pairs of the vertices of C outside ``hub`` whose addition makes it one.
     ``tests`` is the most states the searches can test at their sizes
-    (``bfs`` asks about each hub once a search; the hubs, a size below, are
-    not counted), capped at |C| 2^|C| per component C, a bound on the memo
+    (a search tests each at most once; the hubs, a size below, are not
+    counted), capped at |C| 2^|C| per component C, a bound on the memo
     below.  When 2^n is at most ``guard`` and at most ``_ROWS_PER_TEST``
     times that cap, ``repairs`` reads ``_table(g)``, built (once per graph
     object) at the first call.  Otherwise it runs the removal test
@@ -212,9 +211,11 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
     near[out]``: the restriction names C unless it is empty, and an empty
     one is never a target set, as every threshold is at least 1.  A state in
     ``stored``, the search's parent map, passes untested.  On a connected
-    graph the restriction is ``m`` and a search asks about each hub once, so
-    ``covers`` keeps only failures; on a disconnected graph it keeps both,
-    and ``lists`` keeps each hub's answer under its restriction and C.
+    graph the restriction is ``m``, and a search asks about a hub that is a
+    target set once (``bfs`` keeps that answer when it expands the hub
+    again), so ``covers`` keeps only failures; on a disconnected graph it
+    keeps both, and ``lists`` keeps each hub's answer under its restriction
+    and C.
     """
     xs, ys = frozenset(x), frozenset(y)
     start, goal = seed_mask(g, xs), seed_mask(g, ys)
@@ -272,83 +273,117 @@ def bfs(
     n: int,
     repairs: Callable[[int, int, dict], list[tuple[int, int]] | None],
     guard: int,
-    popped: int = 0,
+    stored: int = 0,
 ):
     """Parent map of the states reached from ``starts`` by single jumps among
-    the ids 1..``n``, whether one contains ``goal`` (the search ends there;
-    at the goal's size it is the goal), and the pops so far.
+    the ids 1..``n``, and whether one contains ``goal`` (the search ends
+    there; at the goal's size it is the goal).  A start maps to None, any
+    other state to (parent, out, into, depth).
+
+    Best-first (A*): a state s waits in the bucket of f = depth + |goal - s|,
+    the goal vertices it misses, and the most recently queued state of the
+    lowest bucket pops first.  A jump changes the missing count by at most
+    one, so the estimate is consistent: no bucket below the current one
+    fills again, and a route to the first state containing the goal is
+    shortest, as it is stored from a state popped with f at most the optimum
+    and missing at least one goal vertex.  A state reached at a smaller depth
+    takes the new parent and is queued again.
 
     Jumps from ``cur`` go by ascending removed element ``out``, then ascending
     added element.  Each goes through a hub, ``cur`` minus ``out``, to a set
     above it, the same from every state that contains the hub, so a search
-    expands each hub once, from the first state popped that contains it, and
-    asks ``repairs(hub, out, parents)`` which jumps pass (see
-    ``_check_pair``).  None means the hub is a target set: target sets are
-    closed under supersets, so every set above it passes untested, and the
-    absent vertices of ``cur`` are listed then, once a pop.  Otherwise only
-    the listed (into, bit) pairs pass, each a vertex of out's component, the
-    only ones that can repair the hub.  Raises InstanceTooLarge once
-    ``popped``, the pops of earlier searches, plus this search's pops exceed
-    ``guard``; each start is charged its pop as it is stored, so a search
-    with more starts than that stores at most ``guard`` + 1 of them.
+    expands a hub from the first state popped that contains it, and again
+    only from one of strictly smaller depth, and asks ``repairs(hub, out,
+    parents)`` which jumps pass (see ``_check_pair``).  None means the hub is
+    a target set: target sets are closed under supersets, so every set above
+    it passes untested, and the absent vertices of ``cur`` are listed then,
+    once a pop.  Otherwise only the listed (into, bit) pairs pass, each a
+    vertex of out's component, the only ones that can repair the hub.
+
+    Raises InstanceTooLarge once ``stored``, the states of earlier searches,
+    plus the states this search stored exceed ``guard``.  Starts and the
+    state that contains the goal are charged as they are stored, so a search
+    trips exactly when it would end with more than ``guard`` - ``stored``
+    states, and keeps at most that many plus one.  The hubs, at most k a
+    state, are the rest of what it holds.
     """
-    parents: dict[int, tuple[int, int, int] | None] = {}
+    limit = guard - stored
+    parents: dict[int, tuple[int, int, int, int] | None] = {}
+    buckets: list[list[int]] = [[], [], []]
     for s in starts:
         parents[s] = None
+        if len(parents) > limit:
+            raise InstanceTooLarge(f"search exceeded guard of {guard} states")
         if s & goal == goal:
-            return parents, True, popped
-        if popped + len(parents) > guard:
-            raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
+            return parents, True
+        f = (goal & ~s).bit_count()
+        buckets += [[] for _ in range(f + 3 - len(buckets))]
+        buckets[f].append(s)
     bits = [(v, 1 << v) for v in range(1, n + 1)]
-    hubs: set[int] = set()
-    queue = deque(parents)
-    while queue:
-        cur = queue.popleft()
-        popped += 1
-        if popped > guard:
-            raise InstanceTooLarge(f"BFS exceeded guard of {guard} states")
-        absent, rest = None, cur
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if (hub := cur ^ b) in hubs:
-                continue
-            hubs.add(hub)
-            out = b.bit_length() - 1
-            fixes = repairs(hub, out, parents)
-            if fixes is None:
-                fixes = absent = absent or [(v, c) for v, c in bits if not cur & c]
-            for into, c in fixes:
-                if (nxt := hub | c) in parents:
+    hubs: dict[int, int] = {}  # 2 d + 1 for a hub that is a target set, else 2 d, expanded from depth d
+    f = 0
+    while f < len(buckets):
+        if stack := buckets[f]:
+            buckets += [[] for _ in range(f + 3 - len(buckets))]
+        while stack:
+            cur = stack.pop()
+            p = parents[cur]
+            next_depth = p[3] + 1 if p else 1
+            if next_depth + (goal & ~cur).bit_count() != f + 1:
+                continue  # queued again at a smaller depth, and expanded there
+            mark = 2 * next_depth - 1
+            absent, rest = None, cur
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if (was := hubs.get(hub := cur ^ b, mark + 1)) <= mark:
                     continue
-                parents[nxt] = (cur, out, into)
-                if nxt & goal == goal:
-                    return parents, True, popped
-                queue.append(nxt)
-    return parents, False, popped
+                out = b.bit_length() - 1
+                fixes = None if was & 1 else repairs(hub, out, parents)
+                hubs[hub] = mark - (fixes is not None)
+                if fixes is None:
+                    fixes = absent = absent or [(v, c) for v, c in bits if not cur & c]
+                f_hub = f + 1 + (goal & b > 0)  # f of a state above the hub adding no goal vertex
+                for into, c in fixes:
+                    if (nxt := hub | c) in parents:
+                        old = parents[nxt]
+                        if old is None or old[3] <= next_depth:
+                            continue
+                        parents[nxt] = (cur, out, into, next_depth)
+                    else:
+                        parents[nxt] = (cur, out, into, next_depth)
+                        if len(parents) > limit:
+                            raise InstanceTooLarge(f"search exceeded guard of {guard} states")
+                        if nxt & goal == goal:
+                            return parents, True
+                    buckets[f_hub - (goal & c > 0)].append(nxt)
+        f += 1
+    return parents, False
 
 
-def _steps_to(parents: dict[int, tuple[int, int, int] | None], node: int) -> tuple[int, tuple[Step, ...]]:
+def _steps_to(parents: dict[int, tuple[int, int, int, int] | None], node: int) -> tuple[int, tuple[Step, ...]]:
     """The start ``node`` was reached from, and the jumps from there."""
     steps = []
     while parents[node] is not None:
-        node, out, into = parents[node]
+        node, out, into, _ = parents[node]
         steps.append(Step.jump(out, into))
     return node, tuple(reversed(steps))
 
 
 def tj_decide(g: ThresholdGraph, x, y, *, guard: int = DEFAULT_GUARD) -> OracleReport:
-    """BFS over size-k target sets under single jumps; shortest sequence if connected.
+    """Best-first search over size-k target sets under single jumps; a
+    shortest sequence if connected.
 
-    Explores only the component of x, so the guard bounds popped states, not
-    the full C(n,k) space.  Neighbor order is lexicographic (ascending removed
-    vertex, then ascending added vertex) for reproducible shortest sequences.
+    Explores only the component of x, toward y, so the guard bounds the
+    states stored, not the full C(n,k) space.  The order is fixed (see
+    ``bfs``), so the shortest sequence is reproducible, though not the
+    lexicographically least.
     """
     xs = frozenset(x)
     xs, ys, start, goal, repairs = _check_pair(g, xs, y, comb(g.n, len(xs)), guard)
     if len(xs) != len(ys):
         raise SizeMismatch(f"|x|={len(xs)} != |y|={len(ys)}")
-    parents, found, _ = bfs((start,), goal, g.n, repairs, guard)
+    parents, found = bfs((start,), goal, g.n, repairs, guard)
     seq = ReconfigSequence(xs, _steps_to(parents, goal)[1], TJ) if found else None
     return OracleReport(k=len(xs), reconfigurable=found, shortest=seq, explored=len(parents))
 
@@ -369,9 +404,9 @@ def ktar_decide(g: ThresholdGraph, x, y, k: int, *, guard: int = DEFAULT_GUARD) 
     else the largest |C|.  For each j from max(|x|, |y|) while 2j - |x| -
     |y| is below the best length so far, one ``bfs`` starts from every
     size-j superset of x (pads in lexicographic order) and ends at the
-    first state containing y.  The guard counts pops summed over sizes j,
-    each start charged as it is stored, and ``explored`` the states stored;
-    at |x| = |y| = k this is ``tj_decide``'s one search.
+    first state containing y.  ``explored`` is the states stored summed over
+    sizes j, each start as it is stored, and the guard bounds that sum; at
+    |x| = |y| = k this is ``tj_decide``'s one search.
     """
     xs, ys = frozenset(x), frozenset(y)
     sizes = range(max(len(xs), len(ys)), min(k, g.n) + 1)
@@ -379,13 +414,13 @@ def ktar_decide(g: ThresholdGraph, x, y, k: int, *, guard: int = DEFAULT_GUARD) 
     if len(xs) > k or len(ys) > k:
         raise SizeMismatch(f"endpoint sizes {len(xs)}, {len(ys)} exceed k={k}")
     free = [1 << v for v in g.vertices if v not in xs]
-    best, explored, popped = None, 0, 0
+    best, explored = None, 0
     for j in sizes:
         base = 2 * j - len(xs) - len(ys)
         if best is not None and base >= len(best):
             break
         starts = (start + sum(pad) for pad in itertools.combinations(free, j - len(xs)))
-        parents, found, popped = bfs(starts, goal, g.n, repairs, guard, popped)
+        parents, found = bfs(starts, goal, g.n, repairs, guard, explored)
         explored += len(parents)
         if found:
             first, jumps = _steps_to(parents, end := next(reversed(parents)))

@@ -291,7 +291,8 @@ def reduce_hitting_to_split(hs: HittingSystem) -> ReductionOutput:
 
 
 def hs_tj_decide(hs: HittingSystem, x, y, *, guard: int = DEFAULT_GUARD) -> bool:
-    """BFS decision for hitting-set reconfiguration under token jumping."""
+    """Hitting-set reconfiguration under token jumping, decided by ``bfs``;
+    the guard bounds the states it stores."""
     xs, ys = frozenset(x), frozenset(y)
     if len(xs) != len(ys):
         raise SizeMismatch(f"|x|={len(xs)} != |y|={len(ys)}")

@@ -9,6 +9,7 @@ from tsr import errors, oracle
 from tsr.generators import cycle_with_spacing, path_with_spacing, random_connected
 from tsr.graph import ThresholdGraph
 from tsr.oracle import (
+    DEFAULT_GUARD,
     all_target_set_masks,
     enumerate_target_sets,
     ktar_decide,
@@ -175,13 +176,15 @@ def test_ktar_guard_charges_stored_starts(monkeypatch):
 
 
 def test_fig1_outputs_pinned(fig1):
-    """Lexicographic tie-break: exact shortest sequences and component order."""
+    """Reproducible tie-break: exact shortest sequences, stored states and
+    component order.  The lengths (3 jumps, 4 TAR steps) are the
+    breadth-first reference's."""
     tj = tj_decide(fig1, {1, 6, 9, 10}, {3, 7, 9, 10})
-    assert tj.shortest.format() == "q tj 4\ns 1 6 9 10\nj 9 3\nj 1 7\nj 6 9\n"
-    assert tj.explored == 34
+    assert tj.shortest.format() == "q tj 4\ns 1 6 9 10\nj 10 7\nj 6 3\nj 1 10\n"
+    assert tj.explored == 23
     tar = ktar_decide(fig1, {1, 6, 9}, {3, 7, 9}, 4)
-    assert tar.shortest.format() == "q tar 4\ns 1 6 9\na 3\na 7\nr 1\nr 6\n"
-    assert tar.explored == 13
+    assert tar.shortest.format() == "q tar 4\ns 1 6 9\na 7\na 3\nr 1\nr 6\n"
+    assert tar.explored == 11
     assert tj_components(fig1, 3).components == (
         (frozenset({1, 6, 9}), frozenset({1, 6, 10})),
         (frozenset({3, 7, 9}), frozenset({3, 7, 10})),
@@ -279,7 +282,7 @@ def test_table_is_built_once_per_graph(monkeypatch):
 def test_hub_state_belongs_to_one_search():
     """Each search keeps its own hubs: the hubs one search expanded are not
     skipped by the next, so two identical calls give identical results."""
-    from tsr.oracle import DEFAULT_GUARD, _check_pair, bfs
+    from tsr.oracle import _check_pair, bfs
 
     g = cycle_with_spacing(0, [9])
     x, y = {1, 2, 3}, {5, 6, 7}
@@ -289,15 +292,39 @@ def test_hub_state_belongs_to_one_search():
     assert first[1] and list(again[0].items()) == list(first[0].items()) and again[1:] == first[1:]
 
 
+def _c40_trip(guard):
+    """The threshold-1 C40 query at k = 10 from {1..10} to {21..30}, which
+    stores 2,401 states, at ``guard``."""
+    g = cycle_with_spacing(0, [40])
+    return tj_decide(g, set(range(1, 11)), set(range(21, 31)), guard=guard)
+
+
 def test_hub_test_bounds_removal_tests(monkeypatch):
     """On a threshold-1 C40 at k = 10 every hub is a target set, so a search
-    that trips the guard of 20,000 made one ``still_target`` call per hub
-    expanded and none per state (54,212 measured; 516,165 when each state was
-    tested, more than the 200,010 hubs that 20,001 pops of 10 can expand)."""
-    calls = []
-    real = oracle.still_target
-    monkeypatch.setattr(oracle, "still_target", lambda g, m, v: calls.append(m) or real(g, m, v))
-    g = cycle_with_spacing(0, [40])
-    with pytest.raises(errors.InstanceTooLarge):
-        tj_decide(g, set(range(1, 11)), set(range(21, 31)), guard=20_000)
-    assert {m.bit_count() for m in calls} == {9} and len(set(calls)) == len(calls) <= 20_001 * 10
+    makes one ``still_target`` call per hub it expands, on the hub, and none
+    per state: at a guard of 2,000 the query trips after 69 calls
+    (measured), at most ten a stored state."""
+    calls, expanded = [], []
+    real_test, real_bfs = oracle.still_target, oracle.bfs
+    monkeypatch.setattr(oracle, "still_target", lambda g, m, v: calls.append(m) or real_test(g, m, v))
+
+    def counted(starts, goal, n, repairs, *rest):
+        return real_bfs(starts, goal, n, lambda hub, *a: expanded.append(hub) or repairs(hub, *a), *rest)
+
+    monkeypatch.setattr(oracle, "bfs", counted)
+    assert _c40_trip(DEFAULT_GUARD).explored == 2_401
+    calls.clear()
+    expanded.clear()
+    with pytest.raises(errors.InstanceTooLarge, match="guard of 2000 states"):
+        _c40_trip(2_000)
+    assert calls == expanded and {m.bit_count() for m in calls} == {9}
+    assert len(set(calls)) == len(calls) <= 2_001 * 10
+
+
+def test_guard_bounds_memory():
+    """The guard counts stored states, so it bounds what a search holds: the
+    C40 query tripping at a guard of 2,000 peaks at about 0.2 MB of
+    tracemalloc (measured), under 1 MB.  A guard on pops did not bound it:
+    this pair at a guard of 20,000 pops held 99 MB."""
+    exc, peak = _traced_peak(lambda: _c40_trip(2_000))
+    assert isinstance(exc, errors.InstanceTooLarge) and peak < 1 << 20, (exc, peak)

@@ -1,19 +1,22 @@
-"""The oracle's BFS with its removal-only test against the full-closure reference.
+"""The oracle's searches against the full-closure references.
 
-``reference_bfs`` is the search the oracle used to run: every candidate
-state goes through a memoized full closure.  The library ``bfs`` expands
-each hub once, through the list of jumps that repair it.  The list reads the
-exact target-set table when that is cheap, else asks
+``reference_bfs`` is the one-sided breadth-first search the oracle used to
+run: FIFO order, every candidate state through a memoized full closure.  The
+library ``bfs`` is a best-first (A*) search on depth plus the goal vertices
+a state misses; it expands each hub through the list of jumps that repair
+it.  The list reads the exact target-set table when that is cheap, else asks
 ``activation.still_target`` only whether the closure of a set reached by a
 jump of v still reaches v, at most once a search per restriction to v's
-component and never for a stored state.  Verdicts, explored counts,
-shortest sequences and guard trips must not change.
+component and never for a stored state.  The search order differs, so the
+references pin verdicts, shortest lengths and, on NO, the explored
+component with every depth; each YES route must validate from x to y, and a
+query trips its guard exactly when the same query at the default guard
+stores more states than the guard.
 
 ``ktar_decide`` runs TJ searches between padded endpoints.  ``reference_ktar``
-is that definition, naively, and must match it exactly; the BFS over
-additions and removals that it replaced, ``reference_pair`` with
-``reference_ktar_moves``, stays the reference for its verdicts and shortest
-lengths.
+is that definition, naively; it and the BFS over additions and removals that
+``ktar_decide`` replaced, ``reference_pair`` with ``reference_ktar_moves``,
+are the references for its verdicts and shortest lengths.
 
 ``reference_components`` (a ``closure_mask`` per combination, then a BFS
 flood per TJ class) and ``reference_table`` (int16 matmul rounds over all
@@ -62,7 +65,7 @@ from tsr.oracle import (
 )
 from tsr.graph import PlainGraph, ThresholdGraph, disjoint_union, vc_to_tss
 from tsr.reconfig import TAR, TJ, ReconfigSequence, Step, tj_to_tar, validate_sequence
-from tsr.reductions import hs_tj_decide
+from tsr.reductions import _hs_repairs, hs_tj_decide
 
 GUARDS = (5, 5_000_000)
 
@@ -194,15 +197,36 @@ def _verdict_length(summary):
     return summary[0], summary[2].count("\n") - 2 if summary[2] else None
 
 
-def check_ktar(g, x, y, k, guards):
-    """``ktar_decide`` at each guard against ``reference_ktar``, and its verdict
-    and shortest length against the BFS over ``reference_ktar_moves``."""
-    old = outcome(lambda: reference_pair(g, x, y, reference_ktar_moves(g.vertices, k), TAR, k, DEFAULT_GUARD))
+def decide(g, x, y, k=None, guard=DEFAULT_GUARD):
+    """``tj_decide``'s report (k None) or ``ktar_decide``'s, or "guard"."""
+    if k is None:
+        return outcome(lambda: tj_decide(g, x, y, guard=guard))
+    return outcome(lambda: ktar_decide(g, x, y, k, guard=guard))
+
+
+def check(g, x, y, k=None, guards=()):
+    """A TJ (k None) or k-TAR query against the one-sided references.
+
+    At the default guard the verdict and shortest length are those of the
+    BFS under the jump generator, or under the addition/removal generator
+    and ``reference_ktar`` for k-TAR, and a YES route validates from x to y
+    (through sets of at most k + 1 for k-TAR).  At each of ``guards`` the
+    query trips exactly when the default one stored more states than the
+    guard, and otherwise returns the default report, which it returns."""
+    full = decide(g, x, y, k)
+    moves = reference_tj_moves(g.vertices) if k is None else reference_ktar_moves(g.vertices, k)
+    want = reference_pair(g, x, y, moves, TJ if k is None else TAR, k or 0, DEFAULT_GUARD)
+    assert _verdict_length(_summary(full)) == _verdict_length(want), (g, sorted(x), sorted(y), k)
+    if k is not None:
+        assert _verdict_length(reference_ktar(g, x, y, k, DEFAULT_GUARD)) == _verdict_length(want)
+    if full.reconfigurable:
+        seq = full.shortest
+        assert (seq.start, seq.end, seq.k) == (x, y, k or 0) and validate_sequence(g, seq).ok, (g, sorted(x), sorted(y), k)
+        assert k is None or max(map(len, seq.sets())) <= k + 1
     for guard in guards:
-        got = _summary(outcome(lambda: ktar_decide(g, x, y, k, guard=guard)))
-        assert got == outcome(lambda: reference_ktar(g, x, y, k, guard)), (g, sorted(x), sorted(y), k, guard)
-        if got != "guard":
-            assert old != "guard" and _verdict_length(got) == _verdict_length(old), (g, sorted(x), sorted(y), k)
+        got = decide(g, x, y, k, guard)
+        assert got == ("guard" if full.explored > guard else full), (g, sorted(x), sorted(y), k, guard)
+    return full
 
 
 def reference_table(g):
@@ -292,12 +316,8 @@ def test_pair_queries_match_reference():
         for _ in range(2):
             xm, ym = rng.sample(masks, 2)
             x, y = (frozenset(v for v in g.vertices if m >> v & 1) for m in (xm, ym))
-            for guard in GUARDS:
-                got = outcome(lambda: tj_decide(g, x, y, guard=guard))
-                want = outcome(lambda: reference_pair(g, x, y, reference_tj_moves(g.vertices), TJ, 0, guard))
-                assert _summary(got) == want, (g, sorted(x), sorted(y), guard)
-            for k in (len(x), len(x) + 1):
-                check_ktar(g, x, y, k, GUARDS)
+            for k in (None, len(x), len(x) + 1):
+                check(g, x, y, k, GUARDS)
             queries += 3 * len(GUARDS)
     assert queries >= 1500
 
@@ -313,9 +333,11 @@ def test_components_match_reference():
 
 @pytest.mark.parametrize("guard", GUARDS)
 def test_hitting_set_queries_match_reference(guard):
-    """``hs_tj_decide`` on 300 random hitting systems against the closure-free reference."""
+    """``hs_tj_decide`` on 300 random hitting systems against the closure-free
+    reference's verdict, tripping exactly when its search at the default
+    guard stores more states than ``guard``."""
     rng = random.Random(4242)
-    decided = 0
+    decided = trips = 0
     for _ in range(300):
         n = rng.randint(3, 7)
         hs = random_hitting_system(rng, n, rng.randint(1, 5), rng.randint(1, n - 1))
@@ -325,14 +347,15 @@ def test_hitting_set_queries_match_reference(guard):
             continue
         x, y = rng.sample(sets, 2)
         start, goal = (sum(1 << u for u in s) for s in (x, y))
-        want = outcome(
-            lambda: reference_bfs(
-                [start], goal.__eq__, reference_tj_moves(range(1, n + 1)), lambda m: all(m & f for f in family), guard
-            )[1]
-        )
-        assert outcome(lambda: hs_tj_decide(hs, x, y, guard=guard)) == want, (hs, x, y)
+        want = reference_bfs(
+            [start], goal.__eq__, reference_tj_moves(range(1, n + 1)), lambda m: all(m & f for f in family), DEFAULT_GUARD
+        )[1]
+        stored = len(bfs((start,), goal, n, functools.partial(_hs_repairs, family), DEFAULT_GUARD)[0])
+        got = outcome(lambda: hs_tj_decide(hs, x, y, guard=guard))
+        assert got == ("guard" if stored > guard else want), (hs, x, y)
         decided += 1
-    assert decided >= 100
+        trips += got == "guard"
+    assert decided >= 100 and (trips >= 50 or guard == DEFAULT_GUARD), (decided, trips)
 
 
 def _part(rng):
@@ -377,13 +400,9 @@ def test_multi_component_pair_queries_match_reference():
     no = 0
     for _ in range(60):
         g, x, y = _union_pair(rng)
-        for guard in GUARDS:
-            got = outcome(lambda: tj_decide(g, x, y, guard=guard))
-            want = outcome(lambda: reference_pair(g, x, y, reference_tj_moves(g.vertices), TJ, 0, guard))
-            assert _summary(got) == want, (g, sorted(x), sorted(y), guard)
-            no += guard == GUARDS[-1] and not want[0]
+        no += not check(g, x, y, None, GUARDS).reconfigurable
         for k in (len(x), len(x) + 1):
-            check_ktar(g, x, y, k, GUARDS)
+            check(g, x, y, k, GUARDS)
     assert no >= 8
 
 
@@ -440,17 +459,42 @@ def test_ktar_lengths_match_the_addition_removal_search():
     assert queries >= 1500 and no >= 50 and uneven >= 300, (queries, no, uneven)
 
 
+def test_guard_trips_exactly_above_the_stored_states():
+    """A pair query trips at guard G exactly when the same query at the
+    default guard reports ``explored`` > G: at G = explored it returns the
+    default report, at explored - 1 it trips.  Starts, padded ones included,
+    and the state containing the goal are charged as they are stored.  TJ
+    and k-TAR at k = max(|x|, |y|) and that plus 1, on 300 of the length
+    gate's pairs (half of different sizes, so k-TAR starts from many padded
+    supersets, and summed over several sizes j) and on x = y, which stores
+    one state (1,683 queries, 706 with padded starts)."""
+    queries = multi = 0
+    for g, x, y in _gate_pairs(31337, 300):
+        lo = max(len(x), len(y))
+        for a, b in ((x, y), (x, x)):
+            for k in ([None] if len(a) == len(b) else []) + [lo, lo + 1]:
+                full = decide(g, a, b, k)
+                assert decide(g, a, b, k, full.explored) == full, (g, sorted(a), sorted(b), k)
+                assert decide(g, a, b, k, full.explored - 1) == "guard", (g, sorted(a), sorted(b), k)
+                assert a != b or k is not None or full.explored == 1
+                queries += 1
+                multi += k is not None and k > len(a)
+    assert queries >= 1200 and multi >= 500, (queries, multi)
+
+
 def test_ktar_at_k_is_the_tj_search(monkeypatch):
     """At k = |x| = |y|, ``ktar_decide`` is ``tj_decide``'s one search: the
     route is ``tj_to_tar`` of the TJ route, with the same stored states, the
     same ``still_target`` calls and the same guard trips at guards 3, 40 and
-    the default, on the seeded searches of the hub test (52 trips measured,
-    and 268 searches that called ``still_target``)."""
+    the default, on the seeded searches of the hub test and 60 more (157
+    trips and 247 searches that called ``still_target`` measured; on the
+    hub test's 240, 202 such searches now that the guard counts stored
+    states, 268 when it counted pops)."""
     calls = []
     real = oracle.still_target
     monkeypatch.setattr(oracle, "still_target", lambda *a: calls.append(a) or real(*a))
     trips = tested = 0
-    for g, x, y in _searches(4096, 240):
+    for g, x, y in _searches(4096, 300):
         for guard in (3, 40, DEFAULT_GUARD):
             calls.clear()
             tj = outcome(lambda: tj_decide(g, x, y, guard=guard))
@@ -540,18 +584,14 @@ def test_pair_queries_switch_between_table_and_removal_test(monkeypatch):
             for model, k in ((TJ, 0), (TAR, len(x)), (TAR, len(x) + 1)):
                 builds.clear()
                 calls.clear()
-                if model == TJ:
-                    got = outcome(lambda: tj_decide(g, x, y, guard=guard))
-                    want = outcome(lambda: reference_pair(g, x, y, reference_tj_moves(g.vertices), TJ, 0, guard))
-                    assert _summary(got) == want, (g, x, y, guard)
-                else:
-                    check_ktar(g, x, y, k, [guard])
+                decide(g, x, y, k if model == TAR else None, guard)
                 if _table_allowed(g, x, y, k, model, guard) and x != y:
                     assert builds in ([], [g.n]) and not calls, (g, x, y, model, k, guard)
                 else:
                     assert not builds, (g, x, y, model, k, guard)
                 sides["table"] += bool(builds)
                 sides["still_target"] += bool(calls)
+                check(g, x, y, k if model == TAR else None, [guard])
     assert min(sides.values()) >= 300, sides
 
     # endpoint checks come before any table, and the table is built lazily
@@ -742,7 +782,8 @@ def _pinned_lines():
     table, enumeration, size table and component partition of
     ``_exact_graphs`` and of the C60, then TJ ("exact") and k-TAR ("ktar")
     reports (verdict, explored, shortest) on seeded pairs, at a guard of 40
-    and the default, with guard trips as "guard"."""
+    and the default, with guard trips as "guard"; each pair query first
+    passes ``check``."""
     rng = random.Random(1009)
     c60 = cycle_with_spacing(0, [60])
     for g in _exact_graphs():
@@ -757,25 +798,26 @@ def _pinned_lines():
                 continue
             xm, ym = rng.sample(masks, 2)
             x, y = (frozenset(v for v in g.vertices if m >> v & 1) for m in (xm, ym))
+            for budget in (None, k, k + 1):
+                check(g, x, y, budget, [40])
             for guard in (40, DEFAULT_GUARD):
-                for name, decide in (
-                    ("exact", lambda: tj_decide(g, x, y, guard=guard)),
-                    ("ktar", lambda: ktar_decide(g, x, y, k, guard=guard)),
-                    ("ktar", lambda: ktar_decide(g, x, y, k + 1, guard=guard)),
-                ):
-                    yield name, repr(_summary(outcome(decide)))
+                for name, budget in (("exact", None), ("ktar", k), ("ktar", k + 1)):
+                    yield name, repr(_summary(decide(g, x, y, budget, guard)))
     for k in (2, 3):
         yield "exact", repr([sorted(s) for s in enumerate_target_sets(c60, k, cap=60)])
         yield "exact", repr([[sorted(s) for s in c] for c in tj_components(c60, k, cap=60).components])
 
 
-# sha256 of the "exact" lines of ``_pinned_lines``, computed with the numpy
-# core and the jump generator that expanded every hub (all lines together
-# hashed to 2d0a559b... then), and of the "ktar" lines, computed when
-# ``ktar_decide`` became TJ searches between padded endpoints, which
-# ``reference_ktar`` checks
-EXACT_DIGEST = "f0ea402eb1e5de971961afd8f54858d722b00a4f6b32490400910fdcd2fde0bd"
-KTAR_DIGEST = "93f47042f4ce378c1a453d37e15e6ffbe54f2f5db43a9372b3c5c3996386de8c"
+# sha256 of the "exact" lines of ``_pinned_lines``, whose tables,
+# enumerations and partitions were computed with the numpy core and the jump
+# generator that expanded every hub, and of the "ktar" lines.  The pair
+# reports in both were re-pinned when the search became best-first, which
+# moved explored counts, tie-broken routes and guard trips (the guard now
+# counts stored states, not pops); every table, enumeration and partition
+# line kept its hash, and ``check`` anchors each pair query on the
+# references
+EXACT_DIGEST = "e5e6186fe8c497f6743738960532aaa5b513cb718b1b23d017721058f6408443"
+KTAR_DIGEST = "cf11e9d4928182e4c5b398e77272a07c8c0f249a7a7d8cfd6eb49e52caa2121b"
 
 
 def test_exact_outputs_match_pinned_digest():
@@ -808,15 +850,43 @@ def _near(g):
     return {v: seed_mask(g, c) for c in g.components() for v in c}
 
 
-def test_hub_expansion_keeps_parents_and_order():
-    """``bfs``, which expands each hub once per search through its repair
-    list, against the generator that expanded every hub and the closure test
-    of every state: the same parent map in the same insertion order, verdict,
-    pops and guard trips, under the table and under the removal test, at
-    guards 3, 40 and 10^9.  Under both tests ``repairs`` returns None exactly
-    for a hub that is a target set, and otherwise exactly the ascending
-    (vertex, bit) pairs of the removed vertex's component, outside the hub,
-    whose addition makes it one."""
+def _depths(parents):
+    """Each state's depth in a parent map of ``reference_bfs`` (BFS order, so
+    the depth is the distance from the starts) or of ``bfs``."""
+    depth = {}
+    for m, p in parents.items():
+        depth[m] = 0 if p is None else p[3] if len(p) == 4 else depth[p[0]] + 1
+    return depth
+
+
+def check_search(parents, found, want, goal):
+    """``bfs``'s (parents, found) against ``reference_bfs``'s (parents, found)
+    from the same starts: each entry is a jump from a stored state no deeper
+    than it, the verdict agrees, and the goal's route (YES) or, on NO, the
+    explored component and every depth in it are the reference's."""
+    depth, exact = _depths(parents), _depths(want[0])
+    for m, p in parents.items():
+        if p is not None:
+            prev, out, into, d = p
+            assert prev in parents and prev ^ m == 1 << out | 1 << into and prev >> out & 1, (m, p)
+            assert d >= depth[prev] + 1
+    assert found == want[1]
+    if found:
+        end = next(reversed(parents))
+        assert end & goal == goal and depth[end] == len(oracle._steps_to(parents, end)[1]) == exact[next(reversed(want[0]))]
+    else:
+        assert depth == exact
+
+
+def test_hub_expansion_keeps_shortest_depths():
+    """``bfs``, which expands each hub through its repair list, against the
+    generator that expanded every hub and the closure test of every state
+    (``check_search``), under the table and under the removal test, and at
+    guards 3 and 40 a trip exactly when the unguarded search stored more
+    states, else the same parent map in the same order.  Under both tests
+    ``repairs`` returns None exactly for a hub that is a target set, and
+    otherwise exactly the ascending (vertex, bit) pairs of the removed
+    vertex's component, outside the hub, whose addition makes it one."""
     trips = 0
     failing = {"table": 0, "still_target": 0}
     for g, x, y in _searches(4096, 240):
@@ -836,17 +906,54 @@ def test_hub_expansion_keeps_parents_and_order():
                     failing[side] += 1
                 return fixes
 
-            for guard in (3, 40, 10**9):
-                want = outcome(
-                    lambda: reference_bfs([start], lambda m: m & goal == goal, reference_tj_moves(g.vertices), is_ts, guard)
-                )
+            want = reference_bfs([start], lambda m: m & goal == goal, reference_tj_moves(g.vertices), is_ts, 10**9)
+            full = bfs((start,), goal, g.n, checked, 10**9)
+            check_search(*full, want, goal)
+            for guard in (3, 40):
                 got = outcome(lambda: bfs((start,), goal, g.n, checked, guard))
-                if want == "guard":
+                if len(full[0]) > guard:
                     trips += 1
                     assert got == "guard", (g, x, y, guard)
                 else:
-                    assert list(got[0].items()) == list(want[0].items()) and got[1:] == want[1:], (g, x, y, guard)
+                    assert list(got[0].items()) == list(full[0].items()) and got[1] == full[1], (g, x, y, guard)
     assert trips >= 100 and min(failing.values()) >= 100, (trips, failing)
+
+
+def test_hub_is_expanded_again_from_a_shallower_state():
+    """A hub first expanded from a state at depth d is expanded again from one
+    at a smaller depth, and that is what keeps the route shortest.
+
+    On families closed under supersets no seeded search was seen to need it,
+    so the case is a family of 3-subsets of 1..6 that is not, searched
+    through a ``repairs`` that lists the members above each hub.  From
+    {2, 4, 5} to {1, 2, 6} the shortest route has 4 jumps (through {3, 4, 5},
+    {3, 4, 6} and {2, 3, 6}); a search that expands each hub once, or never
+    queues a state again at a smaller depth, returns 5.  Then the same on
+    200 seeded families of k-subsets that are not closed under supersets."""
+    family = {26, 42, 50, 52, 56, 70, 76, 88}
+    start, goal = 0b110100, 0b1000110
+    assert [sorted(v for v in range(1, 7) if m >> v & 1) for m in (start, goal)] == [[2, 4, 5], [1, 2, 6]]
+    asked = []
+
+    def members(hub, out, stored, family=family, n=6):
+        asked.append(hub)
+        return [(v, 1 << v) for v in range(1, n + 1) if not hub >> v & 1 and hub | 1 << v in family]
+
+    parents, found = bfs((start,), goal, 6, members, DEFAULT_GUARD)
+    want = reference_bfs([start], goal.__eq__, reference_tj_moves(range(1, 7)), family.__contains__, DEFAULT_GUARD)
+    check_search(parents, found, want, goal)
+    assert parents[goal][3] == 4 and len(set(asked)) < len(asked)
+
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(5, 7)
+        k = rng.randint(2, n - 2)
+        sets = [sum(1 << v for v in c) for c in itertools.combinations(range(1, n + 1), k)]
+        family = set(rng.sample(sets, rng.randint(2, len(sets))))
+        start, goal = rng.sample(sorted(family), 2)
+        lists = functools.partial(members, family=family, n=n)
+        want = reference_bfs([start], goal.__eq__, reference_tj_moves(range(1, n + 1)), family.__contains__, DEFAULT_GUARD)
+        check_search(*bfs((start,), goal, n, lists, DEFAULT_GUARD), want, goal)
 
 
 def _minimal_target_set(g, rng):
