@@ -37,34 +37,6 @@ def seed_mask(g: ThresholdGraph, seed: Iterable[int]) -> int:
     return m
 
 
-def closure_mask(g: ThresholdGraph, seed: int) -> int:
-    """Fixpoint of the activation process, as a bitmask.
-
-    Asynchronous propagation; reaches the same fixpoint as the synchronous
-    rounds since activation is monotone.
-    """
-    adj = g.adj_masks
-    tau = g.tau
-    active = seed
-    pending = [0] * (g.n + 1)
-    frontier = []
-    for v in range(1, g.n + 1):
-        if not seed >> v & 1:
-            pending[v] = tau[v] - (adj[v] & seed).bit_count()
-            if pending[v] <= 0:
-                active |= 1 << v
-                frontier.append(v)
-    while frontier:
-        v = frontier.pop()
-        for u in g.adj[v]:
-            if not active >> u & 1:
-                pending[u] -= 1
-                if pending[u] == 0:
-                    active |= 1 << u
-                    frontier.append(u)
-    return active
-
-
 def still_target(g: ThresholdGraph, mask: int, v: int) -> bool:
     """True iff activating the bitmask ``mask`` eventually activates ``v``.
 
@@ -179,44 +151,52 @@ class ActivationTrace:
         return "".join(self.lines())
 
 
-def activate(g: ThresholdGraph, seed: Iterable[int]) -> ActivationTrace:
-    """Run the synchronous activation process from ``seed`` to its fixpoint.
+def activation_times(g: ThresholdGraph, s: frozenset[int]) -> list[int]:
+    """Each vertex's activation round from the checked seed ``s``, or -1 if it
+    never activates (index 0 unused): the one full closure.
 
     Frontier-based, O(n + m): ``need[u]`` counts down the active neighbors u
     still lacks, and round t + 1 only visits the neighbors of the vertices
     that turned active in round t.
     """
-    s = g.check_seed(seed)
-    time: dict[int, int | None] = dict.fromkeys(g.vertices)
-    frontier = sorted(s)
-    for v in frontier:
+    adj = g.adj
+    time = [-1] * (g.n + 1)
+    for v in s:
         time[v] = 0
-    layers = [tuple(frontier)]
     need = list(g.tau)
+    frontier = list(s)
     t = 0
-    while True:
+    while frontier:
+        t += 1
         hits = []
         for v in frontier:
-            for u in g.adj[v]:
-                if time[u] is None:
+            for u in adj[v]:
+                if time[u] < 0:
                     need[u] -= 1
                     if need[u] == 0:
+                        time[u] = t
                         hits.append(u)
-        if not hits:
-            break
-        t += 1
-        hits.sort()
-        for u in hits:
-            time[u] = t
-        layers.append(tuple(hits))
         frontier = hits
-    return ActivationTrace(layers=tuple(layers), activation_time=time)
+    return time
+
+
+def activate(g: ThresholdGraph, seed: Iterable[int]) -> ActivationTrace:
+    """Run the synchronous activation process from ``seed`` to its fixpoint:
+    ``activation_times`` bucketed by round, each layer ascending."""
+    time = activation_times(g, g.check_seed(seed))
+    layers: list[list[int]] = [[] for _ in range(max(max(time), 0) + 1)]
+    for v in g.vertices:
+        if time[v] >= 0:
+            layers[time[v]].append(v)
+    return ActivationTrace(
+        layers=tuple(map(tuple, layers)),
+        activation_time={v: None if time[v] < 0 else time[v] for v in g.vertices},
+    )
 
 
 def is_target_set(g: ThresholdGraph, seed: Iterable[int]) -> bool:
     """True iff activating ``seed`` eventually activates every vertex."""
-    s = seed_mask(g, g.check_seed(seed))
-    return closure_mask(g, s) == g.full_mask
+    return -1 not in activation_times(g, g.check_seed(seed))[1:]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,19 +224,15 @@ class Residual:
 
 def residual(g: ThresholdGraph, seed: Iterable[int]) -> Residual:
     """Residual graph G_S: vertices not activated by S, thresholds reduced."""
-    s = g.check_seed(seed)
-    active = closure_mask(g, seed_mask(g, s))
-    survivors = [v for v in g.vertices if not active >> v & 1]
+    time = activation_times(g, g.check_seed(seed))
+    survivors = [v for v in g.vertices if time[v] < 0]
     index = {v: i + 1 for i, v in enumerate(survivors)}
     edges = [
         (index[u], index[v])
         for u, v in g.edges
         if u in index and v in index
     ]
-    tau = [
-        g.tau[v] - (g.adj_masks[v] & active).bit_count()
-        for v in survivors
-    ]
+    tau = [g.tau[v] - sum(time[u] >= 0 for u in g.adj[v]) for v in survivors]
     sub = ThresholdGraph.build(len(survivors), edges, tau)
     return Residual(graph=sub, vertex_map=(0,) + tuple(survivors))
 

@@ -102,10 +102,6 @@ class ThresholdGraph:
             masks[v] = m
         return tuple(masks)
 
-    @cached_property
-    def full_mask(self) -> int:
-        return ((1 << self.n) - 1) << 1
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u] if 1 <= u <= self.n else False
 

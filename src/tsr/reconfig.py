@@ -14,7 +14,7 @@ from collections import deque
 from functools import cached_property
 from typing import Callable, Iterator
 
-from .activation import closure_mask, seed_mask, still_target
+from .activation import is_target_set, seed_mask, still_target
 from .errors import EndpointSizeMismatch, InvalidInput, MalformedLine
 from .graph import ThresholdGraph, records, seed_ids
 
@@ -160,7 +160,7 @@ def validate_sequence(
         if not 1 <= v <= g.n:
             return ValidityReport(False, -1, f"start contains unknown vertex {v}")
     mask = seed_mask(g, seq.start)
-    if not (is_ts(seq.start) if is_ts is not None else closure_mask(g, mask) == g.full_mask):
+    if not (is_ts(seq.start) if is_ts is not None else is_target_set(g, seq.start)):
         return ValidityReport(False, -1, "start set is not a target set")
     if seq.model == TAR and len(seq.start) > seq.k + 1:
         return ValidityReport(False, -1, f"start set exceeds size {seq.k}+1")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from functools import cached_property
 
-from .activation import closure_mask, seed_mask
+from .activation import activation_times
 from .errors import (
     DegreeTooLarge,
     InvariantViolated,
@@ -107,10 +107,6 @@ class Component:
         return frozenset(self.order)
 
     @cached_property
-    def mask(self) -> int:
-        return sum(1 << v for v in self.order)
-
-    @cached_property
     def s_star(self) -> frozenset[int] | None:
         """The canonical minimum, the set of region targets; None without regions."""
         return None if self.regions is None else frozenset(t for t, _ in self.regions)
@@ -165,10 +161,9 @@ class Plan:
     def is_target_set(self, g: ThresholdGraph, s: frozenset[int], rs) -> bool:
         """``is_target_set(g, s)``: the components are independent, so each restriction must cover its own."""
         if any((i, r) not in self._covers for i, r in enumerate(rs)):
-            active = closure_mask(g, seed_mask(g, s))
+            time = activation_times(g, s)
             for i, r in enumerate(rs):
-                mask = self.components[i].mask
-                self._covers[i, r] = active & mask == mask
+                self._covers[i, r] = all(time[v] >= 0 for v in self.components[i].order)
         return all(self._covers[i, r] for i, r in enumerate(rs))
 
 

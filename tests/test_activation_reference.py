@@ -1,12 +1,13 @@
-"""The frontier-based ``activate`` against the round-scan reference, and the
-local ``still_target`` against the full closure.
+"""The one full closure, ``activation_times``, and every caller of it against
+the round-scan reference, and the local ``still_target`` against the same.
 
 ``reference_activate`` is the round scan ``activate`` used to be: every round
 each inactive vertex counts its active neighbors (an AND of bitmasks) against
 its threshold, and every round is kept as a full active set.  It is
-O(n * rounds) and obviously faithful to the synchronous process; the library
-version must agree with it on every input.  ``still_target(g, mask, v)`` must
-agree with ``closure_mask(g, mask) >> v & 1`` on every input.
+O(n * rounds) and obviously faithful to the synchronous process; ``activate``,
+``is_target_set``, ``residual`` and the component plan's ``is_target_set``
+must agree with it on every input.  ``still_target(g, mask, v)`` must agree
+with whether the reference's last round holds v on every input.
 """
 
 import random
@@ -18,8 +19,9 @@ from tsr.activation import (
     _INSERT_MAX,
     activate,
     certify_orientation,
-    closure_mask,
+    is_target_set,
     orientation_from_trace,
+    residual,
     still_target,
 )
 from tsr.generators import (
@@ -30,6 +32,7 @@ from tsr.generators import (
     random_tree,
 )
 from tsr.graph import ThresholdGraph, disjoint_union
+from tsr.solvers import component_plan
 
 
 def reference_activate(g, seed):
@@ -84,9 +87,13 @@ def _seeds(rng, g):
 
 
 def test_matches_reference():
+    """``activate`` round for round, and ``is_target_set``, ``residual`` and,
+    where ``component_plan`` covers g, ``Plan.is_target_set`` on the seed's
+    restrictions against the reference's last round."""
     rng = random.Random(555)
-    checked = targets = 0
+    checked = targets = planned = 0
     for g in _instances():
+        plan = component_plan(g)
         for seed in _seeds(rng, g):
             rounds, times = reference_activate(g, seed)
             trace = activate(g, seed)
@@ -99,9 +106,20 @@ def test_matches_reference():
                 *(b - a for a, b in zip(rounds, rounds[1:])),
             ]
             assert trace.layers == tuple(tuple(sorted(trace.newly_active(t))) for t in range(len(rounds)))
+            final = rounds[-1]
+            assert is_target_set(g, seed) == (len(final) == g.n)
+            res = residual(g, seed)
+            survivors = [v for v in g.vertices if v not in final]
+            assert res.vertex_map == (0, *survivors)
+            assert res.graph.tau[1:] == tuple(g.tau[v] - len(final.intersection(g.adj[v])) for v in survivors)
+            if plan is not None:
+                rs = [seed & c.vertices for c in plan.components]
+                assert plan.is_target_set(g, seed, rs) == (len(final) == g.n)
+                planned += 1
             checked += 1
-            targets += len(rounds[-1]) == g.n
+            targets += len(final) == g.n
     assert checked == 6 * 368
+    assert planned > 1500
     assert 0 < targets < checked  # both target sets and non-target sets were seeded
 
 
@@ -193,7 +211,7 @@ def test_still_target_matches_closure():
             if u not in ts:
                 queries.append((mask | 1 << u, v))
         for mask, v in queries:
-            want = bool(closure_mask(g, mask) >> v & 1)
+            want = v in reference_activate(g, [u for u in g.vertices if mask >> u & 1])[0][-1]
             assert still_target(g, mask, v) == want, (g, mask, v)
             checked += 1
             yes += want

@@ -18,7 +18,7 @@ is that definition, naively; it and the BFS over additions and removals that
 ``ktar_decide`` replaced, ``reference_pair`` with ``reference_ktar_moves``,
 are the references for its verdicts and shortest lengths.
 
-``reference_components`` (a ``closure_mask`` per combination, then a BFS
+``reference_components`` (an ``is_target_set`` per combination, then a BFS
 flood per TJ class) and ``reference_table`` (int16 matmul rounds over all
 2^n seeds) keep the closure engines the exhaustive paths ran before the one
 batch core ``oracle._full_rows``, and the flood that ``tj_components`` ran
@@ -41,7 +41,7 @@ import numpy as np
 import pytest
 
 from tsr import errors, oracle
-from tsr.activation import closure_mask, seed_mask
+from tsr.activation import is_target_set, seed_mask
 from tsr.gadgets import attach
 from tsr.generators import (
     cycle_with_spacing,
@@ -146,9 +146,14 @@ def reference_steps(parents, goal):
     return tuple(reversed(steps))
 
 
+def mask_is_target_set(g, m):
+    """``is_target_set`` of the set whose bit v is set for each vertex v in it."""
+    return is_target_set(g, [v for v in g.vertices if m >> v & 1])
+
+
 def reference_pair(g, x, y, moves, model, k, guard):
     """(verdict, explored, shortest.format()) under the memoized closure test."""
-    is_ts = functools.cache(lambda m: closure_mask(g, m) == g.full_mask)
+    is_ts = functools.cache(lambda m: mask_is_target_set(g, m))
     start, goal = seed_mask(g, x), seed_mask(g, y)
     parents, found, _ = reference_bfs([start], goal.__eq__, moves, is_ts, guard)
     seq = ReconfigSequence(frozenset(x), reference_steps(parents, goal), model, k=k) if found else None
@@ -164,7 +169,7 @@ def reference_ktar(g, x, y, k, guard):
     an addition and a removal, and removes down to y.  Pops add up over the
     searches for the guard, each start charged as it is stored, and so do
     the stored states."""
-    is_ts = functools.cache(lambda m: closure_mask(g, m) == g.full_mask)
+    is_ts = functools.cache(lambda m: mask_is_target_set(g, m))
     goal = seed_mask(g, y)
     best, explored, popped = None, 0, 0
     for j in range(max(len(x), len(y)), min(k, g.n) + 1):
@@ -254,7 +259,7 @@ def reference_components(g, k):
     sets = [
         frozenset(c)
         for c in itertools.combinations(g.vertices, k)
-        if closure_mask(g, sum(1 << v for v in c)) == g.full_mask
+        if is_target_set(g, c)
     ]
     index = {seed_mask(g, s): s for s in sets}
     groups = []
@@ -890,7 +895,7 @@ def test_hub_expansion_keeps_shortest_depths():
     trips = 0
     failing = {"table": 0, "still_target": 0}
     for g, x, y in _searches(4096, 240):
-        is_ts = functools.cache(lambda m: closure_mask(g, m) == g.full_mask)
+        is_ts = functools.cache(lambda m: mask_is_target_set(g, m))
         near = _near(g)
         for tests in (0, DEFAULT_GUARD):  # removal test, then the table where it fits
             _, _, start, goal, repairs = _check_pair(g, x, y, tests)
@@ -921,28 +926,58 @@ def test_hub_expansion_keeps_shortest_depths():
 
 def test_hub_is_expanded_again_from_a_shallower_state():
     """A hub first expanded from a state at depth d is expanded again from one
-    at a smaller depth, and that is what keeps the route shortest.
+    at a smaller depth, and a state reached at a smaller depth is queued
+    again; both keep the route shortest, on families closed under supersets
+    too.  Three cases, each a search that leaves out either step returns one
+    jump more:
 
-    On families closed under supersets no seeded search was seen to need it,
-    so the case is a family of 3-subsets of 1..6 that is not, searched
-    through a ``repairs`` that lists the members above each hub.  From
-    {2, 4, 5} to {1, 2, 6} the shortest route has 4 jumps (through {3, 4, 5},
-    {3, 4, 6} and {2, 3, 6}); a search that expands each hub once, or never
-    queues a state again at a smaller depth, returns 5.  Then the same on
-    200 seeded families of k-subsets that are not closed under supersets."""
-    family = {26, 42, 50, 52, 56, 70, 76, 88}
-    start, goal = 0b110100, 0b1000110
-    assert [sorted(v for v in range(1, 7) if m >> v & 1) for m in (start, goal)] == [[2, 4, 5], [1, 2, 6]]
+    * a family of 3-subsets of 1..6 that is not closed under supersets,
+      searched through a ``repairs`` that lists the members above each hub:
+      from {2, 4, 5} to {1, 2, 6} the shortest route has 4 jumps (through
+      {3, 4, 5}, {3, 4, 6} and {2, 3, 6}), and the hub expanded again is
+      not a member, so ``repairs`` is asked about it twice;
+    * the hitting sets of {1,2}, {1,6}, {1,7}, {2,8}, {6,8}, {7,8} on 1..10,
+      the sets that contain {1, 8} or {2, 6, 7}, through ``_hs_repairs``:
+      from {1, 3, 8, 9} to {2, 6, 7, 10} in 4 jumps;
+    * a k-TAR-style search among the sets on 1..7 that contain {1, 3, 4} or
+      {2, 7}, the hitting sets of {1,2}, {2,3}, {2,4}, {1,7}, {3,7}, {4,7}:
+      from the four 4-sets above {2, 6, 7} to {1, 3, 4, 5} in 3 jumps.
+
+    Then the same on 200 seeded families of k-subsets that are not closed
+    under supersets."""
     asked = []
 
-    def members(hub, out, stored, family=family, n=6):
-        asked.append(hub)
+    def members(hub, out, stored, family, n):
         return [(v, 1 << v) for v in range(1, n + 1) if not hub >> v & 1 and hub | 1 << v in family]
 
-    parents, found = bfs((start,), goal, 6, members, DEFAULT_GUARD)
-    want = reference_bfs([start], goal.__eq__, reference_tj_moves(range(1, 7)), family.__contains__, DEFAULT_GUARD)
-    check_search(parents, found, want, goal)
-    assert parents[goal][3] == 4 and len(set(asked)) < len(asked)
+    def recorded(lists):
+        def call(hub, out, stored):
+            asked.append(hub)
+            return lists(hub, out, stored)
+
+        return call
+
+    def mask(vs):
+        return sum(1 << v for v in vs)
+
+    def hitting(sets):
+        family = [mask(f) for f in sets]
+        return (lambda m: all(m & f for f in family)), functools.partial(_hs_repairs, family)
+
+    subsets = {26, 42, 50, 52, 56, 70, 76, 88}
+    cases = [
+        (6, (subsets.__contains__, functools.partial(members, family=subsets, n=6)), [{2, 4, 5}], {1, 2, 6}, 4),
+        (10, hitting([(1, 2), (1, 6), (1, 7), (2, 8), (6, 8), (7, 8)]), [{1, 3, 8, 9}], {2, 6, 7, 10}, 4),
+        (7, hitting([(1, 2), (2, 3), (2, 4), (1, 7), (3, 7), (4, 7)]), [{2, 6, 7, v} for v in (1, 3, 4, 5)], {1, 3, 4, 5}, 3),
+    ]
+    for n, (ok, lists), starts, goal, jumps in cases:
+        starts, goal = [mask(s) for s in starts], mask(goal)
+        parents, found = bfs(starts, goal, n, recorded(lists), DEFAULT_GUARD)
+        want = reference_bfs(starts, goal.__eq__, reference_tj_moves(range(1, n + 1)), ok, DEFAULT_GUARD)
+        check_search(parents, found, want, goal)
+        assert parents[goal][3] == jumps, (n, goal)
+        if n == 6:
+            assert len(set(asked)) < len(asked)
 
     rng = random.Random(5)
     for _ in range(200):
@@ -959,9 +994,9 @@ def test_hub_is_expanded_again_from_a_shallower_state():
 def _minimal_target_set(g, rng):
     """A target set of g that drops no vertex, found by dropping vertices in
     random order while the rest stays a target set."""
-    m = g.full_mask
+    m = seed_mask(g, g.vertices)
     for v in rng.sample(g.vertices, g.n):
-        if closure_mask(g, m ^ 1 << v) == g.full_mask:
+        if mask_is_target_set(g, m ^ 1 << v):
             m ^= 1 << v
     return m
 

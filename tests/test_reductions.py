@@ -46,7 +46,7 @@ def _independence_number(g) -> int:
         best = grow(avail & ~(1 << v))  # skip v
         return max(best, 1 + grow(avail & ~(1 << v) & ~masks[v]))
 
-    return grow(g.full_mask)
+    return grow(sum(1 << v for v in g.vertices))
 
 
 def test_vc23_minimum_correspondence():
