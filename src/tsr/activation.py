@@ -29,29 +29,23 @@ SeedSet = frozenset[int]
 _INSERT_MAX = 64
 
 
-def seed_mask(g: ThresholdGraph, seed: Iterable[int]) -> int:
-    m = 0
-    for v in seed:
-        g.check_vertex(v)
-        m |= 1 << v
-    return m
+def still_target(g: ThresholdGraph, active: set[int], v: int) -> bool:
+    """True iff activating the vertex set ``active`` eventually activates ``v``.
 
-
-def still_target(g: ThresholdGraph, mask: int, v: int) -> bool:
-    """True iff activating the bitmask ``mask`` eventually activates ``v``.
-
-    The removal test: if ``mask`` plus v contains a target set, ``mask`` is
-    one exactly when this holds.  Decided in the radius-r ball B around v:
+    The removal test: if ``active`` plus v contains a target set, ``active``
+    is one exactly when this holds.  Decided in the radius-r ball B around v:
     the activation runs in B with the vertices outside B inactive unless in
-    ``mask`` (if v activates, yes), then goes on with them all active (if v
+    ``active`` (if v activates, yes), then goes on with them all active (if v
     still does not, no); otherwise r doubles.  The first run is exact once
     no edge leaves B, and runs on the whole graph once B holds more than
-    half the vertices.  First, v's own neighbours in ``mask`` may suffice.
+    half the vertices.  First, v's own neighbours in ``active`` may suffice.
+    Only the membership in ``active`` of B and its neighbours is read, so
+    the work does not depend on n until B does.
     """
-    if mask >> v & 1:
+    if v in active:
         return True
-    adj, am, tau = g.adj, g.adj_masks, g.tau
-    if (am[v] & mask).bit_count() >= tau[v]:
+    adj, tau = g.adj, g.tau
+    if len(active.intersection(adj[v])) >= tau[v]:
         return True
     ball, layer, depth, radius = {v}, [v], 0, 2
     while True:
@@ -60,7 +54,14 @@ def still_target(g: ThresholdGraph, mask: int, v: int) -> bool:
             depth += 1
         if 2 * len(ball) > g.n:
             ball, layer = g.vertices, []
-        need = {u: tau[u] - (am[u] & mask).bit_count() for u in ball if not mask >> u & 1}
+        need = {}
+        for u in ball:
+            if u not in active:
+                c = tau[u]
+                for w in adj[u]:
+                    if w in active:
+                        c -= 1
+                need[u] = c
         if _reaches(adj, need, [u for u, c in need.items() if c <= 0], v):
             return True
         if not layer:
@@ -68,7 +69,9 @@ def still_target(g: ThresholdGraph, mask: int, v: int) -> bool:
         frontier = []
         for u in layer:
             if need.get(u, 0) > 0:
-                need[u] -= sum(1 for w in adj[u] if w not in ball and not mask >> w & 1)
+                for w in adj[u]:
+                    if w not in ball and w not in active:
+                        need[u] -= 1
                 if need[u] <= 0:
                     frontier.append(u)
         if not _reaches(adj, need, frontier, v):

@@ -67,6 +67,8 @@ def cycle_with_spacing(m: int, gaps: list[int]) -> ThresholdGraph:
 def random_path(rng: random.Random, m: int, max_gap: int = 3) -> ThresholdGraph:
     if m < 0:
         raise InvalidInput(f"negative threshold-2 count m={m}")
+    if max_gap < 1:
+        raise InvalidInput(f"max_gap={max_gap} must be at least 1")
     gaps = [rng.randint(1, max_gap)] + [rng.randint(0, max_gap) for _ in range(max(m - 1, 0))] + [rng.randint(1, max_gap)]
     if m == 0:
         gaps = [rng.randint(2, max(2, 2 * max_gap))]

@@ -91,17 +91,6 @@ class ThresholdGraph:
     def vertices(self) -> tuple[int, ...]:
         return tuple(range(1, self.n + 1))
 
-    @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        """Neighbor bitmasks (bit v set for neighbor v); index 0 unused."""
-        masks = [0] * (self.n + 1)
-        for v in range(1, self.n + 1):
-            m = 0
-            for u in self.adj[v]:
-                m |= 1 << u
-            masks[v] = m
-        return tuple(masks)
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u] if 1 <= u <= self.n else False
 

@@ -17,7 +17,9 @@ target set, whose every jump passes untested, and else the vertices of the
 removed vertex's component whose addition makes it one.  The lists read the
 table when it is cheap next to the searches (see ``_check_pair``), else run
 the local removal test ``activation.still_target`` at most once a search
-per restriction to a component, and never on a stored state.
+per restriction to a component, and never on a stored state.  States are
+int masks, bit v for vertex v, that no other module reads: the removal
+test gets a state's vertices in the removed vertex's component as a set.
 Everything here is desk-scale: enumeration checks its cap and guard before
 it allocates anything, and a pair query aborts once the states it stored,
 summed over sizes j for k-TAR and starts included, exceed a configurable
@@ -31,13 +33,18 @@ import itertools
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .activation import is_target_set, seed_mask, still_target
+from .activation import is_target_set, still_target
 from .errors import InstanceTooLarge, InvariantViolated, NotATargetSet, SizeMismatch
 from .graph import ThresholdGraph
 from .reconfig import TAR, TJ, ReconfigSequence, Step, tj_to_tar
 
 DEFAULT_GUARD = 5_000_000
 DEFAULT_CAP = 20
+
+
+def seed_mask(g: ThresholdGraph, seed: Iterable[int]) -> int:
+    """The search's state for the checked vertex set ``seed``: bit v for vertex v."""
+    return sum(1 << v for v in g.check_seed(seed))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,8 +214,8 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
     below.  When 2^n is at most ``guard`` and at most ``_ROWS_PER_TEST``
     times that cap, ``repairs`` reads ``_table(g)``, built (once per graph
     object) at the first call.  Otherwise it runs the removal test
-    ``still_target(g, m, out)``, memoized in ``covers`` under ``m &
-    near[out]``: the restriction names C unless it is empty, and an empty
+    ``still_target`` on m's vertices in C, memoized in ``covers`` under ``m
+    & near[out]``: the restriction names C unless it is empty, and an empty
     one is never a target set, as every threshold is at least 1.  A state in
     ``stored``, the search's parent map, passes untested.  On a connected
     graph the restriction is ``m``, and a search asks about a hub that is a
@@ -249,7 +256,7 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
     def covered(m: int, out: int) -> bool:
         key = m & near[out]
         if (hit := covers.get(key)) is None:
-            hit = still_target(g, m, out)
+            hit = still_target(g, {v for v, c in members[out] if m & c}, out)
             if split or not hit:
                 covers[key] = hit
         return hit

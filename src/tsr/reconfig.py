@@ -14,7 +14,7 @@ from collections import deque
 from functools import cached_property
 from typing import Callable, Iterator
 
-from .activation import is_target_set, seed_mask, still_target
+from .activation import is_target_set, still_target
 from .errors import EndpointSizeMismatch, InvalidInput, MalformedLine
 from .graph import ThresholdGraph, records, seed_ids
 
@@ -150,7 +150,8 @@ def validate_sequence(
     Only the start set and the sets after removals and jumps are tested: a
     superset of a target set is one, so adds and noops cannot fail.  After a
     removal or jump of v from a target set, the new set is one iff its
-    closure reaches v, which ``activation.still_target`` decides near v.
+    closure reaches v, which ``activation.still_target`` decides near v
+    from membership in ``cur``, the one current set, whatever n is.
     ``is_ts`` is called on the same sets; it must be monotone and agree with
     activation on g.
     """
@@ -159,7 +160,6 @@ def validate_sequence(
     for v in seq.start:
         if not 1 <= v <= g.n:
             return ValidityReport(False, -1, f"start contains unknown vertex {v}")
-    mask = seed_mask(g, seq.start)
     if not (is_ts(seq.start) if is_ts is not None else is_target_set(g, seq.start)):
         return ValidityReport(False, -1, "start set is not a target set")
     if seq.model == TAR and len(seq.start) > seq.k + 1:
@@ -180,14 +180,10 @@ def validate_sequence(
             why = "jump adds" if out is not None else "add of"
             return ValidityReport(False, i, f"{why} unknown vertex {into}")
         _apply_in_place(cur, st)
-        if out is not None:
-            mask ^= 1 << out
-        if into is not None:
-            mask |= 1 << into
         if seq.model == TAR and len(cur) > seq.k + 1:
             return ValidityReport(False, i, f"set size {len(cur)} exceeds {seq.k}+1")
         if out is not None and not (
-            is_ts(frozenset(cur)) if is_ts is not None else still_target(g, mask, out)
+            is_ts(frozenset(cur)) if is_ts is not None else still_target(g, cur, out)
         ):
             return ValidityReport(
                 False, i, f"set after step {i} is not a target set: {sorted(cur)}"

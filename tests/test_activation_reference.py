@@ -6,7 +6,7 @@ each inactive vertex counts its active neighbors (an AND of bitmasks) against
 its threshold, and every round is kept as a full active set.  It is
 O(n * rounds) and obviously faithful to the synchronous process; ``activate``,
 ``is_target_set``, ``residual`` and the component plan's ``is_target_set``
-must agree with it on every input.  ``still_target(g, mask, v)`` must agree
+must agree with it on every input.  ``still_target(g, active, v)`` must agree
 with whether the reference's last round holds v on every input.
 """
 
@@ -37,7 +37,7 @@ from tsr.solvers import component_plan
 
 def reference_activate(g, seed):
     """(rounds, activation_time) of the synchronous process, one full scan a round."""
-    adj = g.adj_masks
+    adj = [sum(1 << u for u in g.adj[v]) for v in range(g.n + 1)]
     active = 0
     for v in g.check_seed(seed):
         active |= 1 << v
@@ -110,6 +110,7 @@ def test_matches_reference():
             assert is_target_set(g, seed) == (len(final) == g.n)
             res = residual(g, seed)
             survivors = [v for v in g.vertices if v not in final]
+            assert len(survivors) != 1  # a lone inactive vertex has d(v) >= tau(v) active neighbours
             assert res.vertex_map == (0, *survivors)
             assert res.graph.tau[1:] == tuple(g.tau[v] - len(final.intersection(g.adj[v])) for v in survivors)
             if plan is not None:
@@ -191,8 +192,8 @@ def _still_target_graphs(rng):
 
 
 def test_still_target_matches_closure():
-    """Random masks, target sets minus one vertex and such sets plus another
-    vertex; both the neighbour fast path (v's neighbours in the mask reach
+    """Random sets, target sets minus one vertex and such sets plus another
+    vertex; both the neighbour fast path (v's neighbours in the set reach
     tau(v)) and the ball search run on at least 100 queries each."""
     rng = random.Random(31337)
     checked = yes = 0
@@ -211,11 +212,57 @@ def test_still_target_matches_closure():
             if u not in ts:
                 queries.append((mask | 1 << u, v))
         for mask, v in queries:
-            want = v in reference_activate(g, [u for u in g.vertices if mask >> u & 1])[0][-1]
-            assert still_target(g, mask, v) == want, (g, mask, v)
+            active = {u for u in g.vertices if mask >> u & 1}
+            want = v in reference_activate(g, active)[0][-1]
+            assert still_target(g, active, v) == want, (g, mask, v)
             checked += 1
             yes += want
-            if not mask >> v & 1:
-                branches["neighbours" if (g.adj_masks[v] & mask).bit_count() >= g.tau[v] else "ball"] += 1
+            if v not in active:
+                branches["neighbours" if len(active.intersection(g.adj[v])) >= g.tau[v] else "ball"] += 1
     assert checked > 4000 and min(branches.values()) >= 100, (checked, branches)
     assert 0.2 < yes / checked < 0.8
+
+
+class _CountingSet(set):
+    """A set that counts the membership tests made of it and the elements
+    read by iterating over it."""
+
+    asked = 0
+
+    def __contains__(self, v):
+        self.asked += 1
+        return super().__contains__(v)
+
+    def __iter__(self):
+        self.asked += len(self)
+        return super().__iter__()
+
+
+def test_still_target_work_does_not_depend_on_n():
+    """One local configuration around v, decided by the neighbour fast path,
+    the radius-2 ball or the radius-4 ball after the upper run, costs the same
+    membership tests on threshold-1 paths and binary trees of n = 1,000 and
+    n = 100,000, although the active vertices far from v grow with n."""
+
+    def path(n):
+        return path_with_spacing(0, [n])
+
+    def heap_tree(n):  # vertex i's parent is i // 2
+        return ThresholdGraph.build(n, [(i // 2, i) for i in range(2, n + 1)], [1] * n)
+
+    cases = [
+        (path, 500, {501}),
+        (path, 500, {503}),
+        (path, 500, {505}),
+        (heap_tree, 5, {11}),
+        (heap_tree, 5, {41}),
+        (heap_tree, 5, {160}),
+    ]
+    for build, v, near in cases:
+        asked = []
+        for n in (1_000, 100_000):
+            g = build(n)
+            active = _CountingSet(near | set(range(700, n + 1, 97)))
+            assert still_target(g, active, v)
+            asked.append(active.asked)
+        assert asked[0] == asked[1], (build.__name__, v, near, asked)

@@ -2,13 +2,15 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 from tsr.cli import main
-from tsr.generators import cycle_with_spacing, path_with_spacing
+from tsr.errors import InvalidInput
+from tsr.generators import cycle_with_spacing, path_with_spacing, random_path
 from tsr.graph import parse_graph, parse_seed_set, serialize_graph
 from tsr.reconfig import parse_sequence, validate_sequence
 
@@ -357,6 +359,13 @@ def test_random_cycle_rejects_unreachable_size():
     proc = python("-c", "import random; from tsr.generators import random_cycle; "
                   "random_cycle(random.Random(0), 1, max_gap=1)")
     assert "InvalidInput: m=1 with gaps of at most 1" in proc.stderr
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_random_path_rejects_gapless_ends(m):
+    # checked before the first draw, so valid arguments keep their seeded streams
+    with pytest.raises(InvalidInput, match="max_gap=0 must be at least 1"):
+        random_path(random.Random(0), m, max_gap=0)
 
 
 def test_missing_file_is_input_error(capsys):

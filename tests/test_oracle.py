@@ -306,10 +306,14 @@ def test_hub_test_bounds_removal_tests(monkeypatch):
     (measured), at most ten a stored state."""
     calls, expanded = [], []
     real_test, real_bfs = oracle.still_target, oracle.bfs
-    monkeypatch.setattr(oracle, "still_target", lambda g, m, v: calls.append(m) or real_test(g, m, v))
+    monkeypatch.setattr(oracle, "still_target", lambda g, s, v: calls.append(frozenset(s)) or real_test(g, s, v))
 
     def counted(starts, goal, n, repairs, *rest):
-        return real_bfs(starts, goal, n, lambda hub, *a: expanded.append(hub) or repairs(hub, *a), *rest)
+        def tracked(hub, *a):
+            expanded.append(frozenset(v for v in range(1, n + 1) if hub >> v & 1))
+            return repairs(hub, *a)
+
+        return real_bfs(starts, goal, n, tracked, *rest)
 
     monkeypatch.setattr(oracle, "bfs", counted)
     assert _c40_trip(DEFAULT_GUARD).explored == 2_401
@@ -317,7 +321,7 @@ def test_hub_test_bounds_removal_tests(monkeypatch):
     expanded.clear()
     with pytest.raises(errors.InstanceTooLarge, match="guard of 2000 states"):
         _c40_trip(2_000)
-    assert calls == expanded and {m.bit_count() for m in calls} == {9}
+    assert calls == expanded and {len(s) for s in calls} == {9}
     assert len(set(calls)) == len(calls) <= 2_001 * 10
 
 

@@ -41,7 +41,7 @@ import numpy as np
 import pytest
 
 from tsr import errors, oracle
-from tsr.activation import is_target_set, seed_mask
+from tsr.activation import is_target_set
 from tsr.gadgets import attach
 from tsr.generators import (
     cycle_with_spacing,
@@ -59,6 +59,7 @@ from tsr.oracle import (
     enumerate_target_sets,
     ktar_decide,
     min_target_set_size,
+    seed_mask,
     target_sets_by_size,
     tj_components,
     tj_decide,
@@ -1008,14 +1009,16 @@ def test_removal_test_asks_each_restriction_once(monkeypatch):
     minimal target sets padded to one size, and on the same graphs beside a
     threshold-1 P2 with one token on it."""
     real = oracle.still_target
-    seen, parents = set(), [{}]
+    seen, parents, hubs = set(), [{}], [0]
     near = {}
 
-    def counted(g, m, out):
-        key = m & near[out]
-        assert key not in seen and m not in parents[0], (g, m, out)
+    def counted(g, active, out):
+        # a tested state differs from the hub only inside out's component
+        key = seed_mask(g, active)
+        m = hubs[0] & ~near[out] | key
+        assert key == m & near[out] and key not in seen and m not in parents[0], (g, m, out)
         seen.add(key)
-        return real(g, m, out)
+        return real(g, active, out)
 
     monkeypatch.setattr(oracle, "still_target", counted)
     rng = random.Random(1913)
@@ -1035,7 +1038,7 @@ def test_removal_test_asks_each_restriction_once(monkeypatch):
             _, _, start, goal, repairs = _check_pair(h, hx, hy, 0)
 
             def tracked(hub, out, stored):
-                parents[0] = stored
+                parents[0], hubs[0] = stored, hub
                 return repairs(hub, out, stored)
 
             outcome(lambda: bfs((start,), goal, h.n, tracked, 400))

@@ -37,7 +37,7 @@ def test_vc23_structure():
 
 def _independence_number(g) -> int:
     """Exact maximum independent set by branch and bound on bitmasks."""
-    masks = g.adj_masks
+    masks = [sum(1 << u for u in g.adj[v]) for v in range(g.n + 1)]
 
     def grow(avail: int) -> int:
         if not avail:
