@@ -28,6 +28,7 @@ from .graph import (
     vc_to_tss,
 )
 from .oracle import (
+    DEFAULT_CAP,
     DEFAULT_GUARD,
     ktar_decide,
     min_target_set_size,
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--guard", type=_count, default=DEFAULT_GUARD,
                         help="abort a pair search once it stores more than this many states (for "
                         "--model tar summed over sizes j), or an enumeration beyond this many sets")
-        sp.add_argument("--cap", type=_count, default=20,
+        sp.add_argument("--cap", type=_count, default=DEFAULT_CAP,
                         help="refuse enumeration beyond this many vertices")
 
     sp = sub.add_parser("check", help="validate graph / seed / sequence files")

@@ -78,6 +78,8 @@ def random_path(rng: random.Random, m: int, max_gap: int = 3) -> ThresholdGraph:
 def random_cycle(rng: random.Random, m: int, max_gap: int = 3) -> ThresholdGraph:
     if m < 0:
         raise InvalidInput(f"negative threshold-2 count m={m}")
+    if max_gap < 0:
+        raise InvalidInput(f"max_gap={max_gap} must be at least 0")
     if 0 < m and m * (1 + max_gap) < 3:
         raise InvalidInput(f"m={m} with gaps of at most {max_gap} cannot reach 3 vertices")
     while True:

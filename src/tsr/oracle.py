@@ -16,8 +16,9 @@ each hub through the list of jumps that repair it: none for a hub that is a
 target set, whose every jump passes untested, and else the vertices of the
 removed vertex's component whose addition makes it one.  The lists read the
 table when it is cheap next to the searches (see ``_check_pair``), else run
-the local removal test ``activation.still_target`` at most once a search
-per restriction to a component, and never on a stored state.  States are
+the local removal test ``activation.still_target`` at most once a query
+per restriction to a component, and never on a stored state, and keep
+each hub's list by its restriction, on every graph alike.  States are
 int masks, bit v for vertex v, that no other module reads: the removal
 test gets a state's vertices in the removed vertex's component as a set.
 Everything here is desk-scale: enumeration checks its cap and guard before
@@ -217,12 +218,9 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
     ``still_target`` on m's vertices in C, memoized in ``covers`` under ``m
     & near[out]``: the restriction names C unless it is empty, and an empty
     one is never a target set, as every threshold is at least 1.  A state in
-    ``stored``, the search's parent map, passes untested.  On a connected
-    graph the restriction is ``m``, and a search asks about a hub that is a
-    target set once (``bfs`` keeps that answer when it expands the hub
-    again), so ``covers`` keeps only failures; on a disconnected graph it
-    keeps both, and ``lists`` keeps each hub's answer under its restriction
-    and C.
+    ``stored``, the search's parent map, passes untested.  An answer depends
+    on the restriction alone, so on every graph ``covers`` keeps each test's
+    and ``lists`` each hub's, under its restriction and C.
     """
     xs, ys = frozenset(x), frozenset(y)
     start, goal = seed_mask(g, xs), seed_mask(g, ys)
@@ -249,27 +247,20 @@ def _check_pair(g: ThresholdGraph, x, y, tests: int = 0, guard: int = DEFAULT_GU
             return [p for p in members[out] if table[(j := i | p[1] >> 1) >> 3] >> (j & 7) & 1]
 
         return xs, ys, start, goal, lookup
-    split = len(comps) > 1
     covers: dict[int, bool] = {}
     lists: dict[tuple[int, int], list[tuple[int, int]] | None] = {}
 
     def covered(m: int, out: int) -> bool:
-        key = m & near[out]
-        if (hit := covers.get(key)) is None:
-            hit = still_target(g, {v for v, c in members[out] if m & c}, out)
-            if split or not hit:
-                covers[key] = hit
+        if (hit := covers.get(key := m & near[out])) is None:
+            hit = covers[key] = still_target(g, {v for v, c in members[out] if m & c}, out)
         return hit
 
     def repairs(hub: int, out: int, stored) -> list[tuple[int, int]] | None:
-        if split and (key := (hub & near[out], near[out])) in lists:
-            return lists[key]
-        fixes = None
-        if not covered(hub, out):
-            fixes = [(v, c) for v, c in members[out] if not hub & c and ((m := hub | c) in stored or covered(m, out))]
-        if split:
-            lists[key] = fixes
-        return fixes
+        if (key := (hub & near[out], near[out])) not in lists:
+            lists[key] = None if covered(hub, out) else [
+                (v, c) for v, c in members[out] if not hub & c and ((m := hub | c) in stored or covered(m, out))
+            ]
+        return lists[key]
 
     return xs, ys, start, goal, repairs
 
@@ -300,8 +291,9 @@ def bfs(
     added element.  Each goes through a hub, ``cur`` minus ``out``, to a set
     above it, the same from every state that contains the hub, so a search
     expands a hub from the first state popped that contains it, and again
-    only from one of strictly smaller depth, and asks ``repairs(hub, out,
-    parents)`` which jumps pass (see ``_check_pair``).  None means the hub is
+    only from one of strictly smaller depth; ``hubs`` keeps that depth only,
+    and each expansion asks ``repairs(hub, out, parents)`` which jumps pass
+    (see ``_check_pair``, which memoizes the answer).  None means the hub is
     a target set: target sets are closed under supersets, so every set above
     it passes untested, and the absent vertices of ``cur`` are listed then,
     once a pop.  Otherwise only the listed (into, bit) pairs pass, each a
@@ -330,7 +322,7 @@ def bfs(
         buckets += [[] for _ in range(f + 3 - len(buckets))]
         buckets[f].append(s)
     bits = [(v, 1 << v) for v in range(1, n + 1)]
-    hubs: dict[int, int] = {}  # 2 d + 1 for a hub that is a target set, else 2 d, expanded from depth d
+    hubs: dict[int, int] = {}  # the depth each hub was last expanded from
     f = 0
     while f < len(buckets):
         if stack := buckets[f]:
@@ -338,20 +330,18 @@ def bfs(
         while stack:
             cur = stack.pop()
             p = parents[cur]
-            next_depth = p[3] + 1 if p else 1
-            if next_depth + (goal & ~cur).bit_count() != f + 1:
+            depth = p[3] if p else 0
+            if depth + (goal & ~cur).bit_count() != f:
                 continue  # queued again at a smaller depth, and expanded there
-            mark = 2 * next_depth - 1
-            absent, rest = None, cur
+            next_depth, absent, rest = depth + 1, None, cur
             while rest:
                 b = rest & -rest
                 rest ^= b
-                if (was := hubs.get(hub := cur ^ b, mark + 1)) <= mark:
+                if hubs.get(hub := cur ^ b, next_depth) <= depth:
                     continue
+                hubs[hub] = depth
                 out = b.bit_length() - 1
-                fixes = None if was & 1 else repairs(hub, out, parents)
-                hubs[hub] = mark - (fixes is not None)
-                if fixes is None:
+                if (fixes := repairs(hub, out, parents)) is None:
                     fixes = absent = absent or [(v, c) for v, c in bits if not cur & c]
                 f_hub = f + 1 + (goal & b > 0)  # f of a state above the hub adding no goal vertex
                 for into, c in fixes:

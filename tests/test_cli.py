@@ -10,7 +10,7 @@ import pytest
 
 from tsr.cli import main
 from tsr.errors import InvalidInput
-from tsr.generators import cycle_with_spacing, path_with_spacing, random_path
+from tsr.generators import cycle_with_spacing, path_with_spacing, random_cycle, random_path
 from tsr.graph import parse_graph, parse_seed_set, serialize_graph
 from tsr.reconfig import parse_sequence, validate_sequence
 
@@ -366,6 +366,13 @@ def test_random_path_rejects_gapless_ends(m):
     # checked before the first draw, so valid arguments keep their seeded streams
     with pytest.raises(InvalidInput, match="max_gap=0 must be at least 1"):
         random_path(random.Random(0), m, max_gap=0)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_random_cycle_rejects_negative_gaps(m):
+    # checked before the first draw, so valid arguments keep their seeded streams
+    with pytest.raises(InvalidInput, match="max_gap=-1 must be at least 0"):
+        random_cycle(random.Random(0), m, max_gap=-1)
 
 
 def test_missing_file_is_input_error(capsys):
