@@ -100,7 +100,7 @@ def _tractable(g: ThresholdGraph):
 def _cmd_solve_min(args) -> int:
     g = _load_graph(args.graph)
     if args.oracle:
-        print(min_target_set_size(g, guard=args.guard, cap=args.cap))
+        print(min_target_set_size(g, guard=args.guard, cap=_cap(args)))
         return OK
     tractable = _tractable(g)
     if tractable is None:
@@ -150,6 +150,9 @@ def _misuse(args) -> str | None:
             return "--from and --to go together"
         if args.size is None and args.src is None:
             return "oracle needs --size, or both --from and --to"
+    # a pair search stores states, which --guard bounds; --cap bounds enumeration
+    if args.cap is not None and args.src is not None:
+        return "--cap applies only to enumeration (--size, solve-min --oracle); --guard bounds a pair search"
     # the solvers answer the |x|-TAR question; another budget needs the TAR search
     if args.k is not None and not args.oracle:
         return "--k applies only with --oracle"
@@ -179,7 +182,7 @@ def _cmd_oracle(args) -> int:
             if report.shortest is not None:
                 print(f"shortest length {len(report.shortest)}")
         return OK
-    report = tj_components(g, args.size, guard=args.guard, cap=args.cap)
+    report = tj_components(g, args.size, guard=args.guard, cap=_cap(args))
     if args.json:
         payload = {
             "k": report.k,
@@ -247,6 +250,11 @@ def _cmd_gen(args) -> int:
     return OK
 
 
+def _cap(args) -> int:
+    """The enumeration cap: ``--cap``, else ``DEFAULT_CAP``."""
+    return DEFAULT_CAP if args.cap is None else args.cap
+
+
 def _count(text: str) -> int:
     """A non-negative int option value; anything else is a usage error (exit 2)."""
     try:
@@ -268,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--guard", type=_count, default=DEFAULT_GUARD,
                         help="abort a pair search once it stores more than this many states (for "
                         "--model tar summed over sizes j), or an enumeration beyond this many sets")
-        sp.add_argument("--cap", type=_count, default=DEFAULT_CAP,
-                        help="refuse enumeration beyond this many vertices")
+        sp.add_argument("--cap", type=_count, default=None,
+                        help=f"refuse enumeration beyond this many vertices (default {DEFAULT_CAP}); "
+                        "not with --from/--to")
 
     sp = sub.add_parser("check", help="validate graph / seed / sequence files")
     sp.add_argument("graph")

@@ -85,7 +85,8 @@ class ThresholdGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        """The edge count, half the degree sum: no edge list is built."""
+        return sum(map(len, self.adj)) // 2
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
@@ -99,29 +100,38 @@ class ThresholdGraph:
             raise UnknownVertex(f"vertex {v} not in 1..{self.n}")
 
     def check_seed(self, seed: Iterable[int]) -> frozenset[int]:
+        """seed as a frozenset; ``UnknownVertex`` names an id outside 1..n."""
         s = frozenset(seed)
-        for v in s:
-            self.check_vertex(v)
+        if s and (min(s) < 1 or max(s) > self.n):
+            for v in s:
+                self.check_vertex(v)
         return s
 
     def components(self) -> list[tuple[int, ...]]:
-        """Connected components as sorted vertex tuples, ordered by min id."""
-        seen = [False] * (self.n + 1)
-        comps = []
+        """Connected components as sorted vertex tuples, ordered by min id.
+
+        O(n + m): each vertex is labeled with its component's index, the
+        components numbered in order of their least vertex, and the vertices
+        are then bucketed in id order, so each tuple comes out sorted.
+        """
+        adj = self.adj
+        label = [0] * (self.n + 1)
+        count = 0
         for s in range(1, self.n + 1):
-            if seen[s]:
+            if label[s]:
                 continue
-            stack, comp = [s], []
-            seen[s] = True
+            count += 1
+            label[s] = count
+            stack = [s]
             while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
+                for u in adj[stack.pop()]:
+                    if not label[u]:
+                        label[u] = count
                         stack.append(u)
-            comps.append(tuple(sorted(comp)))
-        return comps
+        comps: list[list[int]] = [[] for _ in range(count)]
+        for v in range(1, self.n + 1):
+            comps[label[v] - 1].append(v)
+        return [tuple(c) for c in comps]
 
 
 @dataclasses.dataclass(frozen=True)

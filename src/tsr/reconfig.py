@@ -96,10 +96,7 @@ class ReconfigSequence:
 
     @cached_property
     def end(self) -> frozenset[int]:
-        cur = set(self.start)
-        for st in self.steps:
-            _apply_in_place(cur, st)
-        return frozenset(cur)
+        return frozenset(_replay(set(self.start), self.steps))
 
     def format(self) -> str:
         lines = [f"q {self.model} {self.k if self.model == TAR else len(self.start)}"]
@@ -110,17 +107,17 @@ class ReconfigSequence:
 
 def apply_step(current: frozenset[int], step: Step) -> frozenset[int]:
     """Apply a step without legality checks (the validator reports those)."""
-    cur = set(current)
-    _apply_in_place(cur, step)
-    return frozenset(cur)
+    return frozenset(_replay(set(current), (step,)))
 
 
-def _apply_in_place(cur: set[int], step: Step) -> None:
-    """``apply_step`` on a mutable set, in O(1)."""
-    if step.out is not None:
-        cur.discard(step.out)
-    if step.into is not None:
-        cur.add(step.into)
+def _replay(cur: set[int], steps) -> set[int]:
+    """``cur`` after ``steps``, applied in place without legality checks, O(1) a step."""
+    for st in steps:
+        if st.out is not None:
+            cur.discard(st.out)
+        if st.into is not None:
+            cur.add(st.into)
+    return cur
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,7 +176,10 @@ def validate_sequence(
         if into is not None and not 1 <= into <= g.n:
             why = "jump adds" if out is not None else "add of"
             return ValidityReport(False, i, f"{why} unknown vertex {into}")
-        _apply_in_place(cur, st)
+        if out is not None:  # the checks above make both in place
+            cur.remove(out)
+        if into is not None:
+            cur.add(into)
         if seq.model == TAR and len(cur) > seq.k + 1:
             return ValidityReport(False, i, f"set size {len(cur)} exceeds {seq.k}+1")
         if out is not None and not (
@@ -313,6 +313,8 @@ def parse_sequence(text: str) -> ReconfigSequence:
                 if model is None or start is not None:
                     raise MalformedLine(f"line {lineno}: 's' line misplaced")
                 start = seed_ids(lineno, parts)
+                if model != TAR and len(start) != k:
+                    raise MalformedLine(f"line {lineno}: {len(start)} start ids where the 'q' line says {k}")
             elif parts[0] in _LETTERS:
                 if start is None:
                     raise MalformedLine(f"line {lineno}: {parts[0]!r} before 's' line")

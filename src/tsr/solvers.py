@@ -54,12 +54,15 @@ def _sweep(s, regions) -> tuple[list[Step], frozenset[int]]:
         if target not in cur:
             steps.append(Step.add(target))
             cur.add(target)
-        for v in sorted(cur.intersection(region) - {target}):
-            steps.append(Step.remove(v))
-            cur.remove(v)
-    for v in sorted(cur - targets):
-        steps.append(Step.remove(v))
-        cur.remove(v)
+        rest = cur.intersection(region)
+        rest.discard(target)
+        if rest:
+            rest = sorted(rest)
+            steps += map(Step.remove, rest)
+            cur.difference_update(rest)
+    rest = sorted(cur - targets)
+    steps += map(Step.remove, rest)
+    cur.difference_update(rest)
     # a later region that overlaps an earlier one could clear its target
     if cur != targets:
         raise InvariantViolated(f"sweep ended at {sorted(cur)}, not {sorted(targets)}")
@@ -163,15 +166,16 @@ class Plan:
         if any((i, r) not in self._covers for i, r in enumerate(rs)):
             time = activation_times(g, s)
             for i, r in enumerate(rs):
-                self._covers[i, r] = all(time[v] >= 0 for v in self.components[i].order)
+                self._covers[i, r] = -1 not in map(time.__getitem__, self.components[i].order)
         return all(self._covers[i, r] for i, r in enumerate(rs))
 
 
-def _component(g: ThresholdGraph, comp: tuple[int, ...], deg2: bool) -> Component | None:
+def _component(g: ThresholdGraph, comp: tuple[int, ...], deg2: bool, scratch) -> Component | None:
     """The plan's entry for one component, given sorted; None if no solver covers it.
 
     On a graph of maximum degree 2 every component is walked as a path or a
     cycle; elsewhere a threshold-1 component sweeps from its least vertex.
+    ``scratch`` is ``_chen``'s per-graph lists.
     """
     if not deg2 and all(g.tau[v] == 1 for v in comp):
         return Component("threshold1", comp, ((comp[0], comp),))
@@ -193,9 +197,9 @@ def _component(g: ThresholdGraph, comp: tuple[int, ...], deg2: bool) -> Componen
         if ends:
             return Component("path", walk, _path_regions(walk, w), w)
         return Component("cycle", walk, None, w, len(w) >= 4 and len(w) % 2 == 0)
-    if sum(len(g.adj[v]) for v in comp) != 2 * len(comp) - 2:
+    if sum(map(len, map(g.adj.__getitem__, comp))) != 2 * len(comp) - 2:
         return None
-    return Component("tree", comp, tuple(zip(*_chen(g, comp[0]))))
+    return Component("tree", comp, tuple(zip(*_chen(g, comp[0], scratch))))
 
 
 def component_plan(g: ThresholdGraph) -> Plan | None:
@@ -203,9 +207,12 @@ def component_plan(g: ThresholdGraph) -> Plan | None:
     threshold-1, a tree, a path or a cycle."""
     if "_plan" in g.__dict__:
         return g.__dict__["_plan"]
-    deg2 = all(len(g.adj[v]) <= 2 for v in g.vertices)
-    parts = [_component(g, comp, deg2) for comp in g.components()]
-    plan = None if None in parts else Plan(tuple(parts), deg2, all(g.tau[v] == 1 for v in g.vertices))
+    deg2 = max(map(len, g.adj)) <= 2
+    # a tree component has a vertex of degree 3 or more, so only then does
+    # _chen run; its lists are shared by every tree of a forest
+    scratch = None if deg2 else tuple([0] * (g.n + 1) for _ in range(3))
+    parts = [_component(g, comp, deg2, scratch) for comp in g.components()]
+    plan = None if None in parts else Plan(tuple(parts), deg2, g.tau.count(1) == g.n)
     return g.__dict__.setdefault("_plan", plan)
 
 
@@ -236,16 +243,27 @@ def chen_tree(g: ThresholdGraph) -> Component:
     return plan.components[0]
 
 
-def _chen(g: ThresholdGraph, root: int):
+def _chen(g: ThresholdGraph, root: int, scratch=None):
     """Chen's algorithm on root's component, which must be a tree.
 
     Scans vertices in postorder (children in ascending id); tau'(v) subtracts
     the children that the current selection would have activated.  A non-root
     joins S* when tau'(v) >= 2, the root when tau'(root) >= 1.  Returns S* in
-    postorder and its packing; parent and tau' are dicts over the component,
-    so that each tree of a forest costs its own size.
+    postorder and its packing.
+
+    ``scratch`` is three lists indexed by vertex id (parent, remaining need,
+    S*-ancestor-or-self), each of length n+1 with 0 at index 0; a call
+    writes the entries of root's component before it reads them, and no
+    others.  ``component_plan`` allocates them once per graph and passes
+    them to every tree of a forest, so each tree costs its own size: lists
+    allocated per component would make a forest of many small trees
+    quadratic.  Without ``scratch`` the call allocates its own.
     """
-    parent = {root: 0}
+    if scratch is None:
+        scratch = ([0] * (g.n + 1), [0] * (g.n + 1), [0] * (g.n + 1))
+    parent, need, nearest = scratch
+    adj, tau = g.adj, g.tau
+    parent[root] = 0
     # neighbors pushed in ascending id pop in descending id, so this preorder
     # visits children in descending id and its reverse is the postorder with
     # children in ascending id
@@ -254,30 +272,33 @@ def _chen(g: ThresholdGraph, root: int):
     while stack:
         v = stack.pop()
         order.append(v)
-        for u in g.adj[v]:
-            if u != parent[v]:
+        need[v] = tau[v]
+        p = parent[v]
+        for u in adj[v]:
+            if u != p:
                 parent[u] = v
                 stack.append(u)
-    post = order[::-1]
-    tau_prime: dict[int, int] = {}
-    s_star: set[int] = set()
-    for v in post:
-        activated = sum(1 for w in g.adj[v] if w != parent[v] and (tau_prime[w] == 0 or w in s_star))
-        # floored at 0: tau' counts the remaining requirement, and a vertex
-        # with more activated children than its threshold is itself activated
-        tau_prime[v] = max(0, g.tau[v] - activated)
-        if tau_prime[v] >= (1 if v == root else 2):
-            s_star.add(v)
-    s_list = tuple(v for v in post if v in s_star)
+    # need[v] is tau(v) minus the activated children seen so far, so at v's
+    # turn tau'(v) = max(0, need[v]); a non-root joins S* when need >= 2 and
+    # is activated unless need is exactly 1
+    s_list = []
+    for v in order[:0:-1]:  # the postorder without the root, which comes last
+        t = need[v]
+        if t >= 2:
+            s_list.append(v)
+        if t != 1:
+            need[parent[v]] -= 1
+    if need[root] >= 1:
+        s_list.append(root)
     # each vertex joins the region of its nearest S*-ancestor-or-self,
     # computed root-down (preorder; the root's parent 0 has none)
-    nearest = {0: 0}
+    s_star = set(s_list)
     regions: dict[int, list[int]] = {s: [] for s in s_list}
     for v in order:
-        nearest[v] = v if v in s_star else nearest[parent[v]]
-        if nearest[v]:
-            regions[nearest[v]].append(v)
-    return s_list, tuple(frozenset(regions[s]) for s in s_list)
+        near = nearest[v] = v if v in s_star else nearest[parent[v]]
+        if near:
+            regions[near].append(v)
+    return tuple(s_list), tuple(frozenset(regions[s]) for s in s_list)
 
 
 # -- paths and cycles --------------------------------------------------------

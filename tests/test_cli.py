@@ -270,6 +270,47 @@ def test_negative_guard_or_cap_is_usage_error(capsys, argv, option):
     assert f"argument {option}: must not be negative, got -5" in err
 
 
+def test_check_rejects_a_header_size_its_start_set_contradicts(capsys, tmp_path):
+    """``tsr check --sequence`` on a TJ file whose 'q' line disagrees with its
+    's' line is an input error naming the line, not "sequence OK"."""
+    seq = tmp_path / "bad.seq"
+    seq.write_text("q tj 9\ns 1 6 9\n")
+    code, out, err = run(capsys, "check", FIG1, "--sequence", str(seq))
+    assert (code, out) == (2, "graph OK: n=10 m=9\n")
+    assert err == "error: line 2: 3 start ids where the 'q' line says 9\n"
+    seq.write_text("q tj 3\ns 1 6 9\n")
+    code, out, _ = run(capsys, "check", FIG1, "--sequence", str(seq))
+    assert code == 0 and out.splitlines()[-1] == "sequence OK: model=tj length=0"
+
+
+@pytest.mark.parametrize("cap", ["0", "20"])
+@pytest.mark.parametrize("command", ["reconfigure", "oracle"])
+def test_pair_query_rejects_cap(capsys, tmp_path, command, cap):
+    """A pair search is bounded by ``--guard``; ``--cap`` bounds enumeration
+    only, so with ``--from``/``--to`` it is an input error (exit 2, nothing on
+    stdout, no sequence file) rather than an option silently ignored."""
+    seqfile = tmp_path / "route.seq"
+    pair = [command, FIG1, "--from", str(FIXTURES / "fig1_x1.seed"), "--to", str(FIXTURES / "fig1_y1.seed")]
+    oracle = ["--oracle"] if command == "reconfigure" else []
+    code, out, err = run(capsys, *pair, *oracle, "--cap", cap, "--emit-sequence", str(seqfile))
+    assert (code, out) == (2, "") and err.startswith("error: --cap applies only to enumeration"), err
+    assert not seqfile.exists()
+    assert run(capsys, *pair, *oracle)[:2] == (0, "NO\n")
+
+
+def test_enumeration_reads_the_default_cap(capsys):
+    """``oracle --size`` and ``solve-min --oracle`` enumerate under ``--cap``,
+    ``oracle.DEFAULT_CAP`` when it is not given."""
+    from tsr.oracle import DEFAULT_CAP
+
+    assert DEFAULT_CAP >= 10
+    for argv in (["oracle", FIG1, "--size", "3"], ["solve-min", FIG1, "--oracle"]):
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, "--cap", "10")[0] == 0
+        code, out, err = run(capsys, *argv, "--cap", "9")
+        assert (code, out, err) == (3, "", "error: n=10 exceeds the enumeration cap of 9\n")
+
+
 def test_reduce_split_stdout(capsys):
     code, out, _ = run(capsys, "reduce", "split", HS)
     assert code == 0

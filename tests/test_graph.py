@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsr import errors
+from tsr.activation import is_target_set
 from tsr.gadgets import attach
 from tsr.graph import (
     PlainGraph,
@@ -16,6 +17,7 @@ from tsr.graph import (
     serialize_seed_set,
     vc_to_tss,
 )
+from tsr.solvers import solve
 
 P2 = "p tsr 2 1\nv 1 1\nv 2 1\ne 1 2\n"
 
@@ -245,6 +247,35 @@ def test_seed_set_roundtrip(fig1):
     assert serialize_seed_set(s) == "s 1 3 6\n"
     with pytest.raises(errors.UnknownVertex):
         parse_seed_set("s 99\n", fig1)
+
+
+@pytest.mark.parametrize("bad", [0, "n+1", -3])
+def test_seed_check_names_the_unknown_id(fig5_tree, bad):
+    """A seed mixing valid ids with one outside 1..n raises ``UnknownVertex``
+    naming that id, through ``solve``, ``is_target_set`` and
+    ``parse_seed_set``; a valid seed comes back as the same frozenset."""
+    g = fig5_tree
+    bad = g.n + 1 if bad == "n+1" else bad
+    good = [1, 3, 6, 8, 9]
+    assert is_target_set(g, good)
+    message = f"vertex {bad} not in 1..{g.n}"
+    seeds = [[bad, *good], [*good, bad], [good[0], bad, *good[1:]]]
+    for seed in seeds:
+        for check in (
+            lambda: solve(g, seed, good),
+            lambda: solve(g, good, seed),
+            lambda: is_target_set(g, seed),
+            lambda: parse_seed_set("s " + " ".join(map(str, seed)) + "\n", g),
+        ):
+            with pytest.raises(errors.UnknownVertex) as info:
+                check()
+            assert str(info.value) == message
+    for seed in (good, tuple(good), frozenset(good), iter(good)):
+        got = g.check_seed(seed)
+        assert type(got) is frozenset and got == frozenset(good)
+    assert g.check_seed([]) == frozenset()
+    assert g.check_seed(range(g.n, 0, -1)) == frozenset(g.vertices)
+    assert parse_seed_set("s 9 1 8 3 6\n", g) == frozenset(good)
 
 
 @pytest.mark.parametrize(

@@ -240,6 +240,19 @@ def test_parse_sequence_faults_name_their_line(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("header", ["q tj 9", "q tjn 2", "q tj 0"])
+def test_parse_sequence_rejects_a_size_the_start_set_contradicts(header):
+    """A TJ or TJN file's 'q' line carries |start|; any other number is a
+    fault of the 's' line, which would otherwise pass and be re-emitted with
+    the size of its start set.  A TAR file's number is its budget."""
+    with pytest.raises(errors.MalformedLine) as info:
+        parse_sequence(f"# route\n{header}\ns 1 6 9\nj 9 3\n")
+    assert str(info.value) == f"line 3: 3 start ids where the 'q' line says {header.split()[2]}"
+    assert parse_sequence("q tj 3\ns 1 6 9\nj 9 3\n").start == {1, 6, 9}
+    assert parse_sequence("q tjn 3\ns 1 6 9\nn\n").start == {1, 6, 9}
+    assert parse_sequence("q tar 9\ns 1 6 9\n").k == 9
+
+
 @pytest.mark.parametrize("model", ["tar", "tj"])
 def test_parse_sequence_rejects_negative_k(model):
     with pytest.raises(errors.MalformedLine, match="negative"):

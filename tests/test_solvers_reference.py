@@ -11,12 +11,14 @@ S* in postorder and its packing, the two things ``_chen`` returns.  Those, and
 each component's ``order``, ``kind``, ``w`` and ``terrible``, must not change.
 """
 
+import dataclasses
 import random
+import time
 
 from tsr.errors import NotATree
 from tsr.generators import random_maxdeg2, random_tree
-from tsr.graph import ThresholdGraph, classify
-from tsr.solvers import _chen, decompose_deg2
+from tsr.graph import ThresholdGraph, classify, disjoint_union
+from tsr.solvers import _chen, component_plan, decompose_deg2
 
 
 def reference_chen_tree(g: ThresholdGraph, root: int | None = None):
@@ -130,6 +132,63 @@ def test_chen_tree_matches_reference():
         r = rng.randint(1, g.n)
         assert _chen(g, 1) == reference_chen_tree(g)
         assert _chen(g, r) == reference_chen_tree(g, r)
+
+
+def test_chen_on_forests_matches_reference_per_tree():
+    """On a relabeled disjoint union of seeded random trees, ``_chen`` run from
+    each tree's least vertex through one set of per-graph lists (as
+    ``component_plan`` runs it, here filled with junk but at index 0) equals the reference on that tree alone,
+    whose ids keep their order, so children meet in the same order; the
+    plan's tree entries are those regions."""
+    rng = random.Random(2010)
+    trees = 0
+    for _ in range(60):
+        g = random_tree(rng, rng.randint(2, 30))
+        for _ in range(rng.randint(1, 5)):
+            g, _ = disjoint_union(g, random_tree(rng, rng.randint(2, 30)))
+        g = relabeled(g, rng)
+        assert g.m == len(g.edges)
+        comps = g.components()
+        seen = sorted(v for comp in comps for v in comp)
+        assert seen == list(g.vertices) and all(list(c) == sorted(c) for c in comps)
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+        # stale entries must not matter: only index 0 has to hold 0
+        scratch = tuple([0] + [rng.randint(-3, g.n) for _ in g.vertices] for _ in range(3))
+        for comp, entry in zip(comps, component_plan(g).components):
+            rank = {v: i for i, v in enumerate(comp, start=1)}
+            sub = ThresholdGraph.build(
+                len(comp),
+                [(rank[u], rank[v]) for u in comp for v in g.adj[u] if u < v],
+                [g.tau[v] for v in comp],
+            )
+            s_list, regions = reference_chen_tree(sub)
+            want = (tuple(comp[s - 1] for s in s_list), tuple(frozenset(comp[v - 1] for v in r) for r in regions))
+            assert _chen(g, comp[0], scratch) == want
+            if entry.kind == "tree":
+                assert entry.regions == tuple(zip(*want))
+                trees += 1
+    assert trees > 100
+
+
+def test_forest_plan_is_linear():
+    """``component_plan`` on a forest of many small trees costs O(n): from
+    5,000 to 20,000 four-vertex stars (centre threshold 2), best of 3
+    interleaved, the time grows at most 8x (4x is linear; lists allocated
+    per tree made it about 18x)."""
+    def stars(count):
+        edges = [(4 * i + 1, 4 * i + j) for i in range(count) for j in (2, 3, 4)]
+        return ThresholdGraph.build(4 * count, edges, [2, 1, 1, 1] * count)
+
+    graphs = {count: stars(count) for count in (5000, 20000)}
+    best = dict.fromkeys(graphs, float("inf"))
+    for _ in range(3):
+        for count, g in graphs.items():
+            fresh = dataclasses.replace(g)
+            start = time.perf_counter()
+            plan = component_plan(fresh)
+            best[count] = min(best[count], time.perf_counter() - start)
+            assert len(plan.components) == count and plan.min_size == count
+    assert best[20000] <= 8 * best[5000], best
 
 
 def test_decompose_deg2_matches_reference():
