@@ -17,8 +17,8 @@ from tsr.reconfig import TAR
 from tsr.solvers import (
     chen_tree,
     component_plan,
+    cycle_moves,
     decompose_deg2,
-    even_cycle_flip_steps,
     solve,
     solve_maxdeg2,
     solve_tree,
@@ -36,10 +36,13 @@ print("path with m=4: minimum size", path_plan.min_size, "canonical set", sorted
 c = cycle_with_spacing(4, [1, 1, 1, 1])
 cycle_plan = component_plan(c)
 cycle = cycle_plan.components[0]
-# An even cycle has two minima: the canonical one and its flip.
+# An even cycle has two minima, which split w: the canonical one and the rest.
 low = cycle_plan.route(0, frozenset(cycle.w))[1]
-minima = (low, even_cycle_flip_steps(cycle, low)[1])
+minima = (low, frozenset(cycle.w) - low)
 print("\neven cycle m=4 minima:", [sorted(s) for s in minima])
+# One move between them adds w_p+1 and removes w_p; the flip makes all m/2
+# moves and peaks two tokens above a minimum.
+print("flip:", *(st.format() for st in cycle_moves(cycle, *minima)))
 print("terrible:", cycle.terrible)
 
 # --- a full maximum-degree-2 instance ------------------------------------

@@ -19,7 +19,7 @@ from .errors import (
     NotATargetSet,
     PreconditionViolated,
 )
-from .graph import Edge, ThresholdGraph, records
+from .graph import Edge, ThresholdGraph, ints, records
 
 SeedSet = frozenset[int]
 
@@ -262,10 +262,7 @@ def parse_orientation(text: str) -> Orientation:
     for lineno, parts in records(text):
         if parts[0] != "a" or len(parts) != 3:
             raise MalformedLine(f"line {lineno}: expected 'a <u> <v>'")
-        try:
-            arcs.append((int(parts[1]), int(parts[2])))
-        except ValueError as exc:
-            raise MalformedLine(f"line {lineno}: {exc}") from exc
+        arcs.append(tuple(ints(lineno, parts[1:])))
     return Orientation(arcs=tuple(arcs))
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import generators
 from .activation import activate, is_target_set
-from .errors import InstanceTooLarge, TsrError
+from .errors import InstanceTooLarge, MalformedLine, TsrError
 from .gadgets import attach
 from .graph import (
     PlainGraph,
@@ -50,7 +50,11 @@ OK, INPUT_ERROR, GUARD_EXCEEDED = 0, 2, 3
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The text of an input file; one that is not UTF-8 is a ``MalformedLine`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _load_graph(path: str) -> ThresholdGraph:
@@ -59,13 +63,16 @@ def _load_graph(path: str) -> ThresholdGraph:
 
 def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
+    # every file is read before the first line is printed, so one that cannot be read prints nothing
+    seed_text = _read(args.seed) if args.seed else None
+    seq_text = _read(args.sequence) if args.sequence else None
     print(f"graph OK: n={g.n} m={g.m}")
-    if args.seed:
-        seed = parse_seed_set(_read(args.seed), g)
+    if seed_text is not None:
+        seed = parse_seed_set(seed_text, g)
         kind = "target set" if is_target_set(g, seed) else "seed set (not a target set)"
         print(f"seed OK: size={len(seed)} {kind}")
-    if args.sequence:
-        seq = parse_sequence(_read(args.sequence))
+    if seq_text is not None:
+        seq = parse_sequence(seq_text)
         report = validate_sequence(g, seq)
         if report.ok:
             print(f"sequence OK: model={seq.model} length={len(seq)}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 
 from .errors import EdgeNotFound, InvalidInput, NotA33Vertex, SameVertex, UnknownVertex
-from .graph import Edge, PlainGraph, ThresholdGraph
+from .graph import PlainGraph, ThresholdGraph, edge_list
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,10 +149,6 @@ class _Build:
         self.adj[u].add(v)
         self.adj[v].add(u)
 
-    def edges(self) -> list[Edge]:
-        """The edges (u, v), u < v, in ascending order."""
-        return [(u, v) for u in range(1, self.n + 1) for v in sorted(self.adj[u]) if u < v]
-
     def graft(self, spec: _Spec, anchors: tuple[int, ...]) -> GadgetMap:
         """Add spec's vertices and edges; given its anchors (ids in role order),
         also cut its host edges, link its hooks and shift its bumped thresholds."""
@@ -172,10 +168,10 @@ class _Build:
         return GadgetMap(spec.kind, at, ids, m_set)
 
     def graph(self) -> ThresholdGraph:
-        return ThresholdGraph.build(self.n, self.edges(), self.tau[1:])
+        return ThresholdGraph.build(self.n, edge_list(self.adj), self.tau[1:])
 
     def plain(self) -> PlainGraph:
-        return PlainGraph.build(self.n, self.edges())
+        return PlainGraph.build(self.n, edge_list(self.adj))
 
 
 def attach(host: ThresholdGraph | PlainGraph | None, kind: str, *anchors: int):
@@ -197,7 +193,7 @@ def attach(host: ThresholdGraph | PlainGraph | None, kind: str, *anchors: int):
         raise InvalidInput(f"{kind} gadget takes anchors ({want}), got {len(anchors)}")
     b = _Build(host)
     # a subdivision's (u, v) must be an edge, whatever its ids
-    if spec is _SUBDIVISION and anchors and tuple(sorted(anchors)) not in b.edges():
+    if spec is _SUBDIVISION and anchors and tuple(sorted(anchors)) not in edge_list(b.adj):
         raise EdgeNotFound(f"edge ({min(anchors)},{max(anchors)}) not present")
     for v in anchors:
         if not 1 <= v <= b.n:

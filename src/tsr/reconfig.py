@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 from .activation import is_target_set, still_target
 from .errors import EndpointSizeMismatch, InvalidInput, MalformedLine
-from .graph import ThresholdGraph, records, seed_ids
+from .graph import ThresholdGraph, ints, records, seed_ids
 
 TJ = "tj"
 TAR = "tar"
@@ -299,35 +299,36 @@ def parse_sequence(text: str) -> ReconfigSequence:
     start: frozenset[int] | None = None
     steps: list[Step] = []
     for lineno, parts in records(text):
-        try:
-            if parts[0] == "q":
-                if model is not None or len(parts) != 3:
-                    raise MalformedLine(f"line {lineno}: expected single 'q <model> <k>'")
-                model = parts[1].lower()
-                if model not in (TJ, TAR, TJN):
-                    raise MalformedLine(f"line {lineno}: unknown model {parts[1]!r}")
-                k = int(parts[2])
-                if k < 0:
-                    raise MalformedLine(f"line {lineno}: negative k {k}")
-            elif parts[0] == "s":
-                if model is None or start is not None:
-                    raise MalformedLine(f"line {lineno}: 's' line misplaced")
-                start = seed_ids(lineno, parts)
-                if model != TAR and len(start) != k:
-                    raise MalformedLine(f"line {lineno}: {len(start)} start ids where the 'q' line says {k}")
-            elif parts[0] in _LETTERS:
-                if start is None:
-                    raise MalformedLine(f"line {lineno}: {parts[0]!r} before 's' line")
-                (has_out, has_into), usage = _LETTERS[parts[0]]
-                if len(parts) != 1 + has_out + has_into:
-                    raise MalformedLine(f"line {lineno}: expected {usage!r}")
-                out = int(parts[1]) if has_out else None
-                into = int(parts[-1]) if has_into else None
+        if parts[0] == "q":
+            if model is not None or len(parts) != 3:
+                raise MalformedLine(f"line {lineno}: expected single 'q <model> <k>'")
+            model = parts[1].lower()
+            if model not in (TJ, TAR, TJN):
+                raise MalformedLine(f"line {lineno}: unknown model {parts[1]!r}")
+            (k,) = ints(lineno, parts[2:])
+            if k < 0:
+                raise MalformedLine(f"line {lineno}: negative k {k}")
+        elif parts[0] == "s":
+            if model is None or start is not None:
+                raise MalformedLine(f"line {lineno}: 's' line misplaced")
+            start = seed_ids(lineno, parts)
+            if model != TAR and len(start) != k:
+                raise MalformedLine(f"line {lineno}: {len(start)} start ids where the 'q' line says {k}")
+        elif parts[0] in _LETTERS:
+            if start is None:
+                raise MalformedLine(f"line {lineno}: {parts[0]!r} before 's' line")
+            (has_out, has_into), usage = _LETTERS[parts[0]]
+            if len(parts) != 1 + has_out + has_into:
+                raise MalformedLine(f"line {lineno}: expected {usage!r}")
+            ids = ints(lineno, parts[1:])
+            out = ids[0] if has_out else None
+            into = ids[-1] if has_into else None
+            try:
                 steps.append(Step.jump(out, into) if has_out and has_into else Step(out, into))
-            else:
-                raise MalformedLine(f"line {lineno}: unknown line kind {parts[0]!r}")
-        except (ValueError, InvalidInput) as exc:  # a non-int id, or a jump onto itself
-            raise MalformedLine(f"line {lineno}: {exc}") from exc
+            except InvalidInput as exc:  # a jump onto itself
+                raise MalformedLine(f"line {lineno}: {exc}") from exc
+        else:
+            raise MalformedLine(f"line {lineno}: unknown line kind {parts[0]!r}")
     if model is None or start is None:
         raise MalformedLine("missing 'q' or 's' line")
     # a TJ or TJN file carries |start| where a TAR file carries its budget k

@@ -28,7 +28,7 @@ from .errors import (
     UnknownVertex,
 )
 from .gadgets import _SIGMA, _SPECS, _SUBDIVISION, _THETA, _UPSILON, _XI, GadgetMap, _Build, project
-from .graph import PlainGraph, ThresholdGraph, records, seed_ids
+from .graph import PlainGraph, ThresholdGraph, edge_list, ints, records, seed_ids
 from .oracle import DEFAULT_GUARD, bfs, tj_decide
 
 
@@ -125,7 +125,7 @@ def _split_33(g: ThresholdGraph):
     # each upsilon's roles x < y < z are w's neighbours when it is grafted
     maps = [b.graft(_UPSILON, (w, *sorted(b.adj[w]))) for w in g.vertices]
     prov = _tags({v: f"orig:{v}" for v in g.vertices}, maps)
-    for u, v in b.edges():
+    for u, v in edge_list(b.adj):
         maps.append(b.graft(_SUBDIVISION, (u, v)))
         prov[b.n] = f"sd:{u}-{v}"
     return b, prov, maps
@@ -163,7 +163,7 @@ def reduce_33_to_b312(g: ThresholdGraph) -> ReductionOutput:
     n_i = b.n
     two_one = [v for v in range(1, n_i + 1) if (len(b.adj[v]), b.tau[v]) == (2, 1)]
     shift = {v: b.vertex(b.tau[v]) for v in range(1, n_i + 1)}  # the second copy
-    for u, v in b.edges():
+    for u, v in edge_list(b.adj):
         b.link(shift[u], shift[v])
     prov.update((shift[v], prov[v] + ":copy2") for v in shift)
     xi_maps = [b.graft(_XI, (v, shift[v])) for v in two_one]
@@ -222,19 +222,16 @@ def parse_hitting_system(text: str) -> HittingSystem:
     header = None
     family = []
     for lineno, parts in records(text):
-        try:
-            if parts[0] == "p":
-                if header is not None or len(parts) != 5 or parts[1] != "hs":
-                    raise MalformedLine(f"line {lineno}: expected 'p hs <n> <m> <k>'")
-                header = (int(parts[2]), int(parts[3]), int(parts[4]))
-            elif parts[0] == "f":
-                if header is None:
-                    raise MalformedLine(f"line {lineno}: 'f' before header")
-                family.append(seed_ids(lineno, parts))
-            else:
-                raise MalformedLine(f"line {lineno}: unknown line kind {parts[0]!r}")
-        except ValueError as exc:
-            raise MalformedLine(f"line {lineno}: {exc}") from exc
+        if parts[0] == "p":
+            if header is not None or len(parts) != 5 or parts[1] != "hs":
+                raise MalformedLine(f"line {lineno}: expected 'p hs <n> <m> <k>'")
+            header = ints(lineno, parts[2:])
+        elif parts[0] == "f":
+            if header is None:
+                raise MalformedLine(f"line {lineno}: 'f' before header")
+            family.append(seed_ids(lineno, parts))
+        else:
+            raise MalformedLine(f"line {lineno}: unknown line kind {parts[0]!r}")
     if header is None:
         raise MalformedLine("missing 'p hs' header")
     n, m, k = header

@@ -141,17 +141,17 @@ class Plan:
     def min_size(self) -> int:
         return sum(c.min_size for c in self.components)
 
-    def route(self, i: int, r: frozenset[int]) -> tuple[tuple[Step, ...], frozenset[int], int | None]:
-        """(steps, canonical, anchor): the TAR steps from r down to component i's
-        canonical minimum, that minimum, and the odd-cycle anchor (else None).
-
-        r must be the restriction of a target set to the component; this is
-        not checked here (``is_target_set`` checks it for ``solve``).
-        """
+    def route(self, i: int, r: frozenset[int]) -> tuple[tuple[Step, ...], frozenset[int]]:
+        """(steps, canonical): the TAR steps from r down to component i's
+        canonical minimum, and that minimum; a cycle with m >= 1 takes its
+        regions from r.  r must be the restriction of a target set to the
+        component; ``solve`` checks that (``is_target_set``), this does not."""
         hit = self._routes.get((i, r))
         if hit is None:
-            steps, final, anchor = _component_route(self.components[i], r)
-            hit = self._routes[i, r] = (tuple(steps), final, anchor)
+            comp = self.components[i]
+            regions = comp.regions or (_odd_cycle_regions if comp.m % 2 else _even_cycle_regions)(comp, r)
+            steps, final = _sweep(r, regions)
+            hit = self._routes[i, r] = (tuple(steps), final)
         return hit
 
     def back(self, i: int, r: frozenset[int]) -> tuple[Step, ...]:
@@ -361,49 +361,37 @@ def _odd_cycle_regions(comp: Component, s: frozenset[int]):
         (w[(p + 2 * j) % m], intervals[(p + 2 * j - 1) % m] + intervals[(p + 2 * j) % m])
         for j in range(1, (m - 1) // 2 + 1)
     ]
-    return regions, p
+    return regions
 
 
-def even_cycle_flip_steps(comp: Component, current: frozenset[int]) -> tuple[list[Step], frozenset[int]]:
-    """(m/2+1)-TAR flip between the two minima of an even cycle.
+def cycle_moves(comp: Component, current: frozenset[int], target: frozenset[int]) -> list[Step]:
+    """TAR steps between two minima of a cycle with m >= 1 threshold-2 vertices
+    w_0..w_{m-1}, each minimum {w_p, w_{p+2}, ...} (ceil(m/2) of them, mod m).
 
-    Relabels so the current set sits on odd positions, then: add the last w,
-    jump along even positions, drop the second-to-last w.
+    A move adds w_{p+1}, removes w_p and sets p to p+2.  An odd cycle repeats
+    it until p is the target's: an |current|-TAR route.  An even cycle makes
+    all m/2 moves with the last addition hoisted to the front, so it peaks two
+    tokens above its start: an (|current|+1)-TAR route.  Raises
+    ``PreconditionViolated`` unless both sets are minima of such a cycle (O(m)).
     """
     w, m = comp.w, comp.m
-    shift = 0 if current == frozenset(w[0::2]) else 1
-    if current != frozenset(w[(shift + i) % m] for i in range(0, m, 2)):
-        raise PreconditionViolated("flip must start at a minimum target set of the cycle")
-    lab = [w[(shift + i) % m] for i in range(m)]
-    steps = [Step.add(lab[m - 1])]
-    for i in range(1, m // 2):
-        steps.append(Step.add(lab[2 * i - 1]))
-        steps.append(Step.remove(lab[2 * i - 2]))
-    steps.append(Step.remove(lab[m - 2]))
-    return steps, frozenset(lab[1::2])
-
-
-def odd_cycle_rotation_steps(comp: Component, p: int, q: int) -> list[Step]:
-    """TJ rotation S*_p -> S*_q of an odd cycle, emitted as add/remove pairs."""
-    m = comp.m
-    steps: list[Step] = []
+    if comp.kind != "cycle" or not m:
+        raise PreconditionViolated(f"a {comp.kind} with m={m} threshold-2 vertices has no cycle minima")
+    ps = []
+    for s in (current, target):
+        # an odd minimum's one consecutive pair w_{p-1}, w_p names p; an even one's p is 0 or 1
+        p = next((i for i in range(m) if w[i - 1] in s and w[i] in s), 0) if m % 2 else int(w[0] not in s)
+        if s != frozenset(w[(p + 2 * j) % m] for j in range((m + 1) // 2)):
+            raise PreconditionViolated(f"{sorted(s)} is not a minimum of the cycle")
+        ps.append(p)
+    (p, q), steps = ps, []
     while p != q:
-        steps.append(Step.add(comp.w[(p + 1) % m]))
-        steps.append(Step.remove(comp.w[p]))
+        steps += Step.add(w[(p + 1) % m]), Step.remove(w[p])
         p = (p + 2) % m
+        if p == ps[0]:  # an even cycle's p keeps its parity: all m/2 moves are made
+            steps.insert(0, steps.pop(-2))
+            break
     return steps
-
-
-def _component_route(comp: Component, s: frozenset[int]) -> tuple[list[Step], frozenset[int], int | None]:
-    """TAR steps from s to a canonical minimum of comp, that minimum, and the odd-cycle anchor."""
-    anchor = None
-    if comp.regions is not None:
-        regions = comp.regions
-    elif comp.m % 2 == 0:
-        regions = _even_cycle_regions(comp, s)
-    else:
-        regions, anchor = _odd_cycle_regions(comp, s)
-    return (*_sweep(s, regions), anchor)
 
 
 def maxdeg2_min_size(g: ThresholdGraph) -> int:
@@ -419,9 +407,10 @@ def solve(g: ThresholdGraph, x, y, *, model: str = TJ) -> tuple[bool, ReconfigSe
 
     The answer is no exactly when both endpoints are minimum and some terrible
     cycle carries different restrictions.  Otherwise the route runs in three
-    phases: take every component of x down to a canonical minimum, resolve the
-    per-cycle mismatches (even flips, odd rotations) at the global minimum where
-    a spare token is guaranteed, then replay y's descent backwards.
+    phases: take every component of x down to a canonical minimum, move each
+    cycle whose canonicals differ between them (``cycle_moves``) at the global
+    minimum where a spare token is guaranteed, then replay y's descent
+    backwards.
     """
     xs, ys = g.check_seed(x), g.check_seed(y)
     if len(xs) != len(ys):
@@ -439,19 +428,12 @@ def solve(g: ThresholdGraph, x, y, *, model: str = TJ) -> tuple[bool, ReconfigSe
 
     routes_x = [plan.route(i, r) for i, r in enumerate(rx)]
     routes_y = [plan.route(i, r) for i, r in enumerate(ry)]
-    steps = [st for route, *_ in routes_x for st in route]
-    for comp, (_, fx, ax), (_, fy, ay) in zip(plan.components, routes_x, routes_y):
-        if fx == fy:
-            continue
-        if comp.regions is not None:
-            raise InvariantViolated(f"{comp.kind} canonicals are unique")
-        if comp.m % 2 == 1:
-            steps += odd_cycle_rotation_steps(comp, ax, ay)
-        else:
-            flip, final = even_cycle_flip_steps(comp, fx)
-            if final != fy:
-                raise InvariantViolated(f"even-cycle flip ended at {sorted(final)}, not {sorted(fy)}")
-            steps += flip
+    steps = [st for route, _ in routes_x for st in route]
+    for comp, (_, fx), (_, fy) in zip(plan.components, routes_x, routes_y):
+        if fx != fy:
+            if comp.regions is not None:
+                raise InvariantViolated(f"{comp.kind} canonicals are unique")
+            steps += cycle_moves(comp, fx, fy)
 
     for i in reversed(range(len(ry))):
         steps += plan.back(i, ry[i])

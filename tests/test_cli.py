@@ -421,6 +421,23 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("role", ["graph", "seed", "sequence", "hs"])
+def test_non_utf8_file_is_input_error(capsys, tmp_path, role):
+    """A file holding a byte that is not UTF-8 exits 2 with one ``error:`` line
+    naming it, and prints nothing on stdout."""
+    bad = tmp_path / f"bad.{role}"
+    bad.write_bytes(b"s 1 6 9\n\xff\n")
+    argv = {
+        "graph": ["check", str(bad)],
+        "seed": ["activate", FIG1, "--seed", str(bad)],
+        "sequence": ["check", FIG1, "--sequence", str(bad)],
+        "hs": ["reduce", "split", str(bad)],
+    }[role]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not UTF-8 text (byte 8: invalid start byte)\n"
+
+
 def test_reconfigure_solver_and_oracle_agree_on_tractable(capsys):
     for xs, ys in [("fig1_x1.seed", "fig1_y1.seed"), ("fig1_x2.seed", "fig1_y2.seed")]:
         args = ["reconfigure", FIG1, "--from", str(FIXTURES / xs), "--to", str(FIXTURES / ys)]

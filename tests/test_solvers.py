@@ -29,10 +29,9 @@ from tsr.reconfig import TAR, TJ, ReconfigSequence, tar_to_tj, validate_sequence
 from tsr.solvers import (
     chen_tree,
     component_plan,
+    cycle_moves,
     decompose_deg2,
-    even_cycle_flip_steps,
     maxdeg2_min_size,
-    odd_cycle_rotation_steps,
     solve,
     solve_maxdeg2,
     solve_threshold1,
@@ -70,8 +69,8 @@ def test_decompose_rejects_degree3(k4):
 
 def _route_to_canonical(g, s):
     """The plan's TAR route of a one-component graph from s, and where it ends."""
-    steps, canonical, anchor = component_plan(g).route(0, frozenset(s))
-    return ReconfigSequence(frozenset(s), steps, TAR, k=len(s)), canonical, anchor
+    steps, canonical = component_plan(g).route(0, frozenset(s))
+    return ReconfigSequence(frozenset(s), steps, TAR, k=len(s)), canonical
 
 
 @pytest.mark.parametrize(
@@ -100,7 +99,7 @@ def test_path_canonical_examples(m, gaps, size, canon_positions):
         w = [v for v in g.vertices if g.tau[v] == 2]
         assert canon == {w[i] for i in canon_positions}
     for s in enumerate_target_sets(g, size) + enumerate_target_sets(g, size + 1):
-        seq, end, _ = _route_to_canonical(g, s)
+        seq, end = _route_to_canonical(g, s)
         rep = validate_sequence(g, seq)
         assert rep.ok and seq.end == end == canon
         assert max(len(t) for t in seq.sets()) <= len(s) + 1
@@ -114,7 +113,7 @@ def test_cycle_fig3_route():
     s = frozenset({w[2], w[5], a, d, e})
     comp = component_plan(g).components[0]
     assert (comp.kind, comp.m) == ("cycle", 6)
-    seq, canonical, _ = _route_to_canonical(g, s)
+    seq, canonical = _route_to_canonical(g, s)
     assert canonical == {w[1], w[3], w[5]}
     rep = validate_sequence(g, seq)
     assert rep.ok and seq.end == canonical
@@ -128,9 +127,10 @@ def test_cycle_fig4_odd_route():
     s = frozenset({w[1], w[3], 2, 4, 13, 14})
     comp = component_plan(g).components[0]
     assert (comp.kind, comp.m) == ("cycle", 5)
-    seq, canonical, anchor = _route_to_canonical(g, s)
+    seq, canonical = _route_to_canonical(g, s)
     assert canonical == {w[0], w[2], w[4]}
-    assert anchor == 0
+    # its one consecutive pair is w5, w1: anchored at w1 (index 0)
+    assert [p for p in range(5) if {w[p - 1], w[p]} <= canonical] == [0]
     rep = validate_sequence(g, seq)
     assert rep.ok and seq.end == canonical
     assert max(len(t) for t in seq.sets()) <= len(s) + 1
@@ -141,14 +141,17 @@ def test_cycle_m2_two_singletons():
     w = [v for v in g.vertices if g.tau[v] == 2]
     plan = component_plan(g)
     assert plan.min_size == 1
-    _, canonical, _ = _route_to_canonical(g, {w[0]})
-    _, flipped = even_cycle_flip_steps(plan.components[0], canonical)
+    _, canonical = _route_to_canonical(g, {w[0]})
+    flipped = frozenset(w) - canonical
+    flip = ReconfigSequence(canonical, tuple(cycle_moves(plan.components[0], canonical, flipped)), TAR, k=1)
+    assert validate_sequence(g, flip).ok and flip.end == flipped
     assert {canonical, flipped} == {frozenset({w[0]}), frozenset({w[1]})}
 
 
 def test_cycle_minimum_sets_match_oracle():
     """An even cycle's minima are the two sets its flip moves between; an odd
-    cycle's m rotations are minima, and every odd-cycle canonical is one."""
+    cycle's m rotations are minima reachable from its canonical, and every
+    odd-cycle canonical is one."""
     for m, gaps in [(2, [1, 0]), (4, [1, 0, 1, 0]), (5, [1, 0, 0, 1, 0]), (6, [0] * 6)]:
         g = cycle_with_spacing(m, gaps)
         plan = component_plan(g)
@@ -157,18 +160,18 @@ def test_cycle_minimum_sets_match_oracle():
         mins = enumerate_target_sets(g, plan.min_size)
         assert plan.min_size == min_target_set_size(g)
         if m % 2 == 0:
-            _, canonical, _ = _route_to_canonical(g, comp.w)
-            flip, flipped = even_cycle_flip_steps(comp, canonical)
+            _, canonical = _route_to_canonical(g, comp.w)
+            flipped = frozenset(comp.w) - canonical
+            flip = cycle_moves(comp, canonical, flipped)
             assert sorted(map(sorted, mins)) == sorted(map(sorted, (canonical, flipped)))
             assert ReconfigSequence(canonical, tuple(flip), TAR, k=len(canonical)).end == flipped
         else:
-            # the m all-threshold-2 minima: each rotation of the anchored canonical
-            _, canonical, anchor = _route_to_canonical(g, comp.w)
-            rotations = {
-                ReconfigSequence(canonical, tuple(odd_cycle_rotation_steps(comp, anchor, q)), TAR).end
-                for q in range(m)
-            }
+            # the m all-threshold-2 minima {w_p, w_p+2, ...}, each reached from the canonical
+            _, canonical = _route_to_canonical(g, comp.w)
+            rotations = {frozenset(comp.w[(p + 2 * j) % m] for j in range((m + 1) // 2)) for p in range(m)}
             assert len(rotations) == m and rotations <= set(mins)
+            for r in rotations:
+                assert ReconfigSequence(canonical, tuple(cycle_moves(comp, canonical, r)), TAR).end == r
             sets = mins + enumerate_target_sets(g, plan.min_size + 1)
             assert {_route_to_canonical(g, s)[1] for s in sets} <= rotations
 

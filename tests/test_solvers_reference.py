@@ -9,16 +9,24 @@ verbatim except that they cache nothing on the graph, so the library's
 per-graph caches never serve them, and that the Chen reference returns only
 S* in postorder and its packing, the two things ``_chen`` returns.  Those, and
 each component's ``order``, ``kind``, ``w`` and ``terrible``, must not change.
+
+``reference_even_flip`` and ``reference_odd_rotation`` are the two cycle
+helpers that ``cycle_moves`` replaced, kept verbatim: the even flip from a
+minimum to the other one, and the odd rotation between anchors p and q.
+Neither checks its input.
 """
 
 import dataclasses
 import random
 import time
 
-from tsr.errors import NotATree
-from tsr.generators import random_maxdeg2, random_tree
+import pytest
+
+from tsr.errors import NotATree, PreconditionViolated
+from tsr.generators import cycle_with_spacing, path_with_spacing, random_maxdeg2, random_tree
 from tsr.graph import ThresholdGraph, classify, disjoint_union
-from tsr.solvers import _chen, component_plan, decompose_deg2
+from tsr.reconfig import TAR, ReconfigSequence, Step, validate_sequence
+from tsr.solvers import _chen, component_plan, cycle_moves, decompose_deg2
 
 
 def reference_chen_tree(g: ThresholdGraph, root: int | None = None):
@@ -199,3 +207,112 @@ def test_decompose_deg2_matches_reference():
             g = relabeled(g, rng)
         got = [(c.kind, c.order, c.w, c.terrible) for c in decompose_deg2(g).components]
         assert got == reference_components(g)
+
+
+def reference_even_flip(comp, current: frozenset[int]) -> tuple[list[Step], frozenset[int]]:
+    """(m/2+1)-TAR flip between the two minima of an even cycle.
+
+    Relabels so the current set sits on odd positions, then: add the last w,
+    jump along even positions, drop the second-to-last w.
+    """
+    w, m = comp.w, comp.m
+    shift = 0 if current == frozenset(w[0::2]) else 1
+    if current != frozenset(w[(shift + i) % m] for i in range(0, m, 2)):
+        raise PreconditionViolated("flip must start at a minimum target set of the cycle")
+    lab = [w[(shift + i) % m] for i in range(m)]
+    steps = [Step.add(lab[m - 1])]
+    for i in range(1, m // 2):
+        steps.append(Step.add(lab[2 * i - 1]))
+        steps.append(Step.remove(lab[2 * i - 2]))
+    steps.append(Step.remove(lab[m - 2]))
+    return steps, frozenset(lab[1::2])
+
+
+def reference_odd_rotation(comp, p: int, q: int) -> list[Step]:
+    """TJ rotation S*_p -> S*_q of an odd cycle, emitted as add/remove pairs."""
+    m = comp.m
+    steps: list[Step] = []
+    while p != q:
+        steps.append(Step.add(comp.w[(p + 1) % m]))
+        steps.append(Step.remove(comp.w[p]))
+        p = (p + 2) % m
+    return steps
+
+
+def _minima(comp) -> list[frozenset[int]]:
+    """The cycle's minima {w_p, w_p+2, ...}, by p: 0..m-1 for odd m, 0 and 1 for even."""
+    w, m = comp.w, comp.m
+    return [frozenset(w[(p + 2 * j) % m] for j in range((m + 1) // 2)) for p in range(m if m % 2 else 2)]
+
+
+def test_cycle_moves_match_references():
+    """For every cycle with m = 1..9 threshold-2 vertices (seeded gaps, two
+    per m) and every ordered pair of its minima, ``cycle_moves`` emits the
+    references' steps, a valid TAR route within |minimum| (plus 1 for an even
+    flip) that ends at the target."""
+    rng = random.Random(30)
+    pairs = 0
+    for m in range(1, 10):
+        for _ in range(2):
+            while True:
+                gaps = [rng.randint(0, 2) for _ in range(m)]
+                if m + sum(gaps) >= 3:
+                    break
+            g = cycle_with_spacing(m, gaps)
+            comp = component_plan(g).components[0]
+            assert (comp.kind, comp.m) == ("cycle", m)
+            minima = _minima(comp)
+            for (p, a), (q, b) in ((pa, qb) for pa in enumerate(minima) for qb in enumerate(minima)):
+                steps = cycle_moves(comp, a, b)
+                if a == b:
+                    assert steps == []
+                    continue
+                if m % 2:
+                    want, k = reference_odd_rotation(comp, p, q), len(a)
+                else:
+                    want, end = reference_even_flip(comp, a)
+                    assert end == b
+                    k = len(a) + 1
+                assert steps == want
+                seq = ReconfigSequence(a, tuple(steps), TAR, k=k)
+                assert validate_sequence(g, seq).ok and seq.end == b
+                pairs += 1
+    assert pairs > 100
+
+
+def test_cycle_moves_reject_what_the_references_mishandled():
+    """Each input on which a reference hung or returned a wrong route is
+    refused, except the even cycle's two minima, between which the flip is
+    the answer."""
+    odd = component_plan(cycle_with_spacing(5, [1, 0, 1, 0, 1])).components[0]
+    s0 = _minima(odd)[0]
+    # the odd rotation never returned for an anchor q outside 0..m-1: no
+    # minimum names it, and a non-minimum target is refused
+    for target in (frozenset(odd.w), s0 - {odd.w[0]}, frozenset(), frozenset({odd.w[1], odd.w[3], 2})):
+        with pytest.raises(PreconditionViolated):
+            cycle_moves(odd, s0, target)
+        with pytest.raises(PreconditionViolated):
+            cycle_moves(odd, target, s0)
+    # the odd rotation from p=0 to p=1 never returned on an even cycle, whose p
+    # keeps its parity; the move between those minima is the flip
+    g = cycle_with_spacing(4, [1, 0, 1, 0])
+    even = component_plan(g).components[0]
+    a, b = _minima(even)
+    seq = ReconfigSequence(a, tuple(cycle_moves(even, a, b)), TAR, k=len(a) + 1)
+    assert len(seq) == 4 and validate_sequence(g, seq).ok and seq.end == b
+    # the even flip ran on an odd cycle from {1, 4} and claimed to end at {3}
+    tri = component_plan(cycle_with_spacing(3, [1, 0, 1])).components[0]
+    assert tri.w == (1, 3, 4)
+    with pytest.raises(PreconditionViolated):
+        cycle_moves(tri, frozenset({1, 4}), frozenset({3}))
+    assert cycle_moves(tri, frozenset({1, 4}), frozenset({3, 4})) == [Step.add(3), Step.remove(1)]
+    # the even flip accepted {2} on a path, which is not a target set there
+    path = component_plan(path_with_spacing(2, [1, 0, 1])).components[0]
+    assert (path.kind, path.w) == ("path", (2, 3))
+    with pytest.raises(PreconditionViolated):
+        cycle_moves(path, frozenset({2}), frozenset({3}))
+    # a cycle of threshold-1 vertices alone has no threshold-2 minima
+    ring = component_plan(cycle_with_spacing(0, [4])).components[0]
+    assert (ring.kind, ring.m) == ("cycle", 0)
+    with pytest.raises(PreconditionViolated):
+        cycle_moves(ring, frozenset({1}), frozenset({2}))
