@@ -16,17 +16,29 @@ minimum to the other one, and the odd rotation between anchors p and q.
 Neither checks its input.
 """
 
+import collections
 import dataclasses
+import hashlib
 import random
 import time
 
 import pytest
 
+from tsr.activation import is_target_set
 from tsr.errors import NotATree, PreconditionViolated
 from tsr.generators import cycle_with_spacing, path_with_spacing, random_maxdeg2, random_tree
 from tsr.graph import ThresholdGraph, classify, disjoint_union
-from tsr.reconfig import TAR, ReconfigSequence, Step, validate_sequence
-from tsr.solvers import _chen, component_plan, cycle_moves, decompose_deg2
+from tsr.oracle import target_sets_by_size
+from tsr.reconfig import TAR, TJ, ReconfigSequence, Step, validate_sequence
+from tsr.solvers import (
+    _chen,
+    component_plan,
+    cycle_moves,
+    decompose_deg2,
+    solve,
+    solve_maxdeg2,
+    solve_tree,
+)
 
 
 def reference_chen_tree(g: ThresholdGraph, root: int | None = None):
@@ -316,3 +328,83 @@ def test_cycle_moves_reject_what_the_references_mishandled():
     assert (ring.kind, ring.m) == ("cycle", 0)
     with pytest.raises(PreconditionViolated):
         cycle_moves(ring, frozenset({1}), frozenset({2}))
+
+
+def _target_sets(g: ThresholdGraph, rng: random.Random, count: int) -> list[frozenset[int]]:
+    """``count`` seeded minimal target sets of g, each pruned from V in a
+    shuffled order (a vertex leaves when the rest is still a target set)."""
+    out = []
+    for _ in range(count):
+        s = set(g.vertices)
+        for v in rng.sample(list(g.vertices), g.n):
+            s.discard(v)
+            if not is_target_set(g, s):
+                s.add(v)
+        out.append(frozenset(s))
+    return out
+
+
+def _solve_pairs(g: ThresholdGraph, rng: random.Random) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """Seeded same-size endpoint pairs of g.  A graph with n <= 12 draws them
+    from the oracle's table at its two smallest sizes, so terrible cycles meet
+    minimum endpoints; a larger one pads pruned sets to a common size.  Each
+    graph also gets one pair whose first or second endpoint is not a target
+    set, when a draw finds one."""
+    if g.n <= 12:
+        by = target_sets_by_size(g)
+        pairs = []
+        for k in sorted(by)[:2]:
+            sets = [frozenset(v for v in g.vertices if m >> v & 1) for m in by[k]]
+            pairs += [tuple(rng.sample(sets, 2)) for _ in range(4) if len(sets) > 1]
+    else:
+        sets = _target_sets(g, rng, 6)
+        pairs = []
+        for a, b in zip(sets[::2], sets[1::2]):
+            k = min(g.n, max(len(a), len(b)) + rng.randint(0, 2))
+            a, b = ({*s, *rng.sample(sorted(set(g.vertices) - s), k - len(s))} for s in (a, b))
+            pairs.append((frozenset(a), frozenset(b)))
+    x, y = pairs[0]
+    bad = frozenset(rng.sample(list(g.vertices), len(x)))
+    if not is_target_set(g, bad):
+        pairs.append((bad, y) if rng.random() < 0.5 else (x, bad))
+    return pairs
+
+
+def _solve_lines():
+    """TJ and TAR ``solve`` answers on seeded random trees, ``random_maxdeg2``
+    graphs and tree + max-degree-2 unions: a YES sequence's ``format()``,
+    "NO", or an error's type and message.  Each pair is asked as (x, y),
+    (y, x), (x, y) on one graph object, so the plan's memos answer repeats."""
+    rng = random.Random(31)
+    for i in range(240):
+        n = rng.randint(3, 12) if i % 2 else rng.randint(13, 40)
+        if i % 3 == 0:
+            g, solver = random_tree(rng, n), solve_tree
+        elif i % 3 == 1:
+            g, solver = random_maxdeg2(rng, n), solve_maxdeg2
+        else:
+            g, solver = disjoint_union(random_tree(rng, max(2, n // 2)), random_maxdeg2(rng, max(2, n - n // 2)))[0], solve
+        for x, y in _solve_pairs(g, rng):
+            for a, b in ((x, y), (y, x), (x, y)):
+                for model in (TJ, TAR):
+                    try:
+                        verdict, seq = solver(g, a, b, model=model)
+                    except PreconditionViolated as exc:
+                        yield f"{type(exc).__name__}: {exc}"
+                        continue
+                    yield seq.format() if verdict else "NO"
+
+
+# sha256 of ``_solve_lines``, one line each, pinned from the solvers that
+# memoized component routes, their reversed steps and per-component endpoint
+# tests on the plan
+SOLVE_DIGEST = "d71735d5b50ed7753be25291a94293b39937cca14afffe43d6c55594c7fd18ed"
+
+
+def test_solve_answers_match_pinned_digest():
+    h, answers = hashlib.sha256(), collections.Counter()
+    for line in _solve_lines():
+        h.update(line.encode() + b"\n")
+        answers[line.split(":")[0] if ":" in line else line[:2]] += 1
+    assert answers.keys() == {"q ", "NO", "NotATargetSet"} and answers["NO"] > 100, answers
+    assert h.hexdigest() == SOLVE_DIGEST
