@@ -7,13 +7,15 @@ selection), a path or a cycle; the only obstruction is the "terrible cycle".
 and call it.  Every component is routed to a canonical minimum by one packing
 sweep (``_sweep``): for each region, add its target, then clear the rest of
 the region; the canonical minimum is the set of region targets.  ``solve``
-ends in one checked join (``_joined``): x's route down, then y's reversed.
+looks up each endpoint once (``Plan.endpoint``) and ends in one checked join
+(``_joined``): x's descent, the cycle moves, then y's ascent.
 
 One plan, the component plan (``component_plan``), is built per graph object,
 in its own ``__dict__`` as a ``cached_property`` is, and lives as long as it
 does; a ``dataclasses.replace`` copy starts empty.  Its route memo grows with
-the distinct component restrictions queried; a tree's one entry in it is
-``chen_tree``.
+the distinct component restrictions queried and its endpoint memo with the
+distinct endpoint sets, each entry a pure function of its key; a tree's one
+component entry is ``chen_tree``.
 """
 
 from __future__ import annotations
@@ -125,17 +127,16 @@ class Plan:
     """Every component of a graph with its route: the plan ``component_plan`` caches.
 
     ``deg2`` and ``tau1`` say whether every degree is at most 2 and every
-    threshold is 1.  Its memos are keyed by (component index, restriction of
-    a set to it): the component route, the steps that undo it, and whether
-    the restriction's closure covers the component.
+    threshold is 1.  Two memos: component routes, keyed by (component index,
+    restriction of a set to it), which endpoints that agree on a component
+    share; and one entry per checked endpoint set, a pure function of the set.
     """
 
     components: tuple[Component, ...]
     deg2: bool
     tau1: bool
     _routes: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
-    _backs: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
-    _covers: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+    _ends: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def min_size(self) -> int:
@@ -145,7 +146,7 @@ class Plan:
         """(steps, canonical): the TAR steps from r down to component i's
         canonical minimum, and that minimum; a cycle with m >= 1 takes its
         regions from r.  r must be the restriction of a target set to the
-        component; ``solve`` checks that (``is_target_set``), this does not."""
+        component; ``solve`` checks that (``endpoint``), this does not."""
         hit = self._routes.get((i, r))
         if hit is None:
             comp = self.components[i]
@@ -154,20 +155,21 @@ class Plan:
             hit = self._routes[i, r] = (tuple(steps), final)
         return hit
 
-    def back(self, i: int, r: frozenset[int]) -> tuple[Step, ...]:
-        """The steps that undo ``route(i, r)``."""
-        hit = self._backs.get((i, r))
+    def endpoint(self, g: ThresholdGraph, s: frozenset[int]):
+        """(restrictions, canonicals, descent, ascent) of the checked seed s of g:
+        its restriction to each component, each component's canonical, the
+        TAR steps that take s down to the canonicals (every component's
+        ``route`` in turn) and the steps that undo them.  Raises
+        ``NotATargetSet`` unless s activates all of g, and memoizes nothing then."""
+        hit = self._ends.get(s)
         if hit is None:
-            hit = self._backs[i, r] = reverse_steps(self.route(i, r)[0])
+            if -1 in activation_times(g, s)[1:]:
+                raise NotATargetSet(f"{sorted(s)} is not a target set")
+            rs = tuple(s & c.vertices for c in self.components)
+            routes = [self.route(i, r) for i, r in enumerate(rs)]
+            down = tuple(st for steps, _ in routes for st in steps)
+            hit = self._ends[s] = (rs, tuple(final for _, final in routes), down, reverse_steps(down))
         return hit
-
-    def is_target_set(self, g: ThresholdGraph, s: frozenset[int], rs) -> bool:
-        """``is_target_set(g, s)``: the components are independent, so each restriction must cover its own."""
-        if any((i, r) not in self._covers for i, r in enumerate(rs)):
-            time = activation_times(g, s)
-            for i, r in enumerate(rs):
-                self._covers[i, r] = -1 not in map(time.__getitem__, self.components[i].order)
-        return all(self._covers[i, r] for i, r in enumerate(rs))
 
 
 def _component(g: ThresholdGraph, comp: tuple[int, ...], deg2: bool, scratch) -> Component | None:
@@ -418,26 +420,18 @@ def solve(g: ThresholdGraph, x, y, *, model: str = TJ) -> tuple[bool, ReconfigSe
     plan = component_plan(g)
     if plan is None:
         raise PreconditionViolated("a component is not threshold-1, a tree, a path or a cycle")
-    rx = [xs & c.vertices for c in plan.components]
-    ry = [ys & c.vertices for c in plan.components]
-    for s, rs in ((xs, rx), (ys, ry)):
-        if not plan.is_target_set(g, s, rs):
-            raise NotATargetSet(f"{sorted(s)} is not a target set")
+    rx, fx, down, _ = plan.endpoint(g, xs)
+    ry, fy, _, up = plan.endpoint(g, ys)
     if len(xs) == plan.min_size and any(c.terrible and a != b for c, a, b in zip(plan.components, rx, ry)):
         return False, None
 
-    routes_x = [plan.route(i, r) for i, r in enumerate(rx)]
-    routes_y = [plan.route(i, r) for i, r in enumerate(ry)]
-    steps = [st for route, _ in routes_x for st in route]
-    for comp, (_, fx), (_, fy) in zip(plan.components, routes_x, routes_y):
-        if fx != fy:
+    moves = []
+    for comp, a, b in zip(plan.components, fx, fy):
+        if a != b:
             if comp.regions is not None:
                 raise InvariantViolated(f"{comp.kind} canonicals are unique")
-            steps += cycle_moves(comp, fx, fy)
-
-    for i in reversed(range(len(ry))):
-        steps += plan.back(i, ry[i])
-    return True, _joined(xs, ys, steps, model)
+            moves += cycle_moves(comp, a, b)
+    return True, _joined(xs, ys, down + tuple(moves) + up, model)
 
 
 def solve_tree(g: ThresholdGraph, x, y, *, model: str = TJ) -> tuple[bool, ReconfigSequence]:

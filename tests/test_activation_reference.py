@@ -5,9 +5,10 @@ the round-scan reference, and the local ``still_target`` against the same.
 each inactive vertex counts its active neighbors (an AND of bitmasks) against
 its threshold, and every round is kept as a full active set.  It is
 O(n * rounds) and obviously faithful to the synchronous process; ``activate``,
-``is_target_set``, ``residual`` and the component plan's ``is_target_set``
-must agree with it on every input.  ``still_target(g, active, v)`` must agree
-with whether the reference's last round holds v on every input.
+``is_target_set``, ``residual`` and the component plan's endpoint check
+(``Plan.endpoint``) must agree with it on every input.
+``still_target(g, active, v)`` must agree with whether the reference's last
+round holds v on every input.
 """
 
 import random
@@ -24,6 +25,7 @@ from tsr.activation import (
     residual,
     still_target,
 )
+from tsr.errors import NotATargetSet
 from tsr.generators import (
     cycle_with_spacing,
     path_with_spacing,
@@ -88,8 +90,9 @@ def _seeds(rng, g):
 
 def test_matches_reference():
     """``activate`` round for round, and ``is_target_set``, ``residual`` and,
-    where ``component_plan`` covers g, ``Plan.is_target_set`` on the seed's
-    restrictions against the reference's last round."""
+    where ``component_plan`` covers g, ``Plan.endpoint`` against the
+    reference's last round: it raises ``NotATargetSet``, and memoizes
+    nothing, exactly when that round is not all of V."""
     rng = random.Random(555)
     checked = targets = planned = 0
     for g in _instances():
@@ -114,8 +117,11 @@ def test_matches_reference():
             assert res.vertex_map == (0, *survivors)
             assert res.graph.tau[1:] == tuple(g.tau[v] - len(final.intersection(g.adj[v])) for v in survivors)
             if plan is not None:
-                rs = [seed & c.vertices for c in plan.components]
-                assert plan.is_target_set(g, seed, rs) == (len(final) == g.n)
+                try:
+                    covered = plan.endpoint(g, seed)[0] == tuple(seed & c.vertices for c in plan.components)
+                except NotATargetSet:
+                    covered = False
+                assert covered == (len(final) == g.n) == (seed in plan._ends)
                 planned += 1
             checked += 1
             targets += len(final) == g.n

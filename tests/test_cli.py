@@ -165,10 +165,10 @@ def test_reconfigure_fig1_yes_with_sequence(capsys, tmp_path):
         "--emit-sequence", str(seqfile),
     )
     assert code == 0 and out.strip() == "YES"
-    g = parse_graph(open(FIG1).read())
+    g = parse_graph(pathlib.Path(FIG1).read_text())
     seq = parse_sequence(seqfile.read_text())
     assert validate_sequence(g, seq).ok
-    assert seq.end == parse_seed_set(open(FIXTURES / "fig1_y2.seed").read())
+    assert seq.end == parse_seed_set((FIXTURES / "fig1_y2.seed").read_text())
     # emitted sequences re-validate through the CLI itself
     code, out, _ = run(capsys, "check", FIG1, "--sequence", str(seqfile))
     assert code == 0 and "sequence OK" in out
