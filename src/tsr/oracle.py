@@ -100,8 +100,6 @@ def min_target_set_size(
     g: ThresholdGraph, *, guard: int = DEFAULT_GUARD, cap: int = DEFAULT_CAP
 ) -> int:
     """Smallest k for which a size-k target set exists."""
-    if g.n == 0:
-        return 0
     for k in range(0, g.n + 1):
         if enumerate_target_sets(g, k, guard=guard, cap=cap):
             return k

@@ -6,9 +6,11 @@ selection), a path or a cycle; the only obstruction is the "terrible cycle".
 ``solve_threshold1``, ``solve_tree`` and ``solve_maxdeg2`` check their class
 and call it.  Every component is routed to a canonical minimum by one packing
 sweep (``_sweep``): for each region, add its target, then clear the rest of
-the region; the canonical minimum is the set of region targets.  ``solve``
-looks up each endpoint once (``Plan.endpoint``) and ends in one checked join
-(``_joined``): x's descent, the cycle moves, then y's ascent.
+the region; the canonical minimum is the set of region targets.  A path or
+cycle is cut once into its runs, each from a threshold-2 vertex up to the
+next, and its regions are read from them.  ``solve`` looks up each endpoint
+once (``Plan.endpoint``) and ends in one checked join (``_joined``): x's
+descent, the cycle moves, then y's ascent.
 
 One plan, the component plan (``component_plan``), is built per graph object,
 in its own ``__dict__`` as a ``cached_property`` is, and lives as long as it
@@ -93,8 +95,10 @@ class Component:
     id toward its smaller neighbor; a threshold-1 or tree component ascends.
     ``w`` is the subsequence of threshold-2 vertices of a path or cycle.
     ``regions`` lead to the component's one canonical minimum; a cycle with
-    m >= 1 has none, since its regions depend on the set routed.  A cycle is
-    terrible when it has an even number m >= 4 of threshold-2 vertices.
+    m >= 1 has none, since its regions depend on the set routed, and keeps
+    its ``runs`` instead: run j goes from w_j up to, not including, w_{j+1},
+    the last one wrapping round to w_0.  A cycle is terrible when it has an
+    even number m >= 4 of threshold-2 vertices.
     """
 
     kind: str  # "path" | "cycle" | "threshold1" | "tree"
@@ -102,6 +106,7 @@ class Component:
     regions: tuple | None
     w: tuple[int, ...] = ()
     terrible: bool = False
+    runs: tuple[tuple[int, ...], ...] = ()
 
     @property
     def m(self) -> int:
@@ -150,8 +155,7 @@ class Plan:
         hit = self._routes.get((i, r))
         if hit is None:
             comp = self.components[i]
-            regions = comp.regions or (_odd_cycle_regions if comp.m % 2 else _even_cycle_regions)(comp, r)
-            steps, final = _sweep(r, regions)
+            steps, final = _sweep(r, comp.regions or _cycle_regions(comp, r))
             hit = self._routes[i, r] = (tuple(steps), final)
         return hit
 
@@ -193,12 +197,16 @@ def _component(g: ThresholdGraph, comp: tuple[int, ...], deg2: bool, scratch) ->
                 break
             prev, cur = cur, nxt[0]
         walk = tuple(order)
-        w = tuple(v for v in walk if g.tau[v] == 2)
-        if not w:
+        cuts = [i for i, v in enumerate(walk) if g.tau[v] == 2]
+        if not cuts:
             return Component("path" if ends else "cycle", walk, ((start, walk),))
+        # a run starts at each threshold-2 vertex; a path's first run is the
+        # piece before w_0, a cycle's joins its last run
+        runs = [walk[a:b] for a, b in zip([0, *cuts], [*cuts, len(walk)])]
+        w = tuple(walk[i] for i in cuts)
         if ends:
-            return Component("path", walk, _path_regions(walk, w), w)
-        return Component("cycle", walk, None, w, len(w) >= 4 and len(w) % 2 == 0)
+            return Component("path", walk, _path_regions(w, runs), w)
+        return Component("cycle", walk, None, w, len(w) >= 4 and len(w) % 2 == 0, (*runs[1:-1], runs[-1] + runs[0]))
     if sum(map(len, map(g.adj.__getitem__, comp))) != 2 * len(comp) - 2:
         return None
     return Component("tree", comp, tuple(zip(*_chen(g, comp[0], scratch))))
@@ -245,7 +253,7 @@ def chen_tree(g: ThresholdGraph) -> Component:
     return plan.components[0]
 
 
-def _chen(g: ThresholdGraph, root: int, scratch=None):
+def _chen(g: ThresholdGraph, root: int, scratch):
     """Chen's algorithm on root's component, which must be a tree.
 
     Scans vertices in postorder (children in ascending id); tau'(v) subtracts
@@ -259,10 +267,8 @@ def _chen(g: ThresholdGraph, root: int, scratch=None):
     others.  ``component_plan`` allocates them once per graph and passes
     them to every tree of a forest, so each tree costs its own size: lists
     allocated per component would make a forest of many small trees
-    quadratic.  Without ``scratch`` the call allocates its own.
+    quadratic.
     """
-    if scratch is None:
-        scratch = ([0] * (g.n + 1), [0] * (g.n + 1), [0] * (g.n + 1))
     parent, need, nearest = scratch
     adj, tau = g.adj, g.tau
     parent[root] = 0
@@ -306,64 +312,41 @@ def _chen(g: ThresholdGraph, root: int, scratch=None):
 # -- paths and cycles --------------------------------------------------------
 
 
-def _path_regions(order: tuple[int, ...], w: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Sweep regions of a path with m >= 1 threshold-2 vertices.
+def _path_regions(w: tuple[int, ...], runs) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Sweep regions of a path with m >= 1 threshold-2 vertices w_0..w_{m-1}.
 
-    With w_1..w_m the threshold-2 vertices and P_j the threshold-1 run between
-    w_j and w_{j+1} (P_0 and P_m at the ends), the sweep clears P_0+w_1 toward
-    w_1, each w_{2i}+P_{2i}+w_{2i+1} toward w_{2i+1}, and for even m, w_m+P_m
-    toward w_m.  Every target set meets each region: were none of its vertices
-    seeded, the first to activate would need an active neighbor inside it.
-    Once a region is swept, everything up to its target is active, so every
-    intermediate set is a target set.
+    ``runs`` cuts the walk before each w_t, so runs[t] ends just before w_t
+    and runs[m] starts at w_{m-1}.  The sweep clears runs[t]+w_t toward w_t
+    for t = 0, 2, 4, ..., and for even m the last run toward w_{m-1}.  Every
+    target set meets each region: were none of its vertices seeded, the first
+    to activate would need an active neighbor inside it.  Once a region is
+    swept, everything up to its target is active, so every intermediate set
+    is a target set.
     """
-    m = len(w)
-    wset = set(w)
-    pos = [i for i, v in enumerate(order) if v in wset]
-    regions = [(w[0], order[: pos[0] + 1])]
-    regions += [(w[j + 1], order[pos[j] : pos[j + 1] + 1]) for j in range(1, m - 1, 2)]
-    if m % 2 == 0:
-        regions.append((w[m - 1], order[pos[m - 1] :]))
+    regions = [(w[t], runs[t] + (w[t],)) for t in range(0, len(w), 2)]
+    if len(w) % 2 == 0:
+        regions.append((w[-1], runs[-1]))
     return tuple(regions)
 
 
-def _cycle_arc(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """Cycle vertices from position a through position b, wrapping around."""
-    n = len(order)
-    return tuple(order[(a + i) % n] for i in range((b - a) % n + 1))
+def _cycle_regions(comp: Component, s: frozenset[int]):
+    """Sweep regions toward a minimum of a cycle with m >= 1, read from its runs.
 
-
-def _even_cycle_regions(comp: Component, s: frozenset[int]):
-    """Sweep regions toward a minimum of an even cycle; when s contains one,
-    an empty region for each of its vertices."""
-    w, m = comp.w, comp.m
+    An odd cycle anchors at the first run p that s meets: runs[p] toward w_p,
+    then each pair of runs ending at w_{p+2j} toward it.  An even cycle
+    containing a minimum gets an empty region per vertex of it; otherwise,
+    with a the index of the smallest-id w missing from s, runs[t-1]+w_t
+    toward w_t for t = a+1, a+3, ... (indices mod m).
+    """
+    w, m, runs = comp.w, comp.m, comp.runs
+    if m % 2:
+        p = next(j for j in range(m) if not s.isdisjoint(runs[j]))
+        return [(w[p], runs[p])] + [(w[t % m], runs[t % m - 1] + runs[t % m]) for t in range(p + 2, p + m, 2)]
     for minimum in (w[0::2], w[1::2]):
         if s.issuperset(minimum):
             return [(v, ()) for v in minimum]
-    # anchor the relabeling at the smallest-id threshold-2 vertex missing from s
-    shift = w.index(min(v for v in w if v not in s))
-    lab = w[shift:] + w[:shift]
-    pos = {v: i for i, v in enumerate(comp.order)}
-    return [
-        (lab[2 * i + 1], _cycle_arc(comp.order, pos[lab[2 * i]], pos[lab[2 * i + 1]]))
-        for i in range(m // 2)
-    ]
-
-
-def _odd_cycle_regions(comp: Component, s: frozenset[int]):
-    """Sweep regions toward the all-threshold-2 minimum anchored where s first meets an interval."""
-    order, w, m = comp.order, comp.w, comp.m
-    pos = {v: i for i, v in enumerate(order)}
-    # interval j (0-based): from w_j up to, not including, w_{j+1}; for m=1
-    # the single interval wraps the whole cycle
-    intervals = [_cycle_arc(order, pos[w[j]], pos[w[(j + 1) % m]] - 1) for j in range(m)]
-    p = next(j for j in range(m) if s & set(intervals[j]))
-    regions = [(w[p], intervals[p])]
-    regions += [
-        (w[(p + 2 * j) % m], intervals[(p + 2 * j - 1) % m] + intervals[(p + 2 * j) % m])
-        for j in range(1, (m - 1) // 2 + 1)
-    ]
-    return regions
+    a = w.index(min(v for v in w if v not in s))
+    return [(w[t % m], runs[t % m - 1] + (w[t % m],)) for t in range(a + 1, a + m, 2)]
 
 
 def cycle_moves(comp: Component, current: frozenset[int], target: frozenset[int]) -> list[Step]:

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from tsr import errors
-from tsr.activation import is_target_set
+from tsr.activation import activation_times, is_target_set
 from tsr.generators import (
     cycle_with_spacing,
     path_with_spacing,
@@ -54,6 +54,34 @@ def test_decompose_odd_cycle_not_terrible():
     assert dec.components[0].kind == "cycle"
     assert dec.components[0].m == 5
     assert not dec.components[0].terrible
+
+
+def test_cycle_runs_are_the_intervals():
+    """A cycle's runs are the paper's intervals: cut before each threshold-2
+    vertex w_j, with the piece before w_0 wrapping into the last run, they
+    tile the walk from w_0; for m >= 2 every two consecutive runs meet every
+    target set (V minus them is not one), the must-hit family of weight 1/2
+    each behind min_size = ceil(m/2).  Thresholds are rotated round each
+    seeded cycle, so its walk can start inside a run."""
+    rng = random.Random(32)
+    pairs = wrapped = 0
+    for m in range(1, 12):
+        for _ in range(20):
+            g = random_cycle(rng, m)
+            shift = rng.randrange(g.n)
+            g = ThresholdGraph.build(g.n, g.edges, g.tau[1 + shift :] + g.tau[1 : 1 + shift])
+            (comp,) = component_plan(g).components
+            order, w, runs = comp.order, comp.w, comp.runs
+            i = order.index(w[0])
+            wrapped += i > 0
+            assert sum(runs, ()) == order[i:] + order[:i], g
+            assert [run[0] for run in runs] == list(w), g
+            assert comp.min_size == (m + 1) // 2
+            for j in range(m if m >= 2 else 0):
+                rest = comp.vertices.difference(runs[j - 1], runs[j])
+                assert -1 in activation_times(g, rest)[1:], (g, j)
+                pairs += 1
+    assert pairs == 1300 and wrapped > 100, (pairs, wrapped)
 
 
 def test_decompose_single_edge():

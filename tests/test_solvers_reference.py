@@ -150,8 +150,8 @@ def test_chen_tree_matches_reference():
         if i % 2:
             g = relabeled(g, rng)
         r = rng.randint(1, g.n)
-        assert _chen(g, 1) == reference_chen_tree(g)
-        assert _chen(g, r) == reference_chen_tree(g, r)
+        assert _chen(g, 1, tuple([0] * (g.n + 1) for _ in range(3))) == reference_chen_tree(g)
+        assert _chen(g, r, tuple([0] * (g.n + 1) for _ in range(3))) == reference_chen_tree(g, r)
 
 
 def test_chen_on_forests_matches_reference_per_tree():
