@@ -33,65 +33,47 @@ def still_target(g: ThresholdGraph, active: set[int], v: int) -> bool:
     """True iff activating the vertex set ``active`` eventually activates ``v``.
 
     The removal test: if ``active`` plus v contains a target set, ``active``
-    is one exactly when this holds.  Decided in the radius-r ball B around v:
-    the activation runs in B with the vertices outside B inactive unless in
-    ``active`` (if v activates, yes), then goes on with them all active (if v
-    still does not, no); otherwise r doubles.  The first run is exact once
-    no edge leaves B, and runs on the whole graph once B holds more than
-    half the vertices.  First, v's own neighbours in ``active`` may suffice.
-    Only the membership in ``active`` of B and its neighbours is read, so
-    the work does not depend on n until B does.
+    is one exactly when this holds.  Decided by one breadth-first scan of R,
+    the component of v among the vertices outside ``active``: every edge
+    leaving R ends in ``active``, so the activation inside R is exact.  A
+    scanned vertex's ``need`` is its threshold less its neighbours in
+    ``active`` and those already scanned and active; once it reaches 0 the
+    vertex activates, and that spreads at once, but only to scanned vertices,
+    so the scan never floods ahead of itself.  True as soon as v activates,
+    else False after O(|R| + its edges).  First, v's own neighbours in
+    ``active`` may suffice.  Only the membership in ``active`` of R and its
+    neighbours is read, so the work does not depend on n until R does.
     """
     if v in active:
         return True
     adj, tau = g.adj, g.tau
     if len(active.intersection(adj[v])) >= tau[v]:
         return True
-    ball, layer, depth, radius = {v}, [v], 0, 2
-    while True:
-        while layer and depth < radius and 2 * len(ball) <= g.n:
-            layer = [w for u in layer for w in adj[u] if w not in ball and not ball.add(w)]
-            depth += 1
-        if 2 * len(ball) > g.n:
-            ball, layer = g.vertices, []
-        need = {}
-        for u in ball:
-            if u not in active:
-                c = tau[u]
-                for w in adj[u]:
-                    if w in active:
-                        c -= 1
-                need[u] = c
-        if _reaches(adj, need, [u for u, c in need.items() if c <= 0], v):
-            return True
-        if not layer:
-            return False
-        frontier = []
-        for u in layer:
-            if need.get(u, 0) > 0:
-                for w in adj[u]:
-                    if w not in ball and w not in active:
-                        need[u] -= 1
-                if need[u] <= 0:
-                    frontier.append(u)
-        if not _reaches(adj, need, frontier, v):
-            return False
-        radius *= 2
-
-
-def _reaches(adj, need: dict[int, int], frontier: list[int], v: int) -> bool:
-    """Activation from the newly active ``frontier``; ``need[u]`` counts the active
-    neighbors u still lacks, and vertices not keyed never change.  True once v is."""
-    while frontier:
-        w = frontier.pop()
-        if w == v:
-            return True
-        for u in adj[w]:
-            c = need.get(u, 0)
-            if c > 0:
-                need[u] = c - 1
-                if c == 1:
-                    frontier.append(u)
+    need: dict[int, int] = {}
+    seen, queue = {v}, [v]
+    for u in queue:
+        c = tau[u]
+        for w in adj[u]:
+            if w in need:
+                c -= need[w] <= 0
+            elif w in active:
+                c -= 1
+            elif w not in seen:
+                seen.add(w)
+                queue.append(w)
+        need[u] = c
+        if c <= 0:
+            stack = [u]
+            while stack:
+                w = stack.pop()
+                if w == v:
+                    return True
+                for x in adj[w]:
+                    c = need.get(x, 0)
+                    if c > 0:
+                        need[x] = c - 1
+                        if c == 1:
+                            stack.append(x)
     return False
 
 

@@ -190,11 +190,12 @@ def target_sets_by_size(
     return by_size
 
 
-# A removal test costs at least 64 table rows: on the oracle-search
-# benchmark's pair queries (seeds 555 and 90210, n = 12-13, k = 3-6; 2-core
-# VM, Python 3.11) ``still_target`` took a median 3.4-13.3 us a call and
-# ``_table`` 0.011-0.12 us a row, ratios of 69 to 495.  So the table costs at
-# most about what the search's worst case would spend on tests.
+# A removal test costs about 64 table rows: on the oracle-search benchmark's
+# graphs whose pair queries run it (seeds 555 and 90210, n = 12-13, k = 3-6;
+# 2-core VM, Python 3.11) ``still_target`` took a mean 0.3-5.6 us a call and
+# ``_table`` 0.010-0.10 us a row, ratios of 16 to 117 with medians of 51 and
+# 61.  So the table costs at most about what the search's worst case would
+# spend on tests.  At 32, every query of that benchmark takes the same path.
 _ROWS_PER_TEST = 64
 
 

@@ -147,8 +147,9 @@ def validate_sequence(
     Only the start set and the sets after removals and jumps are tested: a
     superset of a target set is one, so adds and noops cannot fail.  After a
     removal or jump of v from a target set, the new set is one iff its
-    closure reaches v, which ``activation.still_target`` decides near v
-    from membership in ``cur``, the one current set, whatever n is.
+    closure reaches v, which ``activation.still_target`` decides by
+    scanning v's component outside ``cur``, the one current set, until v
+    activates, reading only membership in ``cur``, whatever n is.
     ``is_ts`` is called on the same sets; it must be monotone and agree with
     activation on g.
     """

@@ -159,12 +159,14 @@ class Plan:
             hit = self._routes[i, r] = (tuple(steps), final)
         return hit
 
-    def endpoint(self, g: ThresholdGraph, s: frozenset[int]):
-        """(restrictions, canonicals, descent, ascent) of the checked seed s of g:
+    def endpoint(self, g: ThresholdGraph, s: frozenset[int], ascent: bool = False):
+        """[restrictions, canonicals, descent, ascent] of the checked seed s of g:
         its restriction to each component, each component's canonical, the
         TAR steps that take s down to the canonicals (every component's
-        ``route`` in turn) and the steps that undo them.  Raises
-        ``NotATargetSet`` unless s activates all of g, and memoizes nothing then."""
+        ``route`` in turn) and the steps that undo them, None until first
+        asked for with ``ascent``, since a set asked only as x never needs
+        them.  Raises ``NotATargetSet`` unless s activates all of g, and
+        memoizes nothing then."""
         hit = self._ends.get(s)
         if hit is None:
             if -1 in activation_times(g, s)[1:]:
@@ -172,7 +174,9 @@ class Plan:
             rs = tuple(s & c.vertices for c in self.components)
             routes = [self.route(i, r) for i, r in enumerate(rs)]
             down = tuple(st for steps, _ in routes for st in steps)
-            hit = self._ends[s] = (rs, tuple(final for _, final in routes), down, reverse_steps(down))
+            hit = self._ends[s] = [rs, tuple(final for _, final in routes), down, None]
+        if ascent and hit[3] is None:
+            hit[3] = reverse_steps(hit[2])
         return hit
 
 
@@ -404,7 +408,7 @@ def solve(g: ThresholdGraph, x, y, *, model: str = TJ) -> tuple[bool, ReconfigSe
     if plan is None:
         raise PreconditionViolated("a component is not threshold-1, a tree, a path or a cycle")
     rx, fx, down, _ = plan.endpoint(g, xs)
-    ry, fy, _, up = plan.endpoint(g, ys)
+    ry, fy, _, up = plan.endpoint(g, ys, ascent=True)
     if len(xs) == plan.min_size and any(c.terrible and a != b for c, a, b in zip(plan.components, rx, ry)):
         return False, None
 

@@ -30,7 +30,9 @@ from tsr.generators import (
     cycle_with_spacing,
     path_with_spacing,
     random_connected,
+    random_cycle,
     random_maxdeg2,
+    random_path,
     random_tree,
 )
 from tsr.graph import ThresholdGraph, disjoint_union
@@ -195,20 +197,31 @@ def _still_target_graphs(rng):
         yield random_maxdeg2(rng, n)
         yield disjoint_union(random_tree(rng, rng.randint(2, 30)), random_maxdeg2(rng, rng.randint(2, 30)))[0]
         yield path_with_spacing(0, [n])
+    for n in (500, 2_000):  # long range: few active vertices, far from v
+        yield path_with_spacing(0, [n])
+        yield cycle_with_spacing(0, [n])
+        yield random_path(rng, n // 3)
+        yield random_cycle(rng, n // 3)
 
 
 def test_still_target_matches_closure():
     """Random sets, target sets minus one vertex and such sets plus another
-    vertex; both the neighbour fast path (v's neighbours in the set reach
-    tau(v)) and the ball search run on at least 100 queries each."""
+    vertex, and on paths and cycles of 500 to 2,000 vertices sparse sets;
+    both the neighbour fast path (v's neighbours in the set reach tau(v)) and
+    the scan of v's component outside the set run on at least 100 queries
+    each."""
     rng = random.Random(31337)
     checked = yes = 0
-    branches = {"neighbours": 0, "ball": 0}
+    branches = {"neighbours": 0, "scan": 0}
     for g in _still_target_graphs(rng):
-        queries = []
-        for _ in range(8):
-            p = rng.random()
-            queries.append((sum(1 << u for u in g.vertices if rng.random() < p), rng.randint(1, g.n)))
+        if g.n > 60:  # one sparse set, asked about vertices mostly far from it
+            sparse = sum(1 << u for u in rng.sample(range(1, g.n + 1), rng.randint(2, 6)))
+            queries = [(sparse, rng.randint(1, g.n)) for _ in range(8)]
+        else:
+            queries = []
+            for _ in range(8):
+                p = rng.random()
+                queries.append((sum(1 << u for u in g.vertices if rng.random() < p), rng.randint(1, g.n)))
         for _ in range(8):
             ts = _target_set(rng, g)
             v = rng.choice(ts)
@@ -217,14 +230,17 @@ def test_still_target_matches_closure():
             u = rng.randint(1, g.n)
             if u not in ts:
                 queries.append((mask | 1 << u, v))
+        finals = {}
         for mask, v in queries:
             active = {u for u in g.vertices if mask >> u & 1}
-            want = v in reference_activate(g, active)[0][-1]
+            if mask not in finals:
+                finals[mask] = reference_activate(g, active)[0][-1]
+            want = v in finals[mask]
             assert still_target(g, active, v) == want, (g, mask, v)
             checked += 1
             yes += want
             if v not in active:
-                branches["neighbours" if len(active.intersection(g.adj[v])) >= g.tau[v] else "ball"] += 1
+                branches["neighbours" if len(active.intersection(g.adj[v])) >= g.tau[v] else "scan"] += 1
     assert checked > 4000 and min(branches.values()) >= 100, (checked, branches)
     assert 0.2 < yes / checked < 0.8
 
@@ -245,8 +261,8 @@ class _CountingSet(set):
 
 
 def test_still_target_work_does_not_depend_on_n():
-    """One local configuration around v, decided by the neighbour fast path,
-    the radius-2 ball or the radius-4 ball after the upper run, costs the same
+    """One local configuration around v, decided by the neighbour fast path
+    or by a scan that v's activation stops at distance 2 or 4, costs the same
     membership tests on threshold-1 paths and binary trees of n = 1,000 and
     n = 100,000, although the active vertices far from v grow with n."""
 
@@ -272,3 +288,19 @@ def test_still_target_work_does_not_depend_on_n():
             assert still_target(g, active, v)
             asked.append(active.asked)
         assert asked[0] == asked[1], (build.__name__, v, near, asked)
+
+
+def test_still_target_long_range_costs_the_degree_sum():
+    """An answer decided far from v reads ``active`` at most once per edge end
+    plus once for v: threshold-1 P2000 and P8000 with only the far end active
+    (yes) or nothing (no, after scanning the whole path), and C2000 with
+    vertex 1,000 active."""
+    cases = []
+    for n in (2_000, 8_000):
+        g = path_with_spacing(0, [n])
+        cases += [(g, {n}, True), (g, set(), False)]
+    cases.append((cycle_with_spacing(0, [2_000]), {1_000}, True))
+    for g, far, want in cases:
+        active = _CountingSet(far)
+        assert still_target(g, active, 1) == want
+        assert active.asked <= 2 * g.m + 1, (g.n, sorted(far), active.asked)
