@@ -8,6 +8,7 @@ particular forbids isolated vertices.
 from __future__ import annotations
 
 import dataclasses
+import re
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -248,7 +249,44 @@ def ints(lineno: int, fields: list[str]) -> list[int]:
         raise MalformedLine(f"line {lineno}: {exc}") from exc
 
 
+# the form ``serialize_graph`` writes: the header, the vertex lines, the edge lines
+_CANONICAL = re.compile(r"p tsr [0-9]+ [0-9]+\n(?:v [0-9]+ [0-9]+\n)*(?:e [0-9]+ [0-9]+\n)*")
+
+
+def _bulk(text: str) -> tuple[int, list[Edge], list[int]] | None:
+    """``ThresholdGraph.build``'s arguments from a ``_CANONICAL`` text with
+    n >= 1, n vertex lines, ids 1..n in order and m edge lines; else None."""
+    if not _CANONICAL.fullmatch(text):
+        return None
+    tok = text.split()
+    try:
+        n, m = int(tok[2]), int(tok[3])
+        # the counts before anything of size n: a header alone may claim any n
+        if n < 1 or len(tok) != 4 + 3 * (n + m) or tok.count("v") != n:
+            return None
+        cut = 4 + 3 * n
+        if [*map(int, tok[5:cut:3])] != [*range(1, n + 1)]:
+            return None
+        return n, [*zip(map(int, tok[cut + 1 :: 3]), map(int, tok[cut + 2 :: 3]))], [*map(int, tok[6:cut:3])]
+    except ValueError:  # a number past int()'s digit limit: the line loop names its line
+        return None
+
+
 def parse_graph(text: str) -> ThresholdGraph:
+    """Read a ``.tsr`` graph: a ``p tsr <n> <m>`` header, then ``v <id> <tau>``
+    for each of the n vertices and ``e <u> <v>`` for each of the m edges.
+
+    Lines may come in any order after the header, with ``#`` comments and
+    blank lines.  A text in the form ``serialize_graph`` writes (single
+    spaces, newline endings, ids 1..n in order, vertex lines before edge
+    lines) is read in one bulk scan.  Any other text goes through the line
+    loop, the one source of line-numbered errors, which reads the same graph.
+    Both hand the same edges in the same order, and the same thresholds, to
+    ``ThresholdGraph.build``, so a graph fault raises the same error either way.
+    """
+    args = _bulk(text)
+    if args is not None:
+        return ThresholdGraph.build(*args)
     header: tuple[int, int] | None = None
     tau: dict[int, int] = {}
     edges: list[Edge] = []
@@ -286,6 +324,8 @@ def parse_graph(text: str) -> ThresholdGraph:
     n, m = header
     if n < 1:
         raise MalformedLine(f"vertex count must be positive, got {n}")
+    if m < 0:
+        raise MalformedLine(f"edge count must not be negative, got {m}")
     if len(tau) != n:
         raise MalformedLine(f"expected {n} vertex lines, got {len(tau)}")
     if sorted(tau) != list(range(1, n + 1)):

@@ -189,17 +189,18 @@ def _component(g: ThresholdGraph, comp: tuple[int, ...], deg2: bool, scratch) ->
     """
     if not deg2 and all(g.tau[v] == 1 for v in comp):
         return Component("threshold1", comp, ((comp[0], comp),))
-    if all(len(g.adj[v]) <= 2 for v in comp):
+    if deg2 or all(len(g.adj[v]) <= 2 for v in comp):
         ends = [v for v in comp if len(g.adj[v]) == 1]
         start = (ends or comp)[0]
         order = [start]
-        prev, cur = start, min(g.adj[start])
+        prev, cur = start, g.adj[start][0]
         while cur != start:
             order.append(cur)
-            nxt = [u for u in g.adj[cur] if u != prev]
-            if not nxt:
+            nb = g.adj[cur]
+            if len(nb) == 1:
                 break
-            prev, cur = cur, nxt[0]
+            # a simple graph: cur's two neighbours are prev and the next vertex
+            prev, cur = cur, nb[nb[0] == prev]
         walk = tuple(order)
         cuts = [i for i, v in enumerate(walk) if g.tau[v] == 2]
         if not cuts:

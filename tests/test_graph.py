@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 from tsr import errors
 from tsr.activation import is_target_set
 from tsr.gadgets import attach
+from tsr.generators import random_cycle, random_hitting_system, random_maxdeg2, random_path, random_tree
 from tsr.graph import (
+    _bulk,
     PlainGraph,
     ThresholdGraph,
     classify,
@@ -17,6 +22,7 @@ from tsr.graph import (
     serialize_seed_set,
     vc_to_tss,
 )
+from tsr.reductions import reduce_33_to_b312, reduce_33_to_pb342, reduce_hitting_to_split, reduce_vc23_to_cubic
 from tsr.solvers import solve
 
 P2 = "p tsr 2 1\nv 1 1\nv 2 1\ne 1 2\n"
@@ -77,7 +83,10 @@ BAD_INT = "invalid literal for int() with base 10: "
         ("p tsr 2 1\nv 1 one\nv 2 1\ne 1 2\n", errors.MalformedLine, f"line 2: {BAD_INT}'one'"),
         (HEAD2 + "e 1 x\n", errors.MalformedLine, f"line 4: {BAD_INT}'x'"),
         ("p tsr 0 0\n", errors.MalformedLine, "vertex count must be positive, got 0"),
+        ("p tsr 2 -1\n", errors.MalformedLine, "edge count must not be negative, got -1"),
         ("p tsr 2 1\nv 1 1\n", errors.MalformedLine, "expected 2 vertex lines, got 1"),
+        # 4 + 3(n + m) fields and ids 1..3 where vertex ids would be, but two vertex lines
+        ("p tsr 3 1\nv 1 1\nv 2 1\ne 3 1\ne 1 2\n", errors.MalformedLine, "expected 3 vertex lines, got 2"),
         ("p tsr 2 1\nv 1 1\nv 3 1\ne 1 2\n", errors.IdGap, "vertex ids are not dense 1..2: [1, 3]"),
         (HEAD2, errors.MalformedLine, "expected 1 edge lines, got 0"),
         (HEAD2 + "e 1 1\n", errors.SelfLoop, "self-loop at vertex 1"),
@@ -91,10 +100,82 @@ BAD_INT = "invalid literal for int() with base 10: "
     ],
 )
 def test_parse_error_messages(text, exc, message):
-    """The exact message of every parse and build fault."""
-    with pytest.raises(exc) as info:
-        parse_graph(text)
-    assert str(info.value) == message
+    """The exact message of every parse and build fault, on both reads: a
+    trailing blank line sends a text in serialized form to the line loop
+    without moving its line numbers."""
+    for t in (text, text + "\n"):
+        with pytest.raises(exc) as info:
+            parse_graph(t)
+        assert str(info.value) == message
+
+
+def _read(text):
+    """The graph parse_graph reads from text, or its error's type and message."""
+    try:
+        return parse_graph(text)
+    except errors.TsrError as exc:
+        return type(exc), str(exc)
+
+
+def _mutants(text, rng):
+    """Texts one edit away from text: two lines swapped, a line dropped or
+    repeated, or one number changed."""
+    lines = text.splitlines(keepends=True)
+    for _ in range(6):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        swapped = lines[:]
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield "".join(swapped)
+        yield "".join(lines[:i] + lines[i + 1 :])
+        yield "".join(lines[: i + 1] + lines[i:])
+        fields = lines[i].split()
+        k = rng.randrange(2 if fields[0] == "p" else 1, len(fields))
+        x = int(fields[k])
+        # "9" * 5000 is past int()'s default digit limit
+        fields[k] = rng.choice(["0", "1", str(x + 1), str(x - 1), str(len(lines)), "9" * 5000])
+        yield "".join(lines[:i] + [" ".join(fields) + "\n"] + lines[i + 1 :])
+
+
+def _graphs():
+    rng = random.Random(34)
+    k4 = ThresholdGraph.build(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], [3, 3, 3, 3])
+    c4 = PlainGraph.build(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    for _ in range(3):
+        yield random_tree(rng, rng.randint(2, 20))
+        yield random_maxdeg2(rng, rng.randint(2, 20))
+        yield random_cycle(rng, rng.randint(3, 8))
+        yield random_path(rng, rng.randint(1, 8))
+    yield attach(parse_graph(P2), "subdivision", 1, 2)[0]
+    yield attach(k4, "theta", 1)[0]
+    yield attach(k4, "upsilon", 1)[0]
+    yield reduce_vc23_to_cubic(c4).graph
+    yield reduce_33_to_pb342(k4).graph
+    yield reduce_33_to_b312(k4).graph
+    yield reduce_hitting_to_split(random_hitting_system(rng, 5, 3, 2)).graph
+
+
+@pytest.mark.parametrize("g", list(_graphs()))
+def test_both_reads_agree(g):
+    """A serialized graph takes the bulk read and parses back equal; it and
+    every one-edit mutant of it read the same with a trailing blank line,
+    which sends the text through the line loop."""
+    text = serialize_graph(g)
+    assert _bulk(text) is not None
+    assert parse_graph(text) == g == parse_graph(text + "\n")
+    rng = random.Random(text)
+    for t in _mutants(text, rng):
+        assert _read(t) == _read(t + "\n"), t
+
+
+def test_huge_vertex_count_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.MalformedLine, match="^expected 1000000000000 vertex lines, got 0$"):
+            parse_graph("p tsr 1000000000000 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
