@@ -151,12 +151,15 @@ def test_cyclic_orientation_rejected():
     assert not certify_orientation(g, {1, 2, 3}, cyc)
 
 
-def test_not_an_orientation():
+def test_not_an_orientation(fig2):
     g = ThresholdGraph.build(3, [(1, 2), (2, 3)], [1, 2, 1])
     with pytest.raises(errors.NotAnOrientation):
         certify_orientation(g, {2}, Orientation(arcs=((1, 2),)))
     with pytest.raises(errors.NotAnOrientation):
         certify_orientation(g, {2}, Orientation(arcs=((1, 2), (2, 1), (2, 3))))
+    with pytest.raises(errors.NotAnOrientation) as info:
+        certify_orientation(fig2, fig2.vertices, Orientation(arcs=((1, 3),)))
+    assert str(info.value) == "arc (1,3) is not an edge of the graph"
 
 
 def test_orientation_from_trace_needs_target_set(fig1):
@@ -207,6 +210,16 @@ def test_shrink_threshold1_fig2(fig2):
 def test_shrink_threshold2_rejected(fig2):
     with pytest.raises(errors.PreconditionViolated):
         shrink_threshold1_seed(fig2, {1, 3, 5, 6}, 1, 2)
+    # each precondition, in the order they are checked
+    for seed, v, w, message in [
+        ({1, 3, 5}, 6, 5, "vertex 6 is not in the seed set"),
+        ({1, 3, 5, 6}, 1, 2, "vertex 1 has threshold 2 != 1"),
+        ({1, 3, 5}, 5, 1, "vertex 1 is not a neighbor of 5"),
+        ({1, 5}, 5, 6, "[1, 5] is not a target set"),
+    ]:
+        with pytest.raises(errors.PreconditionViolated) as info:
+            shrink_threshold1_seed(fig2, seed, v, w)
+        assert str(info.value) == message
 
 
 def test_orientation_file_roundtrip(fig2):
@@ -216,3 +229,6 @@ def test_orientation_file_roundtrip(fig2):
     back = parse_orientation(d.format())
     assert back == d
     assert certify_orientation(fig2, {1, 3, 5}, back)
+    with pytest.raises(errors.MalformedLine) as info:
+        parse_orientation("a 1\n")
+    assert str(info.value) == "line 1: expected 'a <u> <v>'"

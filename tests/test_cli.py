@@ -10,7 +10,14 @@ import pytest
 
 from tsr.cli import main
 from tsr.errors import InvalidInput
-from tsr.generators import cycle_with_spacing, path_with_spacing, random_cycle, random_path
+from tsr.generators import (
+    cycle_with_spacing,
+    path_with_spacing,
+    random_connected,
+    random_cycle,
+    random_path,
+    random_tree,
+)
 from tsr.graph import parse_graph, parse_seed_set, serialize_graph
 from tsr.reconfig import parse_sequence, validate_sequence
 
@@ -249,6 +256,10 @@ def test_oracle_components(capsys):
     assert code == 0
     assert "target sets" in out.splitlines()[0]
     assert any(line.startswith("component") for line in out.splitlines())
+    code, out, _ = run(capsys, "oracle", FIG1, "--size", "3", "--json")
+    assert code == 0
+    assert out == ('{"components": [[[1, 6, 9], [1, 6, 10]], [[3, 7, 9], [3, 7, 10]]], '
+                   '"k": 3, "num_target_sets": 4}\n')
 
 
 @pytest.mark.parametrize("option", ["--guard", "--cap"])
@@ -353,6 +364,19 @@ def test_gen_deterministic(capsys):
     assert parse_graph(out1).n == 9
 
 
+def test_gen_emission(capsys):
+    """``tsr gen`` of each kind at seeds 1-5, byte for byte: benchmark set-up
+    and the seeded tests draw their instances from these generators."""
+    digest = hashlib.sha256()
+    for argv in (["tree", "--n", "9"], ["path", "--m", "3"], ["cycle", "--m", "4"],
+                 ["random-deg2", "--n", "8"], ["hs", "--n", "4", "--m", "3", "--k", "2"]):
+        for seed in range(1, 6):
+            code, out, _ = run(capsys, "gen", *argv, "--seed", str(seed))
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == "1c565ea8c65e29e15a06d4b1c462a602df35b8119943429f2aaf39a6ea258f53"
+
+
 def test_gen_kinds(capsys):
     for argv, check in [
         (["gen", "path", "--m", "3", "--seed", "1"], lambda o: parse_graph(o)),
@@ -400,6 +424,15 @@ def test_random_cycle_rejects_unreachable_size():
     proc = python("-c", "import random; from tsr.generators import random_cycle; "
                   "random_cycle(random.Random(0), 1, max_gap=1)")
     assert "InvalidInput: m=1 with gaps of at most 1" in proc.stderr
+
+
+def test_random_tree_and_connected_reject_one_vertex():
+    with pytest.raises(InvalidInput) as info:
+        random_tree(random.Random(0), 1)
+    assert str(info.value) == "a tree needs at least 2 vertices"
+    with pytest.raises(InvalidInput) as info:
+        random_connected(random.Random(0), 1)
+    assert str(info.value) == "need at least 2 vertices"
 
 
 @pytest.mark.parametrize("m", [0, 1])

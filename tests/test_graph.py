@@ -82,6 +82,7 @@ BAD_INT = "invalid literal for int() with base 10: "
         ("p tsr two 1\n", errors.MalformedLine, f"line 1: {BAD_INT}'two'"),
         ("p tsr 2 1\nv 1 one\nv 2 1\ne 1 2\n", errors.MalformedLine, f"line 2: {BAD_INT}'one'"),
         (HEAD2 + "e 1 x\n", errors.MalformedLine, f"line 4: {BAD_INT}'x'"),
+        ("# c\n", errors.MalformedLine, "missing 'p tsr <n> <m>' header"),
         ("p tsr 0 0\n", errors.MalformedLine, "vertex count must be positive, got 0"),
         ("p tsr 2 -1\n", errors.MalformedLine, "edge count must not be negative, got -1"),
         ("p tsr 2 1\nv 1 1\n", errors.MalformedLine, "expected 2 vertex lines, got 1"),
@@ -322,6 +323,20 @@ def test_fvs_degree_too_small():
         fvs_to_tss(PlainGraph.build(2, [(1, 2)]))
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: vc_to_tss(PlainGraph.build(3, [(1, 2)])), "vertex 3 has degree 0 < 1"),
+        (lambda: fvs_to_tss(PlainGraph.build(2, [(1, 2)])), "vertex 1 has degree 1 < 2"),
+    ],
+    ids=["vc", "fvs"],
+)
+def test_degree_too_small_names_the_vertex(build, message):
+    with pytest.raises(errors.DegreeTooSmall) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_seed_set_roundtrip(fig1):
     s = parse_seed_set("s 3 1 6\n", fig1)
     assert s == {1, 3, 6}
@@ -365,6 +380,10 @@ def test_seed_check_names_the_unknown_id(fig5_tree, bad):
         ("s 1 1\n", "line 1: repeated id 1"),
         ("# seed\ns 3 1 6 1\n", "line 2: repeated id 1"),
         ("s 2 x 2\n", "line 1: invalid literal for int() with base 10: 'x'"),
+        # the other faults of a seed file: two 's' lines, another record, none
+        ("s 1\ns 2\n", "line 2: expected a single 's <ids...>' line"),
+        ("f 1\n", "line 1: expected a single 's <ids...>' line"),
+        ("# seed\n", "missing 's' line"),
     ],
 )
 def test_seed_set_rejects_repeated_ids(fig1, text, message):

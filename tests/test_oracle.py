@@ -196,6 +196,9 @@ def test_pair_preconditions(fig1):
         tj_decide(fig1, {1}, {2})
     with pytest.raises(errors.SizeMismatch):
         tj_decide(fig1, {1, 6, 9}, {1, 6, 9, 10})
+    with pytest.raises(errors.SizeMismatch) as info:
+        enumerate_target_sets(fig1, fig1.n + 1)
+    assert str(info.value) == "k=11 not in 0..10"
 
 
 def test_batch_matches_single(fig2):

@@ -14,6 +14,7 @@ from tsr.reconfig import (
     TJN,
     ReconfigSequence,
     Step,
+    ValidityReport,
     apply_step,
     parse_sequence,
     reverse_steps,
@@ -44,6 +45,9 @@ def test_paper_sequence_validates(fig1):
 def test_empty_sequence_ok(fig1):
     seq = ReconfigSequence(frozenset({1, 6, 9}), (), TJ)
     assert validate_sequence(fig1, seq).ok
+    # a report is truthy exactly when it is ok
+    assert validate_sequence(fig1, seq)
+    assert bool(ValidityReport(True)) and not ValidityReport(False, -1, "no")
 
 
 def test_jump_of_absent_vertex_flagged(fig1):
@@ -91,6 +95,9 @@ def test_tj_to_tar_doubles(fig1):
 def test_tj_to_tar_empty():
     seq = ReconfigSequence(frozenset({1}), (), TJ)
     assert len(tj_to_tar(seq)) == 0
+    with pytest.raises(errors.InvalidInput) as info:
+        tj_to_tar(ReconfigSequence(frozenset({1}), (), TAR, k=1))
+    assert str(info.value) == "expected a TJ sequence, got model tar"
 
 
 def test_tar_to_tj_cancellation():
@@ -114,6 +121,9 @@ def test_tar_to_tj_endpoint_mismatch():
     seq = ReconfigSequence(frozenset({1, 2}), (Step.remove(2),), TAR, k=2)
     with pytest.raises(errors.EndpointSizeMismatch):
         tar_to_tj(seq)
+    with pytest.raises(errors.InvalidInput) as info:
+        tar_to_tj(ReconfigSequence(frozenset({1, 2}), (), TJ))
+    assert str(info.value) == "expected a TAR sequence, got model tj"
 
 
 def test_strip_noops():
@@ -124,6 +134,9 @@ def test_strip_noops():
     assert strip_noops(mixed).steps == (Step.jump(1, 2),)
     already = ReconfigSequence(s, (Step.jump(1, 2),), TJ)
     assert strip_noops(already).steps == already.steps
+    with pytest.raises(errors.InvalidInput) as info:
+        strip_noops(ReconfigSequence(s, (), TAR, k=1))
+    assert str(info.value) == "expected a TJN sequence, got model tar"
 
 
 def test_jump_needs_distinct_endpoints():

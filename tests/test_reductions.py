@@ -269,6 +269,9 @@ def test_hs_tj_decide_small():
     assert hs_tj_decide(hs, {1, 3}, {2, 4})
     with pytest.raises(errors.NotATargetSet):
         hs_tj_decide(hs, {1, 2}, {3, 4})
+    with pytest.raises(errors.SizeMismatch) as info:
+        hs_tj_decide(hs, {1, 3}, {1, 2, 3})
+    assert str(info.value) == "|x|=2 != |y|=3"
 
 
 def test_hitting_sets_lie_in_the_universe():

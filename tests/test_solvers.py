@@ -93,6 +93,10 @@ def test_decompose_single_edge():
 def test_decompose_rejects_degree3(k4):
     with pytest.raises(errors.DegreeTooLarge):
         decompose_deg2(k4)
+    # K4 is none of the classes solve covers
+    with pytest.raises(errors.PreconditionViolated) as info:
+        solve(k4, {1, 2, 3}, {1, 2, 4})
+    assert str(info.value) == "a component is not threshold-1, a tree, a path or a cycle"
 
 
 def _route_to_canonical(g, s):
