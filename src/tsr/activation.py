@@ -21,8 +21,6 @@ from .errors import (
 )
 from .graph import Edge, ThresholdGraph, ints, records
 
-SeedSet = frozenset[int]
-
 # layers up to this size are inserted into a round's sorted ids one by one, a
 # larger one merged in: inserting 64 ids into 100 costs what a merge does, and
 # into 10,000 a third of it
@@ -299,17 +297,10 @@ def orientation_from_trace(g: ThresholdGraph, seed: Iterable[int]) -> Orientatio
     is acyclic.
     """
     s = g.check_seed(seed)
-    trace = activate(g, s)
-    if trace.final != frozenset(g.vertices):
+    t = activation_times(g, s)
+    if -1 in t[1:]:
         raise NotATargetSet(f"{sorted(s)} is not a target set")
-    t = trace.activation_time
-    arcs = []
-    for u, v in g.edges:
-        if (t[u], u) < (t[v], v):
-            arcs.append((u, v))
-        else:
-            arcs.append((v, u))
-    return Orientation(arcs=tuple(arcs))
+    return Orientation(arcs=tuple((u, v) if (t[u], u) < (t[v], v) else (v, u) for u, v in g.edges))
 
 
 def shrink_threshold1_seed(

@@ -107,7 +107,7 @@ def _tractable(g: ThresholdGraph):
 def _cmd_solve_min(args) -> int:
     g = _load_graph(args.graph)
     if args.oracle:
-        print(min_target_set_size(g, guard=args.guard, cap=_cap(args)))
+        print(min_target_set_size(g, guard=args.guard, cap=args.cap))
         return OK
     tractable = _tractable(g)
     if tractable is None:
@@ -148,7 +148,7 @@ def _cmd_reconfigure(args) -> int:
 
 
 def _misuse(args) -> str | None:
-    """Why the options of ``tsr reconfigure`` or ``tsr oracle`` do not make one query, or None."""
+    """Why the options of ``tsr solve-min``, ``reconfigure`` or ``oracle`` do not make one query, or None."""
     if args.command == "oracle":
         pair = (args.src, args.dst, args.model, args.k, args.emit_sequence)
         if args.size is not None and any(o is not None for o in pair):
@@ -160,6 +160,9 @@ def _misuse(args) -> str | None:
     # a pair search stores states, which --guard bounds; --cap bounds enumeration
     if args.cap is not None and args.src is not None:
         return "--cap applies only to enumeration (--size, solve-min --oracle); --guard bounds a pair search"
+    # the solvers neither search nor enumerate
+    if not args.oracle and (args.guard is not None or args.cap is not None):
+        return "--guard and --cap apply only with --oracle"
     # the solvers answer the |x|-TAR question; another budget needs the TAR search
     if args.k is not None and not args.oracle:
         return "--k applies only with --oracle"
@@ -189,7 +192,7 @@ def _cmd_oracle(args) -> int:
             if report.shortest is not None:
                 print(f"shortest length {len(report.shortest)}")
         return OK
-    report = tj_components(g, args.size, guard=args.guard, cap=_cap(args))
+    report = tj_components(g, args.size, guard=args.guard, cap=args.cap)
     if args.json:
         payload = {
             "k": report.k,
@@ -241,25 +244,18 @@ def _cmd_gadget(args) -> int:
 
 def _cmd_gen(args) -> int:
     rng = random.Random(args.seed)
-    if args.kind == "tree":
-        g = generators.random_tree(rng, args.n)
-    elif args.kind == "path":
-        g = generators.random_path(rng, args.m)
-    elif args.kind == "cycle":
-        g = generators.random_cycle(rng, args.m)
-    elif args.kind == "random-deg2":
-        g = generators.random_maxdeg2(rng, args.n)
-    else:
-        hs = generators.random_hitting_system(rng, args.n, args.m, args.k)
-        sys.stdout.write(serialize_hitting_system(hs))
+    if args.kind == "hs":  # a hitting system, not a graph
+        sys.stdout.write(serialize_hitting_system(generators.random_hitting_system(rng, args.n, args.m, args.k)))
         return OK
-    sys.stdout.write(serialize_graph(g))
+    # graph kind -> (generator, the option that sizes it)
+    gen, size = {
+        "tree": (generators.random_tree, args.n),
+        "path": (generators.random_path, args.m),
+        "cycle": (generators.random_cycle, args.m),
+        "random-deg2": (generators.random_maxdeg2, args.n),
+    }[args.kind]
+    sys.stdout.write(serialize_graph(gen(rng, size)))
     return OK
-
-
-def _cap(args) -> int:
-    """The enumeration cap: ``--cap``, else ``DEFAULT_CAP``."""
-    return DEFAULT_CAP if args.cap is None else args.cap
 
 
 def _count(text: str) -> int:
@@ -280,9 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_guard(sp):
-        sp.add_argument("--guard", type=_count, default=DEFAULT_GUARD,
+        sp.add_argument("--guard", type=_count, default=None,
                         help="abort a pair search once it stores more than this many states (for "
-                        "--model tar summed over sizes j), or an enumeration beyond this many sets")
+                        "--model tar summed over sizes j), or an enumeration beyond this many sets "
+                        f"(default {DEFAULT_GUARD})")
         sp.add_argument("--cap", type=_count, default=None,
                         help=f"refuse enumeration beyond this many vertices (default {DEFAULT_CAP}); "
                         "not with --from/--to")
@@ -302,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph")
     sp.add_argument("--oracle", action="store_true")
     add_guard(sp)
-    sp.set_defaults(func=_cmd_solve_min)
+    sp.set_defaults(func=_cmd_solve_min, src=None, k=None)  # no pair and no budget, for _misuse
 
     sp = sub.add_parser("reconfigure", help="decide TJ-reconfigurability")
     sp.add_argument("graph")
@@ -353,10 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    misuse = _misuse(args) if args.command in ("reconfigure", "oracle") else None
-    if misuse:
-        print(f"error: {misuse}", file=sys.stderr)
-        return INPUT_ERROR
+    if args.command in ("solve-min", "reconfigure", "oracle"):
+        misuse = _misuse(args)
+        if misuse:
+            print(f"error: {misuse}", file=sys.stderr)
+            return INPUT_ERROR
+        # the bounds not given take their defaults, once _misuse has seen which were
+        args.guard = DEFAULT_GUARD if args.guard is None else args.guard
+        args.cap = DEFAULT_CAP if args.cap is None else args.cap
     try:
         return args.func(args)
     except InstanceTooLarge as exc:

@@ -13,17 +13,20 @@ from .graph import ThresholdGraph
 from .reductions import HittingSystem
 
 
-def random_tree(rng: random.Random, n: int) -> ThresholdGraph:
-    """Uniform attachment tree on n >= 2 vertices with random thresholds."""
-    if n < 2:
-        raise InvalidInput("a tree needs at least 2 vertices")
-    edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+def _random_thresholds(rng: random.Random, n: int, edges: list[tuple[int, int]]) -> ThresholdGraph:
+    """The graph on 1..n with ``edges``, tau(v) drawn in [1, d(v)] for v = 1..n in turn."""
     deg = [0] * (n + 1)
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    tau = [rng.randint(1, deg[v]) for v in range(1, n + 1)]
-    return ThresholdGraph.build(n, edges, tau)
+    return ThresholdGraph.build(n, edges, [rng.randint(1, deg[v]) for v in range(1, n + 1)])
+
+
+def random_tree(rng: random.Random, n: int) -> ThresholdGraph:
+    """Uniform attachment tree on n >= 2 vertices with random thresholds."""
+    if n < 2:
+        raise InvalidInput("a tree needs at least 2 vertices")
+    return _random_thresholds(rng, n, [(rng.randint(1, v - 1), v) for v in range(2, n + 1)])
 
 
 def path_with_spacing(m: int, gaps: list[int]) -> ThresholdGraph:
@@ -128,12 +131,7 @@ def random_connected(rng: random.Random, n: int, extra_edge_prob: float = 0.3) -
         for v in range(u + 1, n + 1):
             if (u, v) not in edges and rng.random() < extra_edge_prob:
                 edges.add((u, v))
-    deg = [0] * (n + 1)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    tau = [rng.randint(1, deg[v]) for v in range(1, n + 1)]
-    return ThresholdGraph.build(n, sorted(edges), tau)
+    return _random_thresholds(rng, n, sorted(edges))
 
 
 def random_hitting_system(

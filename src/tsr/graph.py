@@ -208,22 +208,23 @@ def disjoint_union(g1: ThresholdGraph, g2: ThresholdGraph) -> tuple[ThresholdGra
     return ThresholdGraph.build(g1.n + g2.n, edges, tau), shift
 
 
-def vc_to_tss(g: PlainGraph) -> ThresholdGraph:
-    """Set tau(v) = d(v): target sets of the result are exactly vertex covers of g."""
+def _degree_minus(g: PlainGraph, c: int) -> ThresholdGraph:
+    """g with tau(v) = d(v) - c; a vertex of degree at most c is ``DegreeTooSmall``."""
     degs = g.degrees
     for v in range(1, g.n + 1):
-        if degs[v] < 1:
-            raise DegreeTooSmall(f"vertex {v} has degree {degs[v]} < 1")
-    return ThresholdGraph.build(g.n, g.edges, [degs[v] for v in range(1, g.n + 1)])
+        if degs[v] <= c:
+            raise DegreeTooSmall(f"vertex {v} has degree {degs[v]} < {c + 1}")
+    return ThresholdGraph.build(g.n, g.edges, [d - c for d in degs[1:]])
+
+
+def vc_to_tss(g: PlainGraph) -> ThresholdGraph:
+    """Set tau(v) = d(v): target sets of the result are exactly vertex covers of g."""
+    return _degree_minus(g, 0)
 
 
 def fvs_to_tss(g: PlainGraph) -> ThresholdGraph:
     """Set tau(v) = d(v)-1: target sets are exactly feedback vertex sets of g."""
-    degs = g.degrees
-    for v in range(1, g.n + 1):
-        if degs[v] < 2:
-            raise DegreeTooSmall(f"vertex {v} has degree {degs[v]} < 2")
-    return ThresholdGraph.build(g.n, g.edges, [degs[v] - 1 for v in range(1, g.n + 1)])
+    return _degree_minus(g, 1)
 
 
 # -- TSR instance format -------------------------------------------------
@@ -287,38 +288,36 @@ def parse_graph(text: str) -> ThresholdGraph:
     args = _bulk(text)
     if args is not None:
         return ThresholdGraph.build(*args)
-    header: tuple[int, int] | None = None
+    header: list[int] | None = None
     tau: dict[int, int] = {}
     edges: list[Edge] = []
     for lineno, parts in records(text):
         kind = parts[0]
-        try:
-            # the m edge and n vertex lines first; the one header line last
-            if kind == "e":
-                if header is None:
-                    raise MalformedLine(f"line {lineno}: 'e' before header")
-                if len(parts) != 3:
-                    raise MalformedLine(f"line {lineno}: expected 'e <u> <v>'")
-                edges.append((int(parts[1]), int(parts[2])))
-            elif kind == "v":
-                if header is None:
-                    raise MalformedLine(f"line {lineno}: 'v' before header")
-                if len(parts) != 3:
-                    raise MalformedLine(f"line {lineno}: expected 'v <id> <tau>'")
-                vid, t = int(parts[1]), int(parts[2])
-                if vid in tau:
-                    raise MalformedLine(f"line {lineno}: duplicate vertex {vid}")
-                tau[vid] = t
-            elif kind == "p":
-                if header is not None:
-                    raise MalformedLine(f"line {lineno}: duplicate header")
-                if len(parts) != 4 or parts[1] != "tsr":
-                    raise MalformedLine(f"line {lineno}: expected 'p tsr <n> <m>'")
-                header = (int(parts[2]), int(parts[3]))
-            else:
-                raise MalformedLine(f"line {lineno}: unknown line kind {kind!r}")
-        except ValueError as exc:  # ``ints``'s message; inline int() keeps the n + m lines ~40% faster
-            raise MalformedLine(f"line {lineno}: {exc}") from exc
+        # the m edge and n vertex lines first; the one header line last
+        if kind == "e":
+            if header is None:
+                raise MalformedLine(f"line {lineno}: 'e' before header")
+            if len(parts) != 3:
+                raise MalformedLine(f"line {lineno}: expected 'e <u> <v>'")
+            u, v = ints(lineno, parts[1:])
+            edges.append((u, v))
+        elif kind == "v":
+            if header is None:
+                raise MalformedLine(f"line {lineno}: 'v' before header")
+            if len(parts) != 3:
+                raise MalformedLine(f"line {lineno}: expected 'v <id> <tau>'")
+            vid, t = ints(lineno, parts[1:])
+            if vid in tau:
+                raise MalformedLine(f"line {lineno}: duplicate vertex {vid}")
+            tau[vid] = t
+        elif kind == "p":
+            if header is not None:
+                raise MalformedLine(f"line {lineno}: duplicate header")
+            if len(parts) != 4 or parts[1] != "tsr":
+                raise MalformedLine(f"line {lineno}: expected 'p tsr <n> <m>'")
+            header = ints(lineno, parts[2:])
+        else:
+            raise MalformedLine(f"line {lineno}: unknown line kind {kind!r}")
     if header is None:
         raise MalformedLine("missing 'p tsr <n> <m>' header")
     n, m = header

@@ -309,6 +309,23 @@ def test_pair_query_rejects_cap(capsys, tmp_path, command, cap):
     assert run(capsys, *pair, *oracle)[:2] == (0, "NO\n")
 
 
+@pytest.mark.parametrize("option", ["--guard", "--cap"])
+@pytest.mark.parametrize("command", ["solve-min", "reconfigure"])
+def test_solvers_reject_oracle_bounds(capsys, command, option):
+    """Without ``--oracle`` nothing searches or enumerates, so ``--guard`` and
+    ``--cap`` are input errors (exit 2, one error line, nothing on stdout)
+    rather than options silently ignored; ``--cap`` with a pair keeps the
+    message ``test_pair_query_rejects_cap`` pins."""
+    pair = [] if command == "solve-min" else ["--from", str(FIXTURES / "fig1_x1.seed"), "--to", str(FIXTURES / "fig1_y1.seed")]
+    code, out, err = run(capsys, command, FIG1, *pair, option, "3")
+    message = (
+        "--cap applies only to enumeration (--size, solve-min --oracle); --guard bounds a pair search"
+        if pair and option == "--cap" else "--guard and --cap apply only with --oracle"
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert run(capsys, command, FIG1, *pair)[:2] == (0, "NO\n" if pair else "3\n")
+
+
 def test_enumeration_reads_the_default_cap(capsys):
     """``oracle --size`` and ``solve-min --oracle`` enumerate under ``--cap``,
     ``oracle.DEFAULT_CAP`` when it is not given."""
