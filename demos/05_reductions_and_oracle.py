@@ -17,7 +17,6 @@ from tsr.reductions import (
     reduce_33_to_pb342,
     reduce_hitting_to_split,
     reduce_vc23_to_cubic,
-    verify_reduction,
 )
 
 # --- hitting sets to split graphs ------------------------------------------
@@ -26,8 +25,8 @@ out = reduce_hitting_to_split(hs)
 print("split graph:", out.graph.n, "vertices; apex threshold", out.graph.tau[out.graph.n])
 x, y = frozenset({1, 3}), frozenset({2, 4})
 source = hs_tj_decide(hs, x, y)
-verdict = verify_reduction(source, out, x, y)
-print(f"hitting-set verdict {verdict.source} == split-graph verdict {verdict.target}")
+target = tj_decide(out.graph, out.forward(x), out.forward(y)).reconfigurable
+print(f"hitting-set verdict {source} == split-graph verdict {target}")
 
 # --- vertex cover on a ring to a cubic instance -----------------------------
 c6 = PlainGraph.build(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
@@ -36,8 +35,9 @@ print("\ncubic instance:", outc.graph.n, "vertices, 3-regular:",
       all(len(outc.graph.adj[v]) == 3 for v in outc.graph.vertices))
 x6, y6 = frozenset({1, 3, 5}), frozenset({2, 4, 6})
 source = tj_decide(vc_to_tss(c6), x6, y6).reconfigurable
-verdict = verify_reduction(source, outc, x6, y6)
-print("both sides say", verdict.source, "- the two alternating covers are pinned")
+target = tj_decide(outc.graph, outc.forward(x6), outc.forward(y6)).reconfigurable
+assert source == target
+print("both sides say", source, "- the two alternating covers are pinned")
 
 # --- the two (3,3)-graph reductions, audited structurally -------------------
 k4 = ThresholdGraph.build(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], [3, 3, 3, 3])

@@ -105,9 +105,6 @@ class ActivationTrace:
     def final(self) -> frozenset[int]:
         return frozenset(v for v, t in self.activation_time.items() if t is not None)
 
-    def newly_active(self, t: int) -> frozenset[int]:
-        return frozenset(self.layers[t])
-
     def lines(self) -> Iterator[str]:
         """``round t: <sorted active ids>`` and a newline, for each round t in turn.
 
@@ -226,12 +223,6 @@ class Orientation:
 
     arcs: tuple[Edge, ...]
 
-    def in_degrees(self, g: ThresholdGraph) -> list[int]:
-        indeg = [0] * (g.n + 1)
-        for _, v in self.arcs:
-            indeg[v] += 1
-        return indeg
-
     def format(self) -> str:
         return "\n".join(f"a {u} {v}" for u, v in self.arcs) + "\n"
 
@@ -285,7 +276,9 @@ def certify_orientation(g: ThresholdGraph, seed: Iterable[int], d: Orientation) 
         raise NotAnOrientation(f"{g.m - len(covered)} edges left unoriented")
     if not _is_acyclic(g.n, d.arcs):
         return False
-    indeg = d.in_degrees(g)
+    indeg = [0] * (g.n + 1)
+    for _, v in d.arcs:
+        indeg[v] += 1
     return all(indeg[v] >= g.tau[v] for v in g.vertices if v not in s)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import generators
 from .activation import activate, is_target_set
-from .errors import InstanceTooLarge, MalformedLine, TsrError
+from .errors import InstanceTooLarge, InvalidInput, MalformedLine, TsrError
 from .gadgets import attach
 from .graph import (
     PlainGraph,
@@ -243,18 +243,21 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    rng = random.Random(args.seed)
-    if args.kind == "hs":  # a hitting system, not a graph
-        sys.stdout.write(serialize_hitting_system(generators.random_hitting_system(rng, args.n, args.m, args.k)))
-        return OK
-    # graph kind -> (generator, the option that sizes it)
-    gen, size = {
-        "tree": (generators.random_tree, args.n),
-        "path": (generators.random_path, args.m),
-        "cycle": (generators.random_cycle, args.m),
-        "random-deg2": (generators.random_maxdeg2, args.n),
+    # kind -> (generator, the size options it reads and their defaults)
+    gen, sizes = {
+        "tree": (generators.random_tree, {"n": 8}),
+        "path": (generators.random_path, {"m": 3}),
+        "cycle": (generators.random_cycle, {"m": 3}),
+        "random-deg2": (generators.random_maxdeg2, {"n": 8}),
+        "hs": (generators.random_hitting_system, {"n": 8, "m": 3, "k": 1}),
     }[args.kind]
-    sys.stdout.write(serialize_graph(gen(rng, size)))
+    given = {o: v for o in "nmk" if (v := getattr(args, o)) is not None}
+    unread = [f"--{o}" for o in given if o not in sizes]
+    if unread:
+        raise InvalidInput(f"gen {args.kind} takes no {', '.join(unread)}")
+    out = gen(random.Random(args.seed), *{**sizes, **given}.values())
+    # a hitting system is not a graph
+    sys.stdout.write(serialize_hitting_system(out) if args.kind == "hs" else serialize_graph(out))
     return OK
 
 
@@ -338,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="generate a random instance")
     sp.add_argument("kind", choices=["tree", "cycle", "path", "random-deg2", "hs"])
-    sp.add_argument("--n", type=int, default=8)
-    sp.add_argument("--m", type=int, default=3)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--n", type=int, default=None, help="tree/random-deg2 vertices; hs elements (default 8)")
+    sp.add_argument("--m", type=int, default=None, help="path/cycle threshold-2 vertices; hs sets (default 3)")
+    sp.add_argument("--k", type=int, default=None, help="hs hitting-set size (default 1)")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_gen)
 

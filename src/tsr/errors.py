@@ -67,10 +67,6 @@ class InvalidInput(TsrError):
     pass
 
 
-class EndpointSizeMismatch(TsrError):
-    pass
-
-
 class SizeMismatch(TsrError):
     pass
 
@@ -90,10 +86,6 @@ class NotATree(TsrError):
 # --- gadgets / reductions ---
 
 class NotA33Vertex(TsrError):
-    pass
-
-
-class NotA33Graph(TsrError):
     pass
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Callable, Iterator
 
 from .activation import is_target_set, still_target
-from .errors import EndpointSizeMismatch, InvalidInput, MalformedLine
+from .errors import InvalidInput, MalformedLine, SizeMismatch
 from .graph import ThresholdGraph, ints, records, seed_ids
 
 TJ = "tj"
@@ -88,11 +88,10 @@ class ReconfigSequence:
 
     def sets(self) -> Iterator[frozenset[int]]:
         """Yield the |steps|+1 intermediate sets, start first."""
-        cur = self.start
-        yield cur
+        cur = set(self.start)
+        yield self.start
         for st in self.steps:
-            cur = apply_step(cur, st)
-            yield cur
+            yield frozenset(_replay(cur, (st,)))
 
     @cached_property
     def end(self) -> frozenset[int]:
@@ -103,11 +102,6 @@ class ReconfigSequence:
         lines.append("s " + " ".join(str(v) for v in sorted(self.start)))
         lines += [st.format() for st in self.steps]
         return "\n".join(lines) + "\n"
-
-
-def apply_step(current: frozenset[int], step: Step) -> frozenset[int]:
-    """Apply a step without legality checks (the validator reports those)."""
-    return frozenset(_replay(set(current), (step,)))
 
 
 def _replay(cur: set[int], steps) -> set[int]:
@@ -230,7 +224,7 @@ def tar_to_tj(seq: ReconfigSequence) -> ReconfigSequence:
         raise InvalidInput(f"expected a TAR sequence, got model {seq.model}")
     k = seq.k
     if len(seq.start) != k or len(seq.end) != k:
-        raise EndpointSizeMismatch(
+        raise SizeMismatch(
             f"endpoints have sizes {len(seq.start)}, {len(seq.end)}; expected k={k}"
         )
     for st in seq.steps:

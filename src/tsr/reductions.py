@@ -1,4 +1,4 @@
-"""End-to-end instance transformations with seed maps and equivalence checks.
+"""End-to-end instance transformations with seed maps.
 
 Implements the degree-2/3 vertex-cover to cubic reduction (sigma gadgets),
 the (3,3)-graph to bipartite planar ({3,4},2) reduction (upsilon, subdivision,
@@ -21,7 +21,7 @@ from .errors import (
     BadDegree,
     EmptyFamilySet,
     MalformedLine,
-    NotA33Graph,
+    NotA33Vertex,
     NotATargetSet,
     PreconditionViolated,
     SizeMismatch,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .gadgets import _SIGMA, _SPECS, _SUBDIVISION, _THETA, _UPSILON, _XI, GadgetMap, _Build, project
 from .graph import PlainGraph, ThresholdGraph, edge_list, ints, records, seed_ids
-from .oracle import DEFAULT_GUARD, bfs, tj_decide
+from .oracle import DEFAULT_GUARD, bfs
 
 
 @dataclasses.dataclass
@@ -118,7 +118,7 @@ def _split_33(g: ThresholdGraph):
     by an upsilon gadget and subdivide every edge: (builder, provenance, maps)."""
     for v in g.vertices:
         if len(g.adj[v]) != 3 or g.tau[v] != 3:
-            raise NotA33Graph(
+            raise NotA33Vertex(
                 f"vertex {v} is a ({len(g.adj[v])},{g.tau[v]})-vertex, needs (3,3)"
             )
     b = _Build(g)
@@ -312,35 +312,3 @@ def _hs_repairs(family: list[int], hub: int, out: int, stored) -> list[tuple[int
     if common == -1:
         return None
     return [(u, 1 << u) for u in range(1, common.bit_length()) if common >> u & 1]
-
-
-# -- instance-level equivalence checking --------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class EquivalenceVerdict:
-    source: bool
-    target: bool
-
-    @property
-    def equivalent(self) -> bool:
-        return self.source == self.target
-
-
-def verify_reduction(
-    source_verdict: bool,
-    out: ReductionOutput,
-    x,
-    y,
-    *,
-    guard: int = DEFAULT_GUARD,
-) -> EquivalenceVerdict:
-    """Compare a source instance's reconfigurability verdict with the oracle
-    verdict on the transformed instance between the mapped seeds.
-
-    Raises InstanceTooLarge when the transformed search exceeds the guard;
-    callers treat that as a skip, not a failure.
-    """
-    fx, fy = out.forward(frozenset(x)), out.forward(frozenset(y))
-    target = tj_decide(out.graph, fx, fy, guard=guard).reconfigurable
-    return EquivalenceVerdict(source=bool(source_verdict), target=bool(target))

@@ -24,7 +24,7 @@ THETA_M = frozenset({13, 2, 9})  # r, t_{1,2}, t_{2,3}
 def test_theta_activation_schedule(theta):
     """The canonical seed sweeps the gadget in a pinned 8-round order."""
     trace = activate(theta, THETA_M)
-    by_round = [sorted(trace.newly_active(t)) for t in range(len(trace.rounds))]
+    by_round = [sorted(trace.layers[t]) for t in range(len(trace.rounds))]
     # t_{1,j} = j, t_{2,j} = 6 + j, r = 13
     assert by_round == [
         [2, 9, 13],       # seed

@@ -106,11 +106,11 @@ def test_matches_reference():
             assert trace.activation_time == times
             assert trace.final == rounds[-1]
             assert trace.rounds == rounds
-            assert [trace.newly_active(t) for t in range(len(rounds))] == [
+            assert [frozenset(trace.layers[t]) for t in range(len(rounds))] == [
                 rounds[0],
                 *(b - a for a, b in zip(rounds, rounds[1:])),
             ]
-            assert trace.layers == tuple(tuple(sorted(trace.newly_active(t))) for t in range(len(rounds)))
+            assert trace.layers == tuple(tuple(sorted(frozenset(trace.layers[t]))) for t in range(len(rounds)))
             final = rounds[-1]
             assert is_target_set(g, seed) == (len(final) == g.n)
             res = residual(g, seed)

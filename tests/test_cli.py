@@ -15,8 +15,11 @@ from tsr.generators import (
     path_with_spacing,
     random_connected,
     random_cycle,
+    random_hitting_system,
+    random_maxdeg2,
     random_path,
     random_tree,
+    random_with_33_vertex,
 )
 from tsr.graph import parse_graph, parse_seed_set, serialize_graph
 from tsr.reconfig import parse_sequence, validate_sequence
@@ -279,6 +282,23 @@ def test_negative_guard_or_cap_is_usage_error(capsys, argv, option):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert f"argument {option}: must not be negative, got -5" in err
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, "x"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid int value: 'x'" in err
+
+
+def test_check_reports_the_first_invalid_step(capsys, tmp_path):
+    """A well-formed sequence that breaks a rule prints the graph line, then the
+    step at fault, and exits 2."""
+    _, text, _ = run(capsys, "gen", "tree", "--n", "6", "--seed", "1")
+    graph, seq = tmp_path / "g.tsr", tmp_path / "bad.seq"
+    graph.write_text(text)
+    seq.write_text("q tj 3\ns 1 2 3\nj 9 4\n")
+    assert run(capsys, "check", str(graph), "--sequence", str(seq)) == (2, (
+        "graph OK: n=6 m=5\n"
+        "sequence INVALID at step 0: jump removes 9 which is not in the set\n"), "")
 
 
 def test_check_rejects_a_header_size_its_start_set_contradicts(capsys, tmp_path):
@@ -424,9 +444,15 @@ def python(*args):
         ["hs", "--n", "0"],
         ["hs", "--n", "3", "--k", "3"],
         ["hs", "--n", "3", "--k", "0"],
+        ["hs", "--n", "3", "--m", "2", "--k", "-1"],
         ["random-deg2", "--n", "-3"],
         ["random-deg2", "--n", "1"],
         ["path", "--m", "-2"],
+        # a size option the kind does not read
+        ["tree", "--n", "6", "--m", "3"],
+        ["path", "--m", "0", "--n", "5", "--k", "4", "--seed", "1"],
+        ["cycle", "--n", "5"],
+        ["random-deg2", "--k", "2"],
     ],
     ids=" ".join,
 )
@@ -434,6 +460,16 @@ def test_gen_rejects_bad_sizes(argv):
     proc = python("-m", "tsr.cli", "gen", *argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and proc.stderr.count("\n") == 1
+
+
+def test_gen_resolves_its_own_defaults(capsys):
+    """Each kind reads only its own size options, each with its own default."""
+    for kind, sizes in [("tree", ["--n", "8"]), ("path", ["--m", "3"]), ("cycle", ["--m", "3"]),
+                        ("random-deg2", ["--n", "8"]), ("hs", ["--n", "8", "--m", "3", "--k", "1"])]:
+        assert run(capsys, "gen", kind, "--seed", "4") == run(capsys, "gen", kind, *sizes, "--seed", "4")
+    assert run(capsys, "gen", "path", "--m", "0", "--n", "5", "--k", "4", "--seed", "1") == (
+        2, "", "error: gen path takes no --n, --k\n")
 
 
 def test_random_cycle_rejects_unreachable_size():
@@ -450,6 +486,32 @@ def test_random_tree_and_connected_reject_one_vertex():
     with pytest.raises(InvalidInput) as info:
         random_connected(random.Random(0), 1)
     assert str(info.value) == "need at least 2 vertices"
+
+
+@pytest.mark.parametrize(
+    "make, args, message",
+    [
+        (path_with_spacing, (2, [1, 1]), "need 3 gaps for m=2"),
+        (path_with_spacing, (1, [0, 1]), "end runs must be nonempty when m > 0"),
+        (path_with_spacing, (0, [1]), "path needs at least 2 vertices"),
+        (cycle_with_spacing, (2, [1]), "need 2 gaps for m=2"),
+        (cycle_with_spacing, (0, [2]), "cycle needs at least 3 vertices"),
+        (random_path, (-1,), "negative threshold-2 count m=-1"),
+        (random_cycle, (-1,), "negative threshold-2 count m=-1"),
+        (random_maxdeg2, (1,), "need at least 2 vertices, got n=1"),
+        (random_hitting_system, (0, 1, 1), "universe size n=0 must be positive"),
+        (random_hitting_system, (3, 1, 3), "target size k=3 must satisfy 1 <= k < n=3"),
+        (random_with_33_vertex, (2,), "could not place a (3,3)-vertex in a graph of size 2"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_generators_name_their_faults(make, args, message):
+    # the random generators take a seeded rng first
+    if make not in (path_with_spacing, cycle_with_spacing):
+        args = (random.Random(0), *args)
+    with pytest.raises(InvalidInput) as info:
+        make(*args)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("m", [0, 1])

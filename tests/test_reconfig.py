@@ -15,7 +15,6 @@ from tsr.reconfig import (
     ReconfigSequence,
     Step,
     ValidityReport,
-    apply_step,
     parse_sequence,
     reverse_steps,
     strip_noops,
@@ -98,6 +97,9 @@ def test_tj_to_tar_empty():
     with pytest.raises(errors.InvalidInput) as info:
         tj_to_tar(ReconfigSequence(frozenset({1}), (), TAR, k=1))
     assert str(info.value) == "expected a TJ sequence, got model tar"
+    with pytest.raises(errors.InvalidInput) as info:
+        tj_to_tar(ReconfigSequence(frozenset({1}), (Step.add(2),), TJ))
+    assert str(info.value) == "TJ sequence contains step kind 'add'"
 
 
 def test_tar_to_tj_cancellation():
@@ -119,7 +121,7 @@ def test_tar_to_tj_single_swap(fig1):
 
 def test_tar_to_tj_endpoint_mismatch():
     seq = ReconfigSequence(frozenset({1, 2}), (Step.remove(2),), TAR, k=2)
-    with pytest.raises(errors.EndpointSizeMismatch):
+    with pytest.raises(errors.SizeMismatch):
         tar_to_tj(seq)
     with pytest.raises(errors.InvalidInput) as info:
         tar_to_tj(ReconfigSequence(frozenset({1, 2}), (), TJ))
@@ -178,7 +180,7 @@ def test_reverse_steps_undoes_every_step_shape():
             st = rng.choice(options)
             steps.append(st)
             shapes[st.kind] += 1
-            cur = apply_step(cur, st)
+            cur = ReconfigSequence(cur, (st,), TJN).end
         back = ReconfigSequence(cur, reverse_steps(steps), TJN)
         assert back.end == start
         assert reverse_steps(back.steps) == tuple(steps)
@@ -245,6 +247,9 @@ def test_parse_sequence_rejects_repeated_start_ids():
         ("q tj 2\ns 1 2\nj 1 x\n", "line 3: invalid literal for int() with base 10: 'x'"),
         ("j 1 3\nq tj 2\ns 1 2\n", "line 1: 'j' before 's' line"),
         ("q tar 2\nr 1\ns 1 2\n", "line 2: 'r' before 's' line"),
+        ("q tj 2\ns 1 2\nx 1\n", "line 3: unknown line kind 'x'"),
+        ("q tj 0\n", "missing 'q' or 's' line"),
+        ("# no header\n", "missing 'q' or 's' line"),
     ],
 )
 def test_parse_sequence_faults_name_their_line(text, message):

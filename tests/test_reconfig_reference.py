@@ -21,7 +21,6 @@ from tsr.reconfig import (
     ReconfigSequence,
     Step,
     ValidityReport,
-    apply_step,
     tar_to_tj,
     validate_sequence,
 )
@@ -35,7 +34,7 @@ def reference_tar_to_tj(seq: ReconfigSequence) -> ReconfigSequence:
         raise errors.InvalidInput(f"expected a TAR sequence, got model {seq.model}")
     k = seq.k
     if len(seq.start) != k or len(seq.end) != k:
-        raise errors.EndpointSizeMismatch(
+        raise errors.SizeMismatch(
             f"endpoints have sizes {len(seq.start)}, {len(seq.end)}; expected k={k}"
         )
     kinds = list(seq.steps)
@@ -108,7 +107,7 @@ def reference_validate(g, seq, is_ts=None) -> ValidityReport:
         elif st.kind == "remove":
             if st.out not in cur:
                 return ValidityReport(False, i, f"remove of {st.out} not in the set")
-        cur = apply_step(cur, st)
+        cur = ReconfigSequence(cur, (st,), seq.model).end
         if seq.model in (TJ, TJN) and len(cur) != size0:
             return ValidityReport(False, i, "TJ/TJN set size changed")
         if seq.model == TAR and len(cur) > seq.k + 1:
@@ -178,7 +177,7 @@ def test_tar_to_tj_matches_reference():
         if isinstance(got, str):
             kinds["ok"] += 1
             kinds["jumps"] += got.count("\nj ")
-        elif got[0] is errors.EndpointSizeMismatch:
+        elif got[0] is errors.SizeMismatch:
             kinds["mismatch"] += 1
         elif "normalize" in got[1]:
             kinds["unpaired"] += 1
@@ -212,7 +211,7 @@ def _random_sequence(rng: random.Random, g, ts_masks: set[int]) -> ReconfigSeque
                 st = Step.noop()
             else:
                 st = Step.jump(rng.choice(inside), rng.choice(outside))
-            nxt = apply_step(frozenset(cur), st)
+            nxt = ReconfigSequence(frozenset(cur), (st,), model).end
             if mask_of(nxt) in ts_masks or rng.random() < 0.1:
                 break
         steps.append(st)
