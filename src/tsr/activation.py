@@ -79,10 +79,10 @@ def still_target(g: ThresholdGraph, active: set[int], v: int) -> bool:
 class ActivationTrace:
     """Synchronous activation rounds A(0) <= A(1) <= ... up to the fixpoint.
 
-    Stored are ``layers[t]``, the sorted vertices that turned active in round
-    t (the seed at t = 0), and ``activation_time[v]``, the round at which v
-    became active, or None if it never does.  ``rounds[t]``, the full active
-    set after t rounds, is derived on demand: it costs O(n * rounds).
+    Stored are only ``layers[t]``, the sorted vertices that turned active in
+    round t (the seed at t = 0); each vertex's round is ``activation_times``.
+    ``rounds[t]``, the full active set after t rounds, is derived on demand:
+    it costs O(n * rounds).
     ``lines()`` yields the printed trace one round at a time and ``format()``
     joins it; both cost O(output), the O(n * rounds) bytes printed.
     ``tsr activate`` writes the lines as they are made, so it never holds the
@@ -90,7 +90,6 @@ class ActivationTrace:
     """
 
     layers: tuple[tuple[int, ...], ...]
-    activation_time: dict[int, int | None]
 
     @functools.cached_property
     def rounds(self) -> tuple[frozenset[int], ...]:
@@ -103,7 +102,7 @@ class ActivationTrace:
 
     @property
     def final(self) -> frozenset[int]:
-        return frozenset(v for v, t in self.activation_time.items() if t is not None)
+        return frozenset().union(*self.layers)
 
     def lines(self) -> Iterator[str]:
         """``round t: <sorted active ids>`` and a newline, for each round t in turn.
@@ -168,10 +167,7 @@ def activate(g: ThresholdGraph, seed: Iterable[int]) -> ActivationTrace:
     for v in g.vertices:
         if time[v] >= 0:
             layers[time[v]].append(v)
-    return ActivationTrace(
-        layers=tuple(map(tuple, layers)),
-        activation_time={v: None if time[v] < 0 else time[v] for v in g.vertices},
-    )
+    return ActivationTrace(tuple(map(tuple, layers)))
 
 
 def is_target_set(g: ThresholdGraph, seed: Iterable[int]) -> bool:

@@ -100,8 +100,7 @@ def _tractable(g: ThresholdGraph):
         return None
     # the named solvers in the order threshold-1, tree, maximum degree 2, looked
     # up per call so that callers (bench/test_smoke.py) can patch them
-    tree = len(plan.components) == 1 and g.m == g.n - 1
-    return plan, solve_threshold1 if plan.tau1 else solve_tree if tree else solve_maxdeg2 if plan.deg2 else solve
+    return plan, solve_threshold1 if plan.tau1 else solve_tree if plan.tree else solve_maxdeg2 if plan.deg2 else solve
 
 
 def _cmd_solve_min(args) -> int:

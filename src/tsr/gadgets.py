@@ -6,7 +6,8 @@ it meets a host.  ``hooks`` link anchor roles to labels (the roles are the
 anchors, in order of first appearance), ``bumps`` shift anchor thresholds,
 ``cuts`` are the host edges it removes, and ``collapse`` is the anchor that
 internal tokens project onto.  ``_Build.graft(spec, anchors)`` adds one gadget
-to a mutable graph and returns its GadgetMap.  ``attach`` checks the anchors
+to a mutable graph and returns its GadgetMap, and ``_Build.upsilon(w)`` checks
+a (3,3)-vertex and grafts an upsilon there.  ``attach`` checks the anchors
 and grafts onto a copy of a host (onto an empty graph for the bare gadget);
 each reduction grafts all its gadgets onto one builder.  Either validates its
 result once, with ``ThresholdGraph.build`` (``PlainGraph.build`` for sigma).
@@ -167,6 +168,13 @@ class _Build:
         m_set = frozenset(ids[lbl] for lbl in spec.m_set) if spec.m_set else None
         return GadgetMap(spec.kind, at, ids, m_set)
 
+    def upsilon(self, w: int) -> GadgetMap:
+        """Graft an upsilon gadget onto the (3,3)-vertex w, whose neighbours
+        x < y < z are its other roles; raises ``NotA33Vertex`` otherwise."""
+        if (len(self.adj[w]), self.tau[w]) != (3, 3):
+            raise NotA33Vertex(f"vertex {w} is a ({len(self.adj[w])},{self.tau[w]})-vertex, needs (3,3)")
+        return self.graft(_UPSILON, (w, *sorted(self.adj[w])))
+
     def graph(self) -> ThresholdGraph:
         return ThresholdGraph.build(self.n, edge_list(self.adj), self.tau[1:])
 
@@ -200,12 +208,7 @@ def attach(host: ThresholdGraph | PlainGraph | None, kind: str, *anchors: int):
             raise UnknownVertex(f"vertex {v} not in 1..{b.n}")
     if len(set(anchors)) < len(anchors):
         raise SameVertex(f"{kind} gadget needs distinct anchors, got {list(anchors)}")
-    if spec is _UPSILON and anchors:
-        w = anchors[0]
-        if (len(b.adj[w]), b.tau[w]) != (3, 3):
-            raise NotA33Vertex(f"vertex {w} is a ({len(b.adj[w])},{b.tau[w]})-vertex, needs (3,3)")
-        anchors = (w, *sorted(b.adj[w]))
-    gmap = b.graft(spec, anchors)
+    gmap = b.upsilon(anchors[0]) if spec is _UPSILON and anchors else b.graft(spec, anchors)
     return b.plain() if spec is _SIGMA else b.graph(), gmap
 
 

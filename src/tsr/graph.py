@@ -250,8 +250,9 @@ def ints(lineno: int, fields: list[str]) -> list[int]:
         raise MalformedLine(f"line {lineno}: {exc}") from exc
 
 
-# the form ``serialize_graph`` writes: the header, the vertex lines, the edge lines
-_CANONICAL = re.compile(r"p tsr [0-9]+ [0-9]+\n(?:v [0-9]+ [0-9]+\n)*(?:e [0-9]+ [0-9]+\n)*")
+# the form ``serialize_graph`` writes: the header, the vertex lines, the edge
+# lines; possessive repeats never backtrack, so the scan keeps no stack
+_CANONICAL = re.compile(r"p tsr [0-9]++ [0-9]++\n(?:v [0-9]++ [0-9]++\n)*+(?:e [0-9]++ [0-9]++\n)*+")
 
 
 def _bulk(text: str) -> tuple[int, list[Edge], list[int]] | None:

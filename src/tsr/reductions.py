@@ -21,13 +21,12 @@ from .errors import (
     BadDegree,
     EmptyFamilySet,
     MalformedLine,
-    NotA33Vertex,
     NotATargetSet,
     PreconditionViolated,
     SizeMismatch,
     UnknownVertex,
 )
-from .gadgets import _SIGMA, _SPECS, _SUBDIVISION, _THETA, _UPSILON, _XI, GadgetMap, _Build, project
+from .gadgets import _SIGMA, _SPECS, _SUBDIVISION, _THETA, _XI, GadgetMap, _Build, project
 from .graph import PlainGraph, ThresholdGraph, edge_list, ints, records, seed_ids
 from .oracle import DEFAULT_GUARD, bfs
 
@@ -114,16 +113,12 @@ def reduce_vc23_to_cubic(g: PlainGraph) -> ReductionOutput:
 
 
 def _split_33(g: ThresholdGraph):
-    """Check that g is a (3,3)-graph, then, on one builder, replace every vertex
-    by an upsilon gadget and subdivide every edge: (builder, provenance, maps)."""
-    for v in g.vertices:
-        if len(g.adj[v]) != 3 or g.tau[v] != 3:
-            raise NotA33Vertex(
-                f"vertex {v} is a ({len(g.adj[v])},{g.tau[v]})-vertex, needs (3,3)"
-            )
+    """On one builder, replace every vertex of the (3,3)-graph g by an upsilon
+    gadget and subdivide every edge: (builder, provenance, maps).  A graft
+    leaves every other vertex's degree and threshold as they were, so a
+    vertex that is not (3,3) is reported at the lowest bad id."""
     b = _Build(g)
-    # each upsilon's roles x < y < z are w's neighbours when it is grafted
-    maps = [b.graft(_UPSILON, (w, *sorted(b.adj[w]))) for w in g.vertices]
+    maps = [b.upsilon(w) for w in g.vertices]
     prov = _tags({v: f"orig:{v}" for v in g.vertices}, maps)
     for u, v in edge_list(b.adj):
         maps.append(b.graft(_SUBDIVISION, (u, v)))

@@ -131,15 +131,17 @@ class Component:
 class Plan:
     """Every component of a graph with its route: the plan ``component_plan`` caches.
 
-    ``deg2`` and ``tau1`` say whether every degree is at most 2 and every
-    threshold is 1.  Two memos: component routes, keyed by (component index,
-    restriction of a set to it), which endpoints that agree on a component
-    share; and one entry per checked endpoint set, a pure function of the set.
+    ``deg2``, ``tau1`` and ``tree`` say whether every degree is at most 2,
+    every threshold is 1, and g is a tree (one component, m = n - 1).  Two
+    memos: component routes, keyed by (component index, restriction of a set
+    to it), which endpoints that agree on a component share; and one entry per
+    checked endpoint set, a pure function of the set.
     """
 
     components: tuple[Component, ...]
     deg2: bool
     tau1: bool
+    tree: bool
     _routes: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
     _ends: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -227,7 +229,8 @@ def component_plan(g: ThresholdGraph) -> Plan | None:
     # _chen run; its lists are shared by every tree of a forest
     scratch = None if deg2 else tuple([0] * (g.n + 1) for _ in range(3))
     parts = [_component(g, comp, deg2, scratch) for comp in g.components()]
-    plan = None if None in parts else Plan(tuple(parts), deg2, g.tau.count(1) == g.n)
+    tree = len(parts) == 1 and g.m == g.n - 1
+    plan = None if None in parts else Plan(tuple(parts), deg2, g.tau.count(1) == g.n, tree)
     return g.__dict__.setdefault("_plan", plan)
 
 
@@ -253,7 +256,7 @@ def chen_tree(g: ThresholdGraph) -> Component:
     from Chen's but has the same size.
     """
     plan = component_plan(g)
-    if plan is None or len(plan.components) != 1 or g.m != g.n - 1:
+    if plan is None or not plan.tree:
         raise NotATree("graph is not a tree")
     return plan.components[0]
 

@@ -19,6 +19,7 @@ import pytest
 from tsr.activation import (
     _INSERT_MAX,
     activate,
+    activation_times,
     certify_orientation,
     is_target_set,
     orientation_from_trace,
@@ -91,10 +92,11 @@ def _seeds(rng, g):
 
 
 def test_matches_reference():
-    """``activate`` round for round, and ``is_target_set``, ``residual`` and,
-    where ``component_plan`` covers g, ``Plan.endpoint`` against the
-    reference's last round: it raises ``NotATargetSet``, and memoizes
-    nothing, exactly when that round is not all of V."""
+    """``activate`` round for round, ``activation_times`` vertex by vertex,
+    and ``is_target_set``, ``residual`` and, where ``component_plan`` covers
+    g, ``Plan.endpoint`` against the reference's last round: it raises
+    ``NotATargetSet``, and memoizes nothing, exactly when that round is not
+    all of V."""
     rng = random.Random(555)
     checked = targets = planned = 0
     for g in _instances():
@@ -103,7 +105,7 @@ def test_matches_reference():
             rounds, times = reference_activate(g, seed)
             trace = activate(g, seed)
             assert trace.format() == reference_format(rounds)
-            assert trace.activation_time == times
+            assert activation_times(g, seed)[1:] == [-1 if times[v] is None else times[v] for v in g.vertices]
             assert trace.final == rounds[-1]
             assert trace.rounds == rounds
             assert [frozenset(trace.layers[t]) for t in range(len(rounds))] == [
@@ -169,7 +171,7 @@ def test_long_cascade_is_linear(long_path):
     trace = activate(g, {1})
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
-    assert all(trace.activation_time[v] == v - 1 for v in g.vertices)
+    assert activation_times(g, frozenset({1}))[1:] == [v - 1 for v in g.vertices]
     assert trace.final == frozenset(g.vertices)
 
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from tsr import cli
 from tsr.cli import main
 from tsr.errors import InvalidInput
 from tsr.generators import (
@@ -21,7 +22,7 @@ from tsr.generators import (
     random_tree,
     random_with_33_vertex,
 )
-from tsr.graph import parse_graph, parse_seed_set, serialize_graph
+from tsr.graph import ThresholdGraph, parse_graph, parse_seed_set, serialize_graph
 from tsr.reconfig import parse_sequence, validate_sequence
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -593,6 +594,45 @@ def test_reconfigure_tree_beside_terrible_cycle_needs_no_oracle(capsys, tmp_path
         assert (seq.start, seq.end) == ({1, 2, 5, 7}, {1, 2, 6, 8})
     code, _, err = run(capsys, "reconfigure", K4, "--from", str(seeds["k4"]), "--to", str(seeds["k4"]))
     assert code == 3 and "--oracle" in err
+
+
+def test_reconfigure_dispatches_to_the_named_solvers(capsys, tmp_path, monkeypatch):
+    """``tsr reconfigure`` hands an all-threshold-1 graph to ``solve_threshold1``,
+    a tree (here a path with a threshold-2 vertex) to ``solve_tree``, a graph of
+    maximum degree 2 to ``solve_maxdeg2`` and any other covered graph (a tree
+    beside a cycle) to ``solve``, each looked up on ``tsr.cli`` per call."""
+    calls = []
+
+    def recorder(name, real):
+        def solver(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return solver
+
+    for name in ("solve_threshold1", "solve_tree", "solve_maxdeg2", "solve"):
+        monkeypatch.setattr(cli, name, recorder(name, getattr(cli, name)))
+
+    def graph(name, taus, edges):
+        path = tmp_path / f"{name}.tsr"
+        path.write_text(serialize_graph(ThresholdGraph.build(len(taus), edges, taus)))
+        return str(path)
+
+    def seed(ids):
+        path = tmp_path / f"s{'-'.join(map(str, ids))}.seed"
+        path.write_text(f"s {' '.join(map(str, ids))}\n")
+        return str(path)
+
+    star_c4 = graph("star-c4", [2, 1, 1, 1, 2, 2, 2, 2], [(1, 2), (1, 3), (1, 4), (5, 6), (6, 7), (7, 8), (5, 8)])
+    cases = [
+        (graph("triangle", [1, 1, 1], [(1, 2), (2, 3), (1, 3)]), seed([1]), seed([2]), "solve_threshold1"),
+        (graph("p3", [1, 2, 1], [(1, 2), (2, 3)]), seed([1, 3]), seed([1, 2]), "solve_tree"),
+        (FIG1, str(FIXTURES / "fig1_x2.seed"), str(FIXTURES / "fig1_y2.seed"), "solve_maxdeg2"),
+        (star_c4, seed([1, 2, 5, 7]), seed([1, 2, 6, 8]), "solve"),
+    ]
+    for g, x, y, name in cases:
+        calls.clear()
+        code, out, _ = run(capsys, "reconfigure", g, "--from", x, "--to", y)
+        assert (code, out, calls) == (0, "YES\n", [name])
 
 
 @pytest.mark.parametrize("kind,source", [("split", HS), ("pb342", K4)])

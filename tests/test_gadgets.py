@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -46,9 +47,12 @@ def test_oneway_standalone():
     assert g.n == 4 and g.m == 4
 
 
-def test_upsilon_requires_33_vertex(fig1):
-    with pytest.raises(errors.NotA33Vertex):
-        attach(fig1, "upsilon", 1)
+def test_upsilon_requires_33_vertex(fig1, k4):
+    """A vertex that is not (3,3), also one an upsilon was already grafted at."""
+    for host, w, message in ((fig1, 1, "vertex 1 is a (2,2)-vertex, needs (3,3)"),
+                             (attach(k4, "upsilon", 1)[0], 1, "vertex 1 is a (3,2)-vertex, needs (3,3)")):
+        with pytest.raises(errors.NotA33Vertex, match=f"^{re.escape(message)}$"):
+            attach(host, "upsilon", w)
 
 
 def test_upsilon_residual_identity(k4):
@@ -221,10 +225,17 @@ def test_projections_reject_the_wrong_kind_of_map():
 # a (3,3) prism with non-edges, and a plain host for sigma
 PRISM = ThresholdGraph.build(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)], [3] * 6)
 C4 = PlainGraph.build(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-# the rejections of one kind only: (host, anchors, error)
+# the rejections of one kind only: (host, anchors, error, message)
 ONLY = {
-    "upsilon": [(HOST, (2,), errors.NotA33Vertex), (C4, (1,), errors.NotA33Vertex)],
-    "subdivision": [(PRISM, (1, 5), errors.EdgeNotFound), (PRISM, (3, 4), errors.EdgeNotFound)],
+    "upsilon": [
+        (HOST, (2,), errors.NotA33Vertex, "vertex 2 is a (2,2)-vertex, needs (3,3)"),
+        (C4, (1,), errors.NotA33Vertex, "vertex 1 is a (2,0)-vertex, needs (3,3)"),
+    ],
+    "subdivision": [
+        (PRISM, (1, 5), errors.EdgeNotFound, "edge (1,5) not present"),
+        (PRISM, (3, 4), errors.EdgeNotFound, "edge (3,4) not present"),
+        (PRISM, (4, 3), errors.EdgeNotFound, "edge (3,4) not present"),
+    ],
 }
 
 
@@ -232,26 +243,35 @@ ONLY = {
 def test_attach_rejects_bad_anchors(kind):
     """Every kind rejects ids 0 and n + 1, a repeated anchor, one anchor too
     many or too few, an anchor on no host and an unknown kind name, with the
-    typed error its old constructor raised; upsilon rejects a vertex that is
-    not (3,3), and a subdivision any pair that is not a host edge."""
+    typed error its old constructor raised and its exact message; upsilon
+    rejects a vertex that is not (3,3), and a subdivision any pair that is
+    not a host edge."""
     host = C4 if kind == "sigma" else PRISM
     count = 1 if kind == "upsilon" else len(_SPECS[kind].roles)  # upsilon takes w alone
     good = (1, 2)[:count]
     attach(host, kind, *good)
+    takes = f"{kind} gadget takes anchors ({' '.join(_SPECS[kind].roles[:count])}), got"
     rows = [
-        (host, (0, *good[1:]), errors.UnknownVertex),
-        (host, (*good[:-1], host.n + 1), errors.UnknownVertex),
-        (host, (*good, 3), errors.InvalidInput),
-        (host, good[:-1], errors.InvalidInput),
-        (None, (1,), errors.InvalidInput),
+        (host, (0, *good[1:]), errors.UnknownVertex, f"vertex 0 not in 1..{host.n}"),
+        (host, (*good[:-1], host.n + 1), errors.UnknownVertex, f"vertex {host.n + 1} not in 1..{host.n}"),
+        (host, (*good, 3), errors.InvalidInput, f"{takes} {count + 1}"),
+        (host, good[:-1], errors.InvalidInput, f"{takes} {count - 1}"),
+        (None, (1,), errors.InvalidInput, f"{kind} gadget takes anchors (none on no host), got 1"),
     ]
-    rows += [(host, (good[0],) * count, errors.SameVertex)] if count > 1 else []
+    if count > 1:
+        same = (good[0],) * count
+        rows.append((host, same, errors.SameVertex, f"{kind} gadget needs distinct anchors, got {list(same)}"))
     if kind == "subdivision":  # a pair of ids that is not an edge is EdgeNotFound, whatever the ids
-        rows = [(h, a, e if e is errors.InvalidInput else errors.EdgeNotFound) for h, a, e in rows]
-    for h, anchors, error in rows + ONLY.get(kind, []):
-        with pytest.raises(error):
+        rows = [
+            row if row[2] is errors.InvalidInput
+            else (*row[:2], errors.EdgeNotFound, f"edge ({min(row[1])},{max(row[1])}) not present")
+            for row in rows
+        ]
+    for h, anchors, error, message in rows + ONLY.get(kind, []):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             attach(h, kind, *anchors)
-    with pytest.raises(errors.InvalidInput, match="unknown gadget"):
+    unknown = f"unknown gadget {kind.upper()!r}, expected one of {', '.join(_SPECS)}"
+    with pytest.raises(errors.InvalidInput, match=f"^{re.escape(unknown)}$"):
         attach(host, kind.upper(), *good)
 
 

@@ -10,6 +10,7 @@ from tsr.activation import is_target_set
 from tsr.gadgets import attach
 from tsr.generators import random_cycle, random_hitting_system, random_maxdeg2, random_path, random_tree
 from tsr.graph import (
+    _CANONICAL,
     _bulk,
     PlainGraph,
     ThresholdGraph,
@@ -177,6 +178,20 @@ def test_huge_vertex_count_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_canonical_scan_keeps_no_backtracking_stack():
+    """The bulk read's ``fullmatch`` of a canonical text of about 20,000 lines
+    allocates no stack that grows with the lines."""
+    text = serialize_graph(random_tree(random.Random(555), 10_000))
+    assert text.count("\n") > 19_000
+    tracemalloc.start()
+    try:
+        assert _CANONICAL.fullmatch(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -144,11 +145,15 @@ def test_b312_duplication_doubles_components(k4):
     assert {1, shift[1]} <= out.forward({1})
 
 
-def test_33_rejected_on_other_graphs(fig1):
-    with pytest.raises(errors.NotA33Vertex):
-        reduce_33_to_pb342(fig1)
-    with pytest.raises(errors.NotA33Vertex):
-        reduce_33_to_b312(fig1)
+def test_33_rejected_on_other_graphs(fig1, k4):
+    """Both reductions name the lowest vertex that is not (3,3), here 1 of
+    fig1 and 3 of K4 with tau(3) = 2, after grafting upsilons at 1 and 2."""
+    k4_tau2 = ThresholdGraph.build(4, k4.edges, [3, 3, 2, 3])
+    for g, message in ((fig1, "vertex 1 is a (2,2)-vertex, needs (3,3)"),
+                       (k4_tau2, "vertex 3 is a (3,2)-vertex, needs (3,3)")):
+        for reduce in (reduce_33_to_pb342, reduce_33_to_b312):
+            with pytest.raises(errors.NotA33Vertex, match=f"^{re.escape(message)}$"):
+                reduce(g)
 
 
 def test_split_structure():
